@@ -58,7 +58,9 @@ timeout catches workers that stay connected but stop responding.
 
 from __future__ import annotations
 
+import os
 import pickle
+import socket
 import threading
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, Listener
@@ -273,9 +275,9 @@ class Broker:
                 else:
                     conn.send(("error", f"unknown op {op!r}"))
         except (EOFError, OSError, TypeError, ValueError):
-            # Worker vanished, or close() raced this thread's recv()
-            # (a closed Connection's handle reads as None mid-call).
-            # Either way: leases released below.
+            # Worker vanished, sent a malformed message, or close() shut
+            # the socket down under this thread's recv().  Either way:
+            # leases released below.
             pass
         finally:
             if worker_id is not None:
@@ -291,10 +293,12 @@ class Broker:
                 current = threading.current_thread()
                 if current in self._handlers:
                     self._handlers.remove(current)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
+                # Closed under the lock, so close() never shuts down a
+                # descriptor number that was closed and reused.
+                try:
+                    conn.close()
+                except OSError:  # pragma: no cover - already closed
+                    pass
 
     def _merge_telemetry(self, blob: object) -> None:
         """Fold one piggybacked telemetry frame into the merger.
@@ -364,22 +368,40 @@ class Broker:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop accepting, drop every worker connection. Idempotent."""
+        """Stop accepting, drop every worker connection. Idempotent.
+
+        Closing a socket does not wake a thread blocked on it, so every
+        socket is shut down first: the accept thread's ``accept()`` and
+        each handler's ``recv()`` return at once, and each handler then
+        closes its own connection on the way out.
+        """
         if self._closing.is_set():
             return
         self._closing.set()
+        # multiprocessing's Listener exposes no fileno(); its socket does.
+        _shutdown(self._listener._listener._socket.fileno())
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - platform-dependent
             pass
         with self._lock:
-            connections, self._connections = self._connections, []
+            # A handler closes its connection under this lock, so every
+            # connection still listed here is open.
+            for conn in self._connections:
+                _shutdown(conn.fileno())
+            self._connections = []
             handlers, self._handlers = self._handlers, []
-        for conn in connections:
-            try:
-                conn.close()  # unblocks the handler's recv()
-            except OSError:  # pragma: no cover
-                pass
         self._accept_thread.join(timeout=5.0)
         for handler in handlers:
             handler.join(timeout=5.0)
+
+
+def _shutdown(fd: int) -> None:
+    """``shutdown(SHUT_RDWR)`` the socket behind ``fd``, leaving ``fd``
+    open: any thread blocked on it wakes up, and its owner still closes
+    it."""
+    try:
+        with socket.socket(fileno=os.dup(fd)) as sock:
+            sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already shut down, or never connected
+        pass

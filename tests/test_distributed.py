@@ -28,6 +28,7 @@ from repro.core.affinity import AffinityMatrix, compute_affinity_matrix
 from repro.core.inference.hierarchical import HierarchicalConfig, fit_all_base_functions
 from repro.datasets.base import DevSet
 from repro.distributed import (
+    Broker,
     Coordinator,
     DistributedConfig,
     PoisonShardError,
@@ -404,6 +405,27 @@ class TestPlannerAndTasks:
 # ----------------------------------------------------------------------
 # Coordinator + workers over the real protocol (thread workers)
 # ----------------------------------------------------------------------
+class TestBrokerShutdown:
+    def test_close_with_idle_client_is_prompt_and_joins_threads(self):
+        """A connected worker that never sends anything must not stall
+        close(): the accept and handler threads both wake and exit."""
+        broker = Broker(TaskQueue())
+        client = Client(broker.address, authkey=b"goggles-repro")
+        try:
+            deadline = time.monotonic() + 5.0
+            while broker.active_connections == 0:
+                assert time.monotonic() < deadline, "connection never accepted"
+                time.sleep(0.01)
+            threads = [broker._accept_thread, *broker._handlers]
+            assert [t.name for t in threads] == ["goggles-broker-accept", "goggles-broker-conn-1"]
+            started = time.monotonic()
+            broker.close()
+            assert time.monotonic() - started < 0.5
+            assert [t.name for t in threads if t.is_alive()] == []
+        finally:
+            client.close()
+
+
 class TestCluster:
     def test_best_similarities_bit_identical(self, sim_data):
         protos, vectors = sim_data

@@ -49,15 +49,17 @@ class TestPad2d:
 class TestIm2col:
     def test_shape(self):
         x = np.random.default_rng(0).random((2, 3, 8, 8))
-        cols = F.im2col(x, kernel=3, stride=1, padding=1)
-        assert cols.shape == (2, 64, 27)
+        patches = F.im2col(x, kernel=3, stride=1, padding=1)
+        assert patches.shape == (2, 8, 8, 3, 3, 3)
+        # One image's patches flatten to its (H_out*W_out, kh*kw*C) columns.
+        assert np.ascontiguousarray(patches[0]).reshape(64, -1).shape == (64, 27)
 
     def test_values_match_patches(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        cols = F.im2col(x, kernel=2, stride=2, padding=0)
-        # First patch is the top-left 2x2 block.
-        np.testing.assert_array_equal(cols[0, 0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[0, 3], [10, 11, 14, 15])
+        x = np.arange(32, dtype=np.float64).reshape(1, 2, 4, 4)
+        patches = F.im2col(x, kernel=2, stride=2, padding=0)
+        # First patch is the top-left 2x2 block, channels innermost.
+        np.testing.assert_array_equal(patches[0, 0, 0].ravel(), [0, 16, 1, 17, 4, 20, 5, 21])
+        np.testing.assert_array_equal(patches[0, 1, 1, :, :, 0].ravel(), [10, 11, 14, 15])
 
     def test_kernel_too_large(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -71,9 +73,22 @@ class TestConv2d:
         x = rng.standard_normal((2, 3, 9, 9))
         weight = rng.standard_normal((4, 3, 3, 3))
         bias = rng.standard_normal(4)
-        ours = F.conv2d(x, weight, bias, stride=stride, padding=padding)
         reference = _naive_conv2d(x, weight, bias, stride=stride, padding=padding)
-        np.testing.assert_allclose(ours, reference, atol=1e-10)
+        # The same values stored channels-last, as every conv output is.
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for values in (x, channels_last):
+            ours = F.conv2d(values, weight, bias, stride=stride, padding=padding)
+            np.testing.assert_allclose(ours, reference, atol=1e-10)
+            assert ours.transpose(0, 2, 3, 1).flags.c_contiguous
+        single = F.conv2d(
+            x.astype(np.float32),
+            weight.astype(np.float32),
+            bias.astype(np.float32),
+            stride=stride,
+            padding=padding,
+        )
+        assert single.dtype == np.float32
+        np.testing.assert_allclose(single, reference, atol=1e-4)
 
     def test_identity_kernel(self):
         x = np.random.default_rng(2).random((1, 1, 5, 5))

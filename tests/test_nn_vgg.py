@@ -5,8 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Goggles, GogglesConfig
 from repro.nn import VGG16, VGGConfig
+from repro.nn import functional as F
 from repro.nn.vgg import VGG16_BLOCKS, VGG16_CHANNELS
+
+
+def _nchw_conv2d(x, weight, bias=None, stride=1, padding=0):
+    """Reference convolution: the NCHW im2col + one stacked GEMM that
+    ``F.conv2d`` replaced.  Each patch row interleaves channels, so the
+    gather is a transposing copy of the whole padded batch."""
+    n = x.shape[0]
+    c_out, c_in, k, _ = weight.shape
+    x = F.pad2d(x, padding)
+    h_out = (x.shape[2] - k) // stride + 1
+    w_out = (x.shape[3] - k) // stride + 1
+    s_n, s_c, s_h, s_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c_in, h_out, w_out, k, k),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5).reshape(n, h_out * w_out, -1))
+    out = cols @ weight.reshape(c_out, -1).T
+    if bias is not None:
+        out = out + bias
+    return out.transpose(0, 2, 1).reshape(n, c_out, h_out, w_out)
 
 
 class TestArchitecture:
@@ -119,3 +144,44 @@ class TestCalibration:
 
         biases = [layer.bias for layer in vgg.features if isinstance(layer, Conv2d)]
         assert all(np.abs(b).max() > 0 for b in biases)
+
+
+class TestChannelsLastConv:
+    """The channels-last conv against the NCHW reference it replaced.
+
+    Both sides build their own backbone, so each one's biases are
+    calibrated by its own convolution, exactly as a fresh process would
+    see them."""
+
+    @staticmethod
+    def _pools_and_labels(images, dev):
+        model = VGG16(VGGConfig(seed=0))
+        result = Goggles(GogglesConfig(n_classes=2, seed=0, top_z=4), model=model).label(images, dev)
+        return model.forward_pools(images), result
+
+    @pytest.fixture(scope="class")
+    def runs(self, small_surface):
+        dev = small_surface.sample_dev_set(per_class=3, seed=0)
+        ours = self._pools_and_labels(small_surface.images, dev)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(F, "conv2d", _nchw_conv2d)
+            reference = self._pools_and_labels(small_surface.images, dev)
+        return ours, reference
+
+    def test_pool_features_within_drift_bound(self, runs):
+        (pools, _), (reference, _) = runs
+        for pool, expected in zip(pools, reference):
+            np.testing.assert_allclose(pool, expected, rtol=0, atol=1e-12)
+
+    def test_pool_features_are_channels_last(self, runs):
+        # Distributed extraction ships pool maps by this layout, and the
+        # similarity GEMM rounds by it.
+        (pools, _), _ = runs
+        for pool in pools:
+            assert pool.strides[1] < pool.strides[-1]
+            assert pool.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_labels_identical(self, runs):
+        (_, result), (_, expected) = runs
+        np.testing.assert_allclose(result.affinity.values, expected.affinity.values, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(result.predictions, expected.predictions)
