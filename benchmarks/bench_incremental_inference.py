@@ -1,9 +1,9 @@
-"""Incremental inference: cold refit vs warm start vs process pool.
+"""Incremental inference: cold refit vs warm start.
 
 The staged inference engine claims (a) warm-started incremental
 labeling beats a cold refit — fewer total EM iterations on the same
 extended matrix — while agreeing within the ENGINE.md tolerance, and
-(b) the process executor is value-neutral.  This benchmark checks both
+(b) the thread executor is value-neutral.  This benchmark checks both
 at N ∈ {2·n_per_class, 4·n_per_class} (80 and 160 at the default
 protocol scale) and emits a ``BENCH_inference.json`` trajectory
 artifact for CI to archive.
@@ -64,12 +64,10 @@ def test_incremental_inference_modes(benchmark, settings, record_result):
             start = time.perf_counter()
             warm = InferenceEngine(hier_config, executor="serial").fit(extended, warm_start=state)
             warm_s = time.perf_counter() - start
-            start = time.perf_counter()
-            process = InferenceEngine(hier_config, executor="process", n_jobs=4).fit(extended)
-            process_s = time.perf_counter() - start
+            thread = InferenceEngine(hier_config, executor="thread", n_jobs=2).fit(extended)
 
-            assert np.array_equal(process.posterior, cold.posterior), (
-                "process-pool fit must be bit-identical to serial"
+            assert np.array_equal(thread.posterior, cold.posterior), (
+                "thread-pool fit must be bit-identical to serial"
             )
             assert np.allclose(warm.posterior, cold.posterior, atol=WARM_ATOL), (
                 "warm start must stay within the documented tolerance"
@@ -84,7 +82,6 @@ def test_incremental_inference_modes(benchmark, settings, record_result):
                     "n_new": n - n0,
                     "cold_seconds": round(cold_s, 4),
                     "warm_seconds": round(warm_s, 4),
-                    "process_seconds": round(process_s, 4),
                     "cold_em_iterations": cold.total_em_iterations,
                     "warm_em_iterations": warm.total_em_iterations,
                     "posterior_max_abs_diff": float(np.abs(warm.posterior - cold.posterior).max()),
@@ -103,8 +100,7 @@ def test_incremental_inference_modes(benchmark, settings, record_result):
         lines.append(
             f"N={row['n']} (+{row['n_new']} arrivals): cold {row['cold_seconds']:.3f}s"
             f"/{row['cold_em_iterations']} EM iters, warm {row['warm_seconds']:.3f}s"
-            f"/{row['warm_em_iterations']} iters ({saved:.0f}% iterations saved), "
-            f"process {row['process_seconds']:.3f}s (bit-identical)"
+            f"/{row['warm_em_iterations']} iters ({saved:.0f}% iterations saved)"
         )
     record_result(
         format_curve(

@@ -13,7 +13,7 @@ Each cell records client-observed percentiles (p50/p95/p99 of the 202
 submit round-trip and of submit→resolved end-to-end latency), the shed
 rate at that offered load, and a ``reconciled`` flag asserting the
 scraped ``/metrics`` counters agree exactly with what the clients saw:
-202s with ``goggles_http_requests_total{route="/submit",status="202"}``
+202s with ``goggles_http_requests_total{route="/v1/tenants/{id}/submit",status="202"}``
 and ``goggles_service_submits_total``, 429s with
 ``goggles_http_shed_total`` and ``goggles_service_shed_total``.  Rows
 merge into the repo-root ``BENCH_serving.json`` trajectory
@@ -108,10 +108,9 @@ class _Session:
         self.e2e_seconds: float | None = None
 
 
-def _run_session(url: str, body: bytes, session: _Session, tenant: str | None = None) -> None:
-    submit_url = f"{url}/v1/tenants/{tenant}/submit" if tenant else f"{url}/submit"
+def _run_session(url: str, body: bytes, session: _Session, tenant: str = "default") -> None:
     request = urllib.request.Request(
-        submit_url, data=body,
+        f"{url}/v1/tenants/{tenant}/submit", data=body,
         headers={"Content-Type": "application/json"}, method="POST",
     )
     started = time.perf_counter()
@@ -127,9 +126,7 @@ def _run_session(url: str, body: bytes, session: _Session, tenant: str | None = 
         return
     session.submit_seconds = time.perf_counter() - started
     ticket = payload["ticket"]
-    poll_url = (
-        f"{url}/v1/tenants/{tenant}/poll/{ticket}" if tenant else f"{url}/poll/{ticket}"
-    )
+    poll_url = f"{url}/v1/tenants/{tenant}/poll/{ticket}"
     deadline = time.monotonic() + RESOLVE_TIMEOUT
     while time.monotonic() < deadline:
         try:
@@ -164,7 +161,7 @@ def _drive_cell(
     seconds: float,
     rps: float,
     seed: int,
-    tenant: str | None = None,
+    tenant: str = "default",
 ) -> list[_Session]:
     """Offer open-loop Poisson load for ``seconds``; join every session."""
     rng = random.Random(seed)
@@ -199,7 +196,6 @@ def _cell_row(
     sessions: list[_Session],
     registry: MetricsRegistry,
     url: str,
-    route: str = "/submit",
     tenant: str = "default",
 ) -> dict:
     """Client percentiles + shed rate + metrics reconciliation for one cell."""
@@ -211,6 +207,7 @@ def _cell_row(
     # Post-reply counter updates race the last client read by a hair;
     # wait for the registry to go quiescent before reconciling.
     expected_202 = float(len(done))
+    route = "/v1/tenants/{id}/submit"
     http_submits = registry.get("goggles_http_requests_total")
     quiesce = time.monotonic() + 5.0
     while (
@@ -383,10 +380,7 @@ def test_serving_load_tenants(settings, record_result, tmp_path_factory):
             driver.join(timeout=RESOLVE_TIMEOUT)
         for tenant in ("surface", "cub"):
             cell = {"mode": "batch", "batch_rows": 1, "_bound": None}
-            row = _cell_row(
-                cell, sessions[tenant], metrics, server.url,
-                route="/v1/tenants/{id}/submit", tenant=tenant,
-            )
+            row = _cell_row(cell, sessions[tenant], metrics, server.url, tenant=tenant)
             rows.append({"tenant": tenant, **row})
     finally:
         server.shutdown()

@@ -5,7 +5,7 @@ Examples::
     goggles-repro label --dataset cub --n-per-class 40
     goggles-repro table1 --seeds 3
     goggles-repro fig8 --dataset surface
-    goggles-repro --executor process --n-jobs 4 serve --dataset surface
+    goggles-repro --executor distributed --n-jobs 2 serve --dataset surface
     goggles-repro serve --http-port 8080 --max-queued-pixels 2000000
 
 A local two-command cluster (terminal 1 runs the coordinator, which
@@ -524,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--executor", choices=EXECUTORS, default="thread",
-        help="worker model for base-model fits (process = shared-memory ProcessPoolExecutor)",
+        help="worker model for base-model fits (distributed = coordinator/worker cluster)",
     )
     parser.add_argument(
         "--batch-size", type=int, default=32,
@@ -595,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--http-port", type=int, default=None,
         help="expose the service over HTTP on this port instead of streaming locally "
-        "(POST /submit, GET /poll/<ticket>, GET /healthz)",
+        "(POST /v1/tenants/<id>/submit, GET /v1/tenants/<id>/poll/<ticket>, GET /healthz)",
     )
     serve.add_argument("--http-host", default="127.0.0.1", help="HTTP bind host")
     serve.add_argument(
@@ -605,8 +605,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--tenant", default="default",
-        help="tenant id this service registers under; with --http-port the legacy "
-        "unversioned routes alias it and more tenants can join via POST /v1/tenants",
+        help="tenant id this service registers under; with --http-port /healthz "
+        "reports it and more tenants can join via POST /v1/tenants",
     )
     serve.set_defaults(fn=_cmd_serve)
 

@@ -180,8 +180,8 @@ def densify_topk_rows(
     """Scatter per-row top-k entries into a dense ``(R, n_cols)`` block.
 
     Every column a row dropped takes that row's ``fill`` value.  Shared
-    by all sparse-block consumers (in-RAM densification, memory-mapped
-    block assembly, process-pool workers) so densified blocks are
+    by all sparse-block consumers (in-RAM densification and memory-mapped
+    block assembly) so densified blocks are
     bitwise identical no matter where they are materialised.
     """
     if out is None:

@@ -56,8 +56,7 @@ class GogglesConfig:
             base-model fits ("we can parallelize all of the base
             models", §5.3).  Results are identical at any width.
         executor: worker model for the base-model fits — ``"serial"``,
-            ``"thread"`` (default), ``"process"`` (shared-memory
-            ProcessPoolExecutor; scales EM past the GIL) or
+            ``"thread"`` (default; the EM loops release the GIL) or
             ``"distributed"`` (feature extraction, affinity tiles
             *and* base fits all sharded over a coordinator/worker
             cluster, possibly spanning machines).  Results are
@@ -275,9 +274,9 @@ class Goggles:
     ) -> GogglesResult:
         """Step 2 (Figure 3): class inference on a prebuilt matrix.
 
-        Runs through the staged inference engine (serial, thread, or
-        shared-memory process execution per ``config.executor`` —
-        results are identical in every mode).  ``warm_start`` resumes
+        Runs through the staged inference engine (serial, thread or
+        distributed execution per ``config.executor`` — results are
+        identical in every mode).  ``warm_start`` resumes
         EM from a previous fit's state instead of refitting cold.
         """
         if dev_set.indices.size and dev_set.indices.max() >= affinity.n_examples:

@@ -139,8 +139,8 @@ def fit_base_function(
     function_index: int,
     init: GMMParams | np.ndarray | None = None,
 ) -> GMMFitResult:
-    """Fit the base GMM of one affinity function (module-level: picklable,
-    so process-pool workers can run it — see ``repro.engine.inference``).
+    """Fit the base GMM of one affinity function (module-level, so
+    distributed base-fit shards run it too — see ``repro.distributed.tasks``).
 
     A degenerate fit (every posterior argmax in one component — a
     collapsed EM run carrying no class signal) is detected and retried
@@ -177,7 +177,7 @@ def fit_all_base_functions(
 
     The single serial/thread implementation shared by
     :class:`HierarchicalModel` and ``repro.engine.inference`` (which
-    adds a process-pool branch on top).  ``initializers`` optionally
+    adds a distributed branch on top).  ``initializers`` optionally
     warm-starts function f from ``initializers[f]`` responsibilities.
     Collapsed fits warn here, once, whatever the caller.
     """

@@ -5,8 +5,9 @@ feature extraction (paper §3, stage 1), affinity tile construction
 (§3, stage 2) and per-affinity-function base GMM fits (§4, §5.3) —
 across worker processes that may live on other machines, over a
 lease-based fault-tolerant task queue, with results merged back
-bit-identically to the serial path (large results stream back as
-framed sub-messages rather than one giant pickle):
+bit-identically to the serial path (shards lease and report in
+batches; large results stream back as framed wire-v2 buffers rather
+than one giant pickle):
 
 * :mod:`repro.distributed.tasks` — content-addressed shard tasks and
   the :class:`ShardPlanner` that cuts stage work into them.
@@ -15,8 +16,8 @@ framed sub-messages rather than one giant pickle):
 * :mod:`repro.distributed.worker` — the pull/compute/report loop.
 * :mod:`repro.distributed.coordinator` — the session object the
   engines drive (``executor="distributed"``).
-* :mod:`repro.distributed.wire` — wire format v2: raw npy result
-  buffers behind a framed header (no monolithic pickles).
+* :mod:`repro.distributed.wire` — wire format v2, the only payload
+  format: raw npy result buffers behind a framed header.
 * :mod:`repro.distributed.pool` — warm :class:`WorkerPool` shared
   across runs in one process (zero re-spawns).
 """

@@ -7,12 +7,13 @@ shared ``authkey``.  One daemon thread accepts connections; each worker
 connection gets its own handler thread that translates wire messages
 into :class:`~repro.distributed.queue.TaskQueue` calls:
 
-    ("lease", worker_id)                     -> ("task", ShardTask) | ("idle",) | ("stop",)
     ("lease_many", worker_id, limit)         -> ("tasks", [ShardTask, ...]) | ("idle",) | ("stop",)
-    ("result", worker_id, task_id, arrays[, seconds])  -> ("ok",)
     ("report_many", worker_id, [(task_id, arrays, seconds), ...][, telemetry]) -> ("ok", n_accepted)
     ("fail", worker_id, task_id, error_str)  -> ("ok",)
     ("bye", worker_id[, telemetry])          -> connection closed
+
+Any other op is answered ``("error", "unknown op ...")`` and the
+connection keeps serving.
 
 The optional trailing ``telemetry`` field (also accepted on
 ``result-end``) is an encoded frame of worker-side registry deltas and
@@ -33,15 +34,13 @@ autotuner) in one message and one ack.
 Results above the worker's ``stream_threshold`` arrive as a *framed
 stream* instead of one monolithic message::
 
-    ("result-begin", worker_id, task_id, n_frames, total_bytes[, encoding])  (no reply)
-    ("frame", worker_id, task_id, index, bytes)                    (no reply) ×n_frames
-    ("result-end", worker_id, task_id[, seconds[, telemetry]]) -> ("ok",) | ("error", reason)
+    ("result-begin", worker_id, task_id, n_frames, total_bytes)  (no reply)
+    ("frame", worker_id, task_id, index, bytes)                  (no reply) ×n_frames
+    ("result-end", worker_id, task_id, seconds[, telemetry])   -> ("ok",) | ("error", reason)
 
-The optional ``encoding`` field selects how the reassembled blob is
-decoded: ``"pickle"`` (v1, the default when absent, kept for old
-workers) or ``"npy"`` (wire format v2 — raw npy buffers behind a small
-framed header, decoded zero-copy by :func:`repro.distributed.wire.decode_arrays`
-and never unpickled).
+The reassembled blob is wire format v2 — raw npy buffers behind a small
+framed header, decoded zero-copy by
+:func:`repro.distributed.wire.decode_arrays` and never unpickled.
 
 The handler buffers frames per task in thread-local state and only
 hands the reassembled result to the queue on a complete, length-checked
@@ -59,7 +58,6 @@ timeout catches workers that stay connected but stop responding.
 from __future__ import annotations
 
 import os
-import pickle
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -82,7 +80,6 @@ class _ResultStream:
     worker_id: str
     n_frames: int
     total_bytes: int
-    encoding: str = "pickle"
     frames: list[bytes] = field(default_factory=list)
 
     def error(self) -> str | None:
@@ -199,14 +196,7 @@ class Broker:
             while not self._closing.is_set():
                 message = conn.recv()
                 op = message[0]
-                if op == "lease":
-                    worker_id = message[1]
-                    if self._closing.is_set():
-                        conn.send(("stop",))
-                        break
-                    task = self.queue.lease(worker_id)
-                    conn.send(("task", task) if task is not None else ("idle",))
-                elif op == "lease_many":
+                if op == "lease_many":
                     _, worker_id, limit = message
                     if self._closing.is_set():
                         conn.send(("stop",))
@@ -217,11 +207,6 @@ class Broker:
                             self.n_lease_batches += 1
                         self._m_lease_batches.inc()
                     conn.send(("tasks", tasks) if tasks else ("idle",))
-                elif op == "result":
-                    _, worker_id, task_id, arrays, *rest = message
-                    seconds = float(rest[0]) if rest else None
-                    self.queue.complete(task_id, worker_id, arrays, seconds)
-                    conn.send(("ok",))
                 elif op == "report_many":
                     _, worker_id, reports, *rest = message
                     # Merge the piggybacked telemetry BEFORE the
@@ -242,12 +227,11 @@ class Broker:
                     self._m_report_batches.inc()
                     conn.send(("ok", accepted))
                 elif op == "result-begin":
-                    _, worker_id, task_id, n_frames, total_bytes, *rest = message
+                    _, worker_id, task_id, n_frames, total_bytes = message
                     streams[task_id] = _ResultStream(
                         worker_id=worker_id,
                         n_frames=int(n_frames),
                         total_bytes=int(total_bytes),
-                        encoding=str(rest[0]) if rest else "pickle",
                     )
                 elif op == "frame":
                     _, worker_id, task_id, index, frame = message
@@ -259,11 +243,10 @@ class Broker:
                         # result-end reports a failure, not bad data.
                         stream.n_frames = -1
                 elif op == "result-end":
-                    _, worker_id, task_id, *rest = message
-                    seconds = float(rest[0]) if rest and rest[0] is not None else None
-                    if len(rest) > 1:
-                        self._merge_telemetry(rest[1])
-                    conn.send(self._finish_stream(streams, task_id, worker_id, seconds))
+                    _, worker_id, task_id, seconds, *rest = message
+                    if rest:
+                        self._merge_telemetry(rest[0])
+                    conn.send(self._finish_stream(streams, task_id, worker_id, float(seconds)))
                 elif op == "fail":
                     _, worker_id, task_id, error = message
                     self.queue.fail(task_id, worker_id, error)
@@ -325,7 +308,7 @@ class Broker:
         streams: dict[str, _ResultStream],
         task_id: str,
         worker_id: str,
-        seconds: float | None = None,
+        seconds: float,
     ) -> tuple:
         """Reassemble a completed stream into a queue completion.
 
@@ -339,19 +322,10 @@ class Broker:
         else:
             reason = stream.error()
         if reason is None:
-            blob = b"".join(stream.frames)
-            if stream.encoding == "npy":
-                try:
-                    arrays = decode_arrays(blob)
-                except WireFormatError as error:
-                    reason = f"wire v2 decode failed: {error}"
-            elif stream.encoding == "pickle":
-                try:
-                    arrays = pickle.loads(blob)
-                except Exception as error:  # noqa: BLE001 - corrupt blob
-                    reason = f"stream deserialisation failed: {type(error).__name__}: {error}"
-            else:
-                reason = f"unknown result encoding {stream.encoding!r}"
+            try:
+                arrays = decode_arrays(b"".join(stream.frames))
+            except WireFormatError as error:
+                reason = f"wire v2 decode failed: {error}"
         if reason is not None:
             with self._lock:
                 self.n_stream_errors += 1

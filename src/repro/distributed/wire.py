@@ -1,12 +1,12 @@
 """Wire format v2: raw npy-style buffers instead of monolithic pickles.
 
-The v1 streaming path pickled a whole ``{name: array}`` result into one
-blob before framing it — every byte of every array was copied once into
-the pickle and once more on the join at reassembly, and ``pickle.loads``
-copied a third time into fresh arrays.  For the multi-megabyte
-extraction and tile results that dominate distributed traffic, those
-copies (not the compute) were a measurable slice of the constant factor
-that kept ``executor="distributed"`` behind serial at small N.
+Pickling a whole ``{name: array}`` result into one blob before framing
+it copies every byte of every array once into the pickle, once more on
+the join at reassembly, and a third time on ``pickle.loads``.  For the
+multi-megabyte extraction and tile results that dominate distributed
+traffic, those copies (not the compute) are a measurable slice of the
+constant factor of ``executor="distributed"``.  (Version 1 was that
+pickled stream; it is no longer spoken.)
 
 v2 serialises a result as a *list of buffers* instead of one blob:
 
@@ -28,7 +28,9 @@ and nothing on this path ever unpickles attacker-shapeable bytes.
 A malformed blob (bad magic, truncated header, lengths that disagree
 with the payload) raises :class:`WireFormatError`, which the broker
 reports to the queue as a shard *failure* — burning a retry, exactly
-like a short v1 stream — never a completion.
+like a short stream — never a completion.  The worker refuses the same
+way on its side: a result :func:`encode_arrays` cannot express (an
+object dtype) is reported as a failure, never pickled.
 """
 
 from __future__ import annotations
@@ -157,11 +159,10 @@ def iter_frames(buffers: Iterable[bytes | memoryview], frame_bytes: int) -> Iter
 
 
 # Telemetry frames: magic(4s) version(u16) then UTF-8 JSON.  Telemetry
-# rides as an *optional trailing field* on existing v2 ops
-# (``report_many`` / ``result-end`` / ``bye``) — v1 peers never see it,
-# and a broker that predates it ignores extra fields via ``*rest``
-# unpacking.  JSON (never pickle) keeps the same no-executable-bytes
-# guarantee as the array payloads.
+# rides as an *optional trailing field* on ``report_many`` /
+# ``result-end`` / ``bye``; a worker that ships none simply omits it.
+# JSON (never pickle) keeps the same no-executable-bytes guarantee as
+# the array payloads.
 _TELEMETRY_PREAMBLE = struct.Struct("<4sH")
 
 #: Ceiling on a telemetry frame so a corrupt peer cannot make the

@@ -13,15 +13,13 @@ autotuned batch of shards, each shard's compute is timed, and every
 small result rides back in a single ``report_many`` message whose
 measured seconds feed the broker-side autotuner.  Results above
 ``stream_threshold`` payload bytes are *streamed* instead: the worker
-sends a ``result-begin`` header (encoding ``"npy"`` — wire format v2,
-raw npy buffers framed without a monolithic pickle, see
-:mod:`repro.distributed.wire`), then ``frame_bytes``-sized ``frame``
-sub-messages, then ``result-end``, and the broker reassembles them.
-A disconnect mid-stream simply discards the partial frames and
-releases the lease.  Results that cannot travel as raw buffers
-(object dtypes) fall back to the v1 pickle encoding, as does the whole
-batched protocol when the broker replies ``("error", ...)`` — so a new
-worker still speaks to an old broker.
+sends a ``result-begin`` header, then ``frame_bytes``-sized ``frame``
+sub-messages of wire format v2 (raw npy buffers framed without a
+monolithic pickle, see :mod:`repro.distributed.wire`), then
+``result-end``, and the broker reassembles them.  A disconnect
+mid-stream simply discards the partial frames and releases the lease.
+A large result that cannot travel as raw buffers (an object dtype) is
+reported as a shard failure, like a compute error.
 
 An idle worker backs off exponentially (with jitter, so a fleet that
 went idle together does not re-poll in lockstep) instead of hammering
@@ -36,7 +34,6 @@ loop returns, which is how a worker notices the coordinator is gone.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import socket
 import threading
@@ -99,7 +96,7 @@ class Worker:
         registry: metrics registry the worker instruments (default: the
             process-wide one; in-thread workers get the coordinator's).
         ship_telemetry: piggyback registry deltas + fresh span records
-            on outgoing v2 reports (``report_many`` / ``result-end`` /
+            on outgoing reports (``report_many`` / ``result-end`` /
             ``bye``) so the coordinator can merge them into its scrape
             registry.  On for spawned worker processes, off for
             in-thread workers (which already share the coordinator's
@@ -181,7 +178,6 @@ class Worker:
         self.idle_polls = 0
         self._idle_streak = 0
         self._rng = random.Random()
-        self._v2_ops = True  # flips off when the broker rejects lease_many
         self._stop = threading.Event()
 
     def stop(self) -> None:
@@ -216,8 +212,8 @@ class Worker:
         return base * self._rng.uniform(0.5, 1.0)
 
     def _telemetry_blob(self) -> bytes | None:
-        """The next encoded telemetry frame, or ``None`` (idle/off/v1)."""
-        if self._shipper is None or not self._v2_ops:
+        """The next encoded telemetry frame, or ``None`` (idle/off)."""
+        if self._shipper is None:
             return None
         try:
             payload = self._shipper.collect()
@@ -225,50 +221,20 @@ class Worker:
         except wire.WireFormatError:  # pragma: no cover - defensive: never block reports
             return None
 
-    def _request_lease(self, conn: Connection) -> tuple:
-        """One lease round-trip: batched v2 op, v1 fallback for old brokers."""
-        if self._v2_ops:
-            conn.send(("lease_many", self.worker_id, self.lease_batch))
-            reply = conn.recv()
-            if reply[0] != "error":
-                return reply
-            self._v2_ops = False  # broker predates the batched protocol
-        conn.send(("lease", self.worker_id))
-        return conn.recv()
-
-    def _stream_result(self, conn: Connection, task: ShardTask, arrays: dict, seconds: float) -> None:
-        """Stream one large result as framed wire-v2 npy buffers.
-
-        Falls back to a framed v1 pickle when the arrays cannot travel
-        as raw buffers (object dtypes) or when the broker is too old
-        for the 6-field ``result-begin``.
-        """
-        encoding = "npy" if self._v2_ops else "pickle"
-        if encoding == "npy":
-            try:
-                buffers: list = wire.encode_arrays(arrays)
-            except wire.WireFormatError:
-                encoding = "pickle"
-        if encoding == "pickle":
-            buffers = [pickle.dumps(arrays, protocol=pickle.HIGHEST_PROTOCOL)]
+    def _stream_result(self, conn: Connection, task: ShardTask, buffers: list, seconds: float) -> None:
+        """Stream one large result, already encoded as wire-v2 buffers."""
         total = wire.encoded_nbytes(buffers)
         n_frames = max(1, -(-total // self.frame_bytes))
-        if self._v2_ops:
-            conn.send(("result-begin", self.worker_id, task.task_id, n_frames, total, encoding))
-        else:
-            conn.send(("result-begin", self.worker_id, task.task_id, n_frames, total))
+        conn.send(("result-begin", self.worker_id, task.task_id, n_frames, total))
         for index, frame in enumerate(wire.iter_frames(buffers, self.frame_bytes)):
             conn.send(("frame", self.worker_id, task.task_id, index, bytes(frame)))
         self.results_streamed += 1
         self._m_streamed.inc(worker=self.worker_id)
-        if self._v2_ops:
-            blob = self._telemetry_blob()
-            if blob is not None:
-                conn.send(("result-end", self.worker_id, task.task_id, seconds, blob))
-            else:
-                conn.send(("result-end", self.worker_id, task.task_id, seconds))
+        blob = self._telemetry_blob()
+        if blob is not None:
+            conn.send(("result-end", self.worker_id, task.task_id, seconds, blob))
         else:
-            conn.send(("result-end", self.worker_id, task.task_id))
+            conn.send(("result-end", self.worker_id, task.task_id, seconds))
         conn.recv()  # ack; ("error", ...) means the broker burned a retry
 
     def _flush_reports(self, conn: Connection, reports: list[tuple[str, dict, float]]) -> None:
@@ -285,14 +251,7 @@ class Worker:
             conn.send(("report_many", self.worker_id, reports, blob))
         else:
             conn.send(("report_many", self.worker_id, reports))
-        reply = conn.recv()
-        if reply[0] == "error":
-            # Old broker: replay each result through the v1 op.
-            self._v2_ops = False
-            for task_id, arrays, _seconds in reports:
-                conn.send(("result", self.worker_id, task_id, arrays))
-                conn.recv()
-            return
+        conn.recv()
         self.results_batched += len(reports)
 
     def _process_tasks(self, conn: Connection, tasks: list[ShardTask]) -> None:
@@ -300,8 +259,9 @@ class Worker:
 
         Small results accumulate into one ``report_many`` (flushed
         early if they outgrow ``stream_threshold``); large results
-        stream individually.  Failures report immediately so the queue
-        can requeue while the rest of the batch still computes.
+        stream individually.  Failures — including a large result that
+        wire v2 cannot encode — report immediately so the queue can
+        requeue while the rest of the batch still computes.
         """
         reports: list[tuple[str, dict, float]] = []
         pending_bytes = 0
@@ -314,24 +274,21 @@ class Worker:
                 # timeline on the coordinator.
                 with trace_context(task.trace_id), span(f"shard.{task.kind}", self._registry):
                     arrays = execute_shard(task, cache=self.cache)
+                seconds = time.perf_counter() - started
+                # Size gate on the raw byte footprint — cheap to compute and
+                # within a constant of the encoded size.
+                nbytes = sum(int(np.asarray(value).nbytes) for value in arrays.values())
+                buffers = wire.encode_arrays(arrays) if nbytes > self.stream_threshold else None
             except Exception as error:  # noqa: BLE001 - report, don't die
                 self.tasks_failed += 1
                 self._m_failed.inc(worker=self.worker_id)
                 conn.send(("fail", self.worker_id, task.task_id, f"{type(error).__name__}: {error}"))
                 conn.recv()
                 continue
-            seconds = time.perf_counter() - started
             self.tasks_completed += 1
             self._m_completed.inc(worker=self.worker_id)
-            # Size gate on the raw byte footprint — cheap to compute and
-            # within a constant of the encoded size.
-            nbytes = sum(int(np.asarray(value).nbytes) for value in arrays.values())
-            if nbytes > self.stream_threshold:
-                self._stream_result(conn, task, arrays, seconds)
-                continue
-            if not self._v2_ops:
-                conn.send(("result", self.worker_id, task.task_id, arrays))
-                conn.recv()
+            if buffers is not None:
+                self._stream_result(conn, task, buffers, seconds)
                 continue
             reports.append((task.task_id, arrays, seconds))
             pending_bytes += nbytes
@@ -346,17 +303,17 @@ class Worker:
         conn = self._connect()
         while conn is not None and not self._stop.is_set():
             try:
-                reply = self._request_lease(conn)
+                conn.send(("lease_many", self.worker_id, self.lease_batch))
+                reply = conn.recv()
             except (EOFError, OSError, BrokenPipeError):
                 conn.close()
                 conn = self._connect()
                 continue
             kind = reply[0]
-            if kind in ("task", "tasks"):
+            if kind == "tasks":
                 self._idle_streak = 0  # work granted: reset the backoff
-                tasks = list(reply[1]) if kind == "tasks" else [reply[1]]
                 try:
-                    self._process_tasks(conn, tasks)
+                    self._process_tasks(conn, list(reply[1]))
                 except (EOFError, OSError, BrokenPipeError):
                     # Unreported shards of this batch are rescued by
                     # release_worker / the lease timeout.

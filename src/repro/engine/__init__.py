@@ -11,7 +11,7 @@ Splits the monolithic image→affinity-matrix path into reusable stages:
 * :mod:`repro.engine.engine` — the orchestrator, including the
   incremental corpus-extension path.
 * :mod:`repro.engine.inference` — the staged inference engine
-  (process/thread-parallel base fits, warm-started EM, cached
+  (thread-parallel or distributed base fits, warm-started EM, cached
   parameters).
 """
 

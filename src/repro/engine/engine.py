@@ -53,9 +53,7 @@ class EngineConfig:
             base-model fitting).  Values are identical at any width.
         executor: worker model for the similarity stage and the
             downstream base-model fits — ``"serial"``, ``"thread"``
-            (GIL-releasing EM loops on a thread pool), ``"process"``
-            (ProcessPoolExecutor over shared-memory affinity blocks;
-            scales EM past the GIL on many-core boxes) or
+            (GIL-releasing EM loops on a thread pool) or
             ``"distributed"`` (feature extraction, similarity tiles,
             and base fits shipped as shard tasks leased to
             coordinator/worker cluster processes, possibly on other

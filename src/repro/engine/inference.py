@@ -11,14 +11,11 @@ generative model of paper §4.1)::
 Stage 1 is embarrassingly parallel — "we can parallelize all of the
 base models using different slices of the affinity matrix" (§5.3).
 ``executor="thread"`` fans the fits over a thread pool (the EM inner
-loops are BLAS-bound and release the GIL); ``executor="process"`` side-
-steps the GIL entirely with a ``ProcessPoolExecutor``, handing workers
-the affinity matrix through POSIX shared memory so the O(α·N²) values
-are never pickled; ``executor="distributed"`` leases one base-fit shard
-per affinity function to coordinator/worker cluster processes that may
-live on other machines (``repro.distributed``).  Every mode consumes
-the same ``derive_seed`` streams, so posteriors are **bit-identical**
-regardless of executor.
+loops are BLAS-bound and release the GIL); ``executor="distributed"``
+leases one base-fit shard per affinity function to coordinator/worker
+cluster processes that may live on other machines
+(``repro.distributed``).  Every mode consumes the same ``derive_seed``
+streams, so posteriors are **bit-identical** regardless of executor.
 
 Stage 4 is the incremental-inference path: instead of refitting from
 scratch, the base GMMs resume from the previous run's posterior (old
@@ -32,14 +29,12 @@ a cold refit is checked in the test suite and benchmarks.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix, densify_topk_rows
-from repro.core.inference.base_gmm import GMMFitResult, GMMParams
+from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
+from repro.core.inference.base_gmm import GMMFitResult
 from repro.core.inference.bernoulli import (
     BernoulliFitResult,
     BernoulliParams,
@@ -50,7 +45,6 @@ from repro.core.inference.hierarchical import (
     HierarchicalResult,
     complete_hierarchy,
     fit_all_base_functions,
-    fit_base_function,
     warn_if_reinitialized,
 )
 from repro.engine.cache import ArtifactCache, hash_arrays
@@ -58,7 +52,7 @@ from repro.obs import span
 
 __all__ = ["EXECUTORS", "InferenceState", "InferenceEngine", "warm_start_responsibilities"]
 
-EXECUTORS = ("serial", "thread", "process", "distributed")
+EXECUTORS = ("serial", "thread", "distributed")
 
 
 @dataclass(frozen=True)
@@ -121,51 +115,6 @@ def warm_start_responsibilities(state: InferenceState, affinity: AffinityMatrix)
     return inits
 
 
-def _fit_block_from_shm(
-    shm_name: str,
-    shape: tuple[int, int],
-    dtype: str,
-    function_index: int,
-    config: HierarchicalConfig,
-    init: GMMParams | np.ndarray | None,
-) -> GMMFitResult:
-    """Process-pool worker: attach the shared affinity values, fit one block.
-
-    Module-level (picklable) by construction; the worker copies its
-    N×N block out of shared memory so the fit never holds the segment
-    alive past this call.
-    """
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        values = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-        n = shape[0]
-        block = np.array(values[:, function_index * n : (function_index + 1) * n], copy=True)
-    finally:
-        shm.close()
-    return fit_base_function(block, config, function_index, init=init)
-
-
-def _fit_block_from_csr(
-    data: np.ndarray,
-    indices: np.ndarray,
-    fill: np.ndarray,
-    n_examples: int,
-    function_index: int,
-    config: HierarchicalConfig,
-    init: GMMParams | np.ndarray | None,
-) -> GMMFitResult:
-    """Process-pool worker for the sparse path: densify one CSR block, fit.
-
-    Sparse blocks travel as their O(N·k) CSR arrays instead of a shared
-    O(α·N²) dense segment — pickling N·k floats per function is already
-    sublinear in the dense footprint, which is the point of the sparse
-    path; densification happens worker-side with the shared scatter
-    kernel, so the fitted block is bitwise the one serial mode sees.
-    """
-    block = densify_topk_rows(data, indices, fill, n_examples)
-    return fit_base_function(block, config, function_index, init=init)
-
-
 class InferenceEngine:
     """Fits the hierarchical model with staged, cache-aware execution.
 
@@ -175,15 +124,13 @@ class InferenceEngine:
             :class:`~repro.core.inference.hierarchical.HierarchicalModel`,
             so results match the monolithic path bit-for-bit).
         executor: ``"serial"``, ``"thread"`` (GIL-releasing EM inner
-            loops fan out over a thread pool), ``"process"``
-            (ProcessPoolExecutor + shared-memory affinity blocks) or
-            ``"distributed"`` (base-fit shards leased to
-            coordinator/worker cluster processes, possibly on other
-            machines).  Value-neutral: identical posteriors in every
-            mode.
-        n_jobs: worker count for the thread/process executors (and the
-            local worker count a self-created distributed session
-            defaults to).
+            loops fan out over a thread pool) or ``"distributed"``
+            (base-fit shards leased to coordinator/worker cluster
+            processes, possibly on other machines).  Value-neutral:
+            identical posteriors in every mode.
+        n_jobs: worker count for the thread executor (and the local
+            worker count a self-created distributed session defaults
+            to).
         cache: optional artifact cache; fitted parameters and the
             posterior are persisted next to the corpus state, so a
             fresh process can restore the warm-start state from disk.
@@ -283,7 +230,7 @@ class InferenceEngine:
         return self.cache.key(data_hash, self._params(warm))
 
     # ------------------------------------------------------------------
-    # Stage 1: base-model fits (serial | thread | process)
+    # Stage 1: base-model fits (serial | thread | distributed)
     # ------------------------------------------------------------------
     def _fit_base_models(
         self, affinity: AffinityMatrix | SparseAffinityMatrix, inits: list[np.ndarray] | None
@@ -292,84 +239,17 @@ class InferenceEngine:
 
         Serial/thread delegate to the shared
         :func:`~repro.core.inference.hierarchical.fit_all_base_functions`;
-        only the process and distributed branches live here.  Every
-        branch consumes the affinity through ``block(f)`` only, so a
-        sparse matrix flows through serial/thread/distributed unchanged;
-        the process branch ships CSR arrays instead of a dense
-        shared-memory segment when the matrix is sparse.
+        only the distributed branch lives here.  Every branch consumes
+        the affinity through ``block(f)`` only, so a sparse matrix flows
+        through every executor unchanged.
         """
         if self.executor == "distributed":
             results = self._get_coordinator().fit_base_models(affinity, self.config, inits)
             warn_if_reinitialized(results)
             label_predictions = np.concatenate([r.responsibilities for r in results], axis=1)
             return label_predictions, results
-        if self.executor == "process" and self.n_jobs > 1 and affinity.n_functions > 1:
-            if isinstance(affinity, SparseAffinityMatrix):
-                results = self._fit_base_models_process_sparse(affinity, inits)
-            else:
-                results = self._fit_base_models_process(affinity, inits)
-            warn_if_reinitialized(results)
-            label_predictions = np.concatenate([r.responsibilities for r in results], axis=1)
-            return label_predictions, results
         n_jobs = 1 if self.executor == "serial" else self.n_jobs
         return fit_all_base_functions(affinity, self.config, n_jobs=n_jobs, initializers=inits)
-
-    def _fit_base_models_process(
-        self, affinity: AffinityMatrix, inits: list[np.ndarray] | None
-    ) -> tuple[GMMFitResult, ...]:
-        """Fan the base fits out over processes, affinity via shared memory.
-
-        Only the (small) warm-start responsibilities and fit results
-        cross the process boundary by pickling; the O(α·N²) affinity
-        values are written once into a POSIX shared-memory segment that
-        every worker maps read-only.
-        """
-        values = np.ascontiguousarray(affinity.values)
-        alpha = affinity.n_functions
-        shm = shared_memory.SharedMemory(create=True, size=values.nbytes)
-        try:
-            staging = np.ndarray(values.shape, dtype=values.dtype, buffer=shm.buf)
-            staging[:] = values
-            with ProcessPoolExecutor(max_workers=min(self.n_jobs, alpha)) as pool:
-                futures = [
-                    pool.submit(
-                        _fit_block_from_shm,
-                        shm.name,
-                        values.shape,
-                        str(values.dtype),
-                        f,
-                        self.config,
-                        inits[f] if inits is not None else None,
-                    )
-                    for f in range(alpha)
-                ]
-                return tuple(future.result() for future in futures)
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def _fit_base_models_process_sparse(
-        self, affinity: SparseAffinityMatrix, inits: list[np.ndarray] | None
-    ) -> tuple[GMMFitResult, ...]:
-        """Process fan-out over sparse blocks: per-function CSR pickling.
-
-        No shared-memory staging — each submission carries only that
-        function's (N, k) CSR arrays, sublinear in the dense footprint.
-        """
-        n = affinity.n_examples
-        with ProcessPoolExecutor(max_workers=min(self.n_jobs, affinity.n_functions)) as pool:
-            futures = [
-                pool.submit(
-                    _fit_block_from_csr,
-                    *affinity.csr_block(f),
-                    n,
-                    f,
-                    self.config,
-                    inits[f] if inits is not None else None,
-                )
-                for f in range(affinity.n_functions)
-            ]
-            return tuple(future.result() for future in futures)
 
     # ------------------------------------------------------------------
     # Full fit

@@ -74,7 +74,7 @@ class ExperimentSettings:
         n_jobs: worker count for affinity tiling and base-model
             fitting; results are identical at any width.
         executor: worker model for base-model fits (``"serial"`` /
-            ``"thread"`` / ``"process"``); value-neutral like n_jobs.
+            ``"thread"`` / ``"distributed"``); value-neutral like n_jobs.
         batch_size: images per backbone forward pass in the affinity
             engine (memory bound, value-neutral).
         precision: engine compute precision (``"float64"`` exact,

@@ -26,7 +26,7 @@ The ``/v1`` API:
 * ``DELETE /v1/tenants/<id>`` — evict (drain + drop the fitted state,
   keep the registration; the next submit transparently reloads it
   bit-identically).  ``?forget=true`` removes the registration too.
-* ``GET /healthz`` — per-tenant queue/drift sections plus the legacy
+* ``GET /healthz`` — per-tenant queue/drift sections plus the
   top-level default-tenant fields; ``?tenant=<id>`` narrows to one
   tenant's section.  When the registry carries distributed telemetry
   (merged worker counters, shard timelines) a ``distributed`` section
@@ -45,11 +45,6 @@ trace id echoed in the ``X-Trace-Id`` header — codes are
 ``bad_request``, ``payload_too_large`` (413, bodies above
 ``max_body_bytes``), ``backpressure`` (429), ``tenant_exists`` (409),
 ``tenant_unavailable`` / ``service_unavailable`` (503).
-
-**Deprecation policy**: the unversioned routes (``POST /submit``,
-``GET /poll/<ticket>``) remain as aliases onto the default tenant and
-answer with a ``Deprecation: true`` header; new clients must use the
-``/v1`` forms (see ENGINE.md, "Multi-tenant serving").
 
 Each request is handled on its own thread (``ThreadingHTTPServer``);
 all actual labeling still funnels through each tenant service's single
@@ -95,7 +90,6 @@ class Route(NamedTuple):
     pattern: re.Pattern
     label: str  # bounded-cardinality Prometheus route label
     handler: str  # _Handler method name
-    deprecated: bool = False
 
 
 #: The single source of routing truth: dispatch, the ``route`` metric
@@ -129,10 +123,6 @@ ROUTES: tuple[Route, ...] = (
         "/v1/tenants/{id}",
         "_handle_tenants_evict",
     ),
-    # Legacy unversioned aliases onto the default tenant (Deprecation
-    # header; see the deprecation policy in ENGINE.md).
-    Route("POST", re.compile(r"^/submit$"), "/submit", "_handle_submit", deprecated=True),
-    Route("GET", re.compile(r"^/poll/(?P<ticket>[^/]+)$"), "/poll", "_handle_poll", deprecated=True),
 )
 
 
@@ -174,9 +164,10 @@ class LabelingHTTPServer(ThreadingHTTPServer):
             registry's.
         max_body_bytes: request bodies above this answer ``413
             payload_too_large`` without being read.
-        default_tenant: the tenant the legacy unversioned routes alias
-            (registry form only; an adopted service always aliases its
-            own tenant).  Defaults to ``"default"``.
+        default_tenant: the tenant whose queue fields ``/healthz``
+            reports at the top level (registry form only; an adopted
+            service is always its own default).  Defaults to
+            ``"default"``.
     """
 
     daemon_threads = True
@@ -207,8 +198,8 @@ class LabelingHTTPServer(ThreadingHTTPServer):
             self.default_tenant = default_tenant or DEFAULT_TENANT
             self.registry = registry or service.metrics
         else:
-            # Single-service form: adopt it as the default tenant so the
-            # legacy routes and the /v1 ones serve the same state.
+            # Single-service form: adopt it as the default tenant, so
+            # /v1/tenants/<its id>/... and /healthz serve its state.
             self.service = service
             self.registry = registry or service.registry
             self.tenants = TenantRegistry(metrics=self.registry)
@@ -364,7 +355,6 @@ class _Handler(BaseHTTPRequestHandler):
         route, match = match_route(method, split.path)
         self._route_label = route.label if route is not None else "other"
         self._tenant_label = ""  # set by tenant-scoped handlers
-        self._deprecated = route is not None and route.deprecated
         self._trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
         self._status_code = 0
         started = time.monotonic()
@@ -385,9 +375,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
 
     def _match_tenant(self, match: re.Match | None) -> str:
-        """The tenant a route addresses (legacy routes -> the default)."""
-        groups = match.groupdict() if match is not None else {}
-        tenant_id = groups.get("tenant") or self.server.default_tenant
+        """The tenant a ``/v1/tenants/<id>/...`` route addresses."""
+        assert match is not None
+        tenant_id = match.group("tenant")
         self._tenant_label = tenant_id
         return tenant_id
 
@@ -416,8 +406,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Trace-Id", self._trace_id)
-        if self._deprecated:
-            self.send_header("Deprecation", "true")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -543,7 +531,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(201, {"tenant": handle.describe(), "trace_id": self._trace_id})
 
     def _handle_tenants_evict(self, match: re.Match | None, query: dict[str, list[str]]) -> None:
-        assert match is not None
         tenant_id = self._match_tenant(match)
         forget = query.get("forget", ["false"])[0].lower() in ("1", "true", "yes")
         try:
@@ -598,7 +585,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(202, {"ticket": ticket, "tenant": tenant_id, "trace_id": self._trace_id})
 
     def _handle_poll(self, match: re.Match | None, query: dict[str, list[str]]) -> None:
-        assert match is not None
         tenant_id = self._match_tenant(match)
         ticket = match.group("ticket")
         try:

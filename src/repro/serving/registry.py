@@ -14,8 +14,8 @@ Lifecycle verbs:
 * :meth:`TenantRegistry.register` — fit a new tenant from its seed
   corpus + dev set and start serving it;
 * :meth:`TenantRegistry.adopt` — wrap an externally built, already
-  *started* service (the legacy single-tenant HTTP path and the CLI
-  both adopt);
+  *started* service (the single-service HTTP form and the CLI both
+  adopt);
 * :meth:`TenantRegistry.activate` — transparent reload of an evicted
   tenant.  The rebuild goes through ``goggles.label`` on the retained
   seed corpus: with a cache directory every stage is a content-addressed
@@ -70,7 +70,7 @@ __all__ = [
     "UnknownTenantError",
 ]
 
-#: The tenant legacy unversioned routes and single-service setups map to.
+#: The tenant single-service setups register under and ``/healthz`` reports first.
 DEFAULT_TENANT = "default"
 
 #: URL-safe tenant ids: they appear verbatim in ``/v1/tenants/<id>/...``

@@ -59,8 +59,9 @@ class TestCli:
         assert "evictions" in out  # cache stats line includes the new counter
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--executor", "gpu", "label", "--dataset", "surface"])
+        for executor in ("gpu", "process"):
+            with pytest.raises(SystemExit):
+                main(["--executor", executor, "label", "--dataset", "surface"])
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(SystemExit):

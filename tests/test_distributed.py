@@ -515,10 +515,10 @@ class TestCluster:
             # The doomed worker leases a shard and dies mid-stream:
             # header and one frame sent, then the connection drops.
             doomed = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
-            doomed.send(("lease", "doomed"))
-            reply = doomed.recv()
-            assert reply[0] == "task"
-            task_id = reply[1].task_id
+            doomed.send(("lease_many", "doomed", 1))
+            op, [task] = doomed.recv()
+            assert op == "tasks"
+            task_id = task.task_id
             doomed.send(("result-begin", "doomed", task_id, 4, 512))
             doomed.send(("frame", "doomed", task_id, 0, b"x" * 128))
             doomed.close()
@@ -553,31 +553,31 @@ class TestCluster:
             task = make_task()
             coordinator.queue.add(task)
             conn = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
-            conn.send(("lease", "liar"))
+            conn.send(("lease_many", "liar", 1))
             reply = conn.recv()
-            assert reply[0] == "task"
+            assert reply[0] == "tasks"
             # Claim 2 frames / 100 bytes, deliver one short frame.
             conn.send(("result-begin", "liar", task.task_id, 2, 100))
             conn.send(("frame", "liar", task.task_id, 0, b"short"))
-            conn.send(("result-end", "liar", task.task_id))
+            conn.send(("result-end", "liar", task.task_id, 0.01))
             reply = conn.recv()
             assert reply[0] == "error"
             assert coordinator.queue.stats()["failed"] == 1
             assert coordinator._broker.n_stream_errors == 1
             # An orphan result-end (no begin) is likewise a failure.
-            conn.send(("lease", "liar"))
+            conn.send(("lease_many", "liar", 1))
             reply = conn.recv()  # the requeued shard comes back
-            assert reply[0] == "task"
-            conn.send(("result-end", "liar", task.task_id))
+            assert reply[0] == "tasks"
+            conn.send(("result-end", "liar", task.task_id, 0.01))
             reply = conn.recv()
             assert reply[0] == "error"
             assert coordinator.queue.stats()["failed"] == 2
-            # A correct single-message completion still lands.
-            conn.send(("lease", "liar"))
+            # A correct batched completion still lands.
+            conn.send(("lease_many", "liar", 1))
             reply = conn.recv()
-            assert reply[0] == "task"
-            conn.send(("result", "liar", task.task_id, {"best": np.zeros((2, 2))}))
-            assert conn.recv() == ("ok",)
+            assert reply[0] == "tasks"
+            conn.send(("report_many", "liar", [(task.task_id, {"best": np.zeros((2, 2))}, 0.01)]))
+            assert conn.recv() == ("ok", 1)
             assert coordinator.queue.result(task.task_id) is not None
             conn.send(("bye", "liar"))
             conn.close()
@@ -606,9 +606,9 @@ class TestCluster:
                 time.sleep(0.01)
             # A doomed worker leases one shard, then crashes (disconnect).
             doomed = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
-            doomed.send(("lease", "doomed"))
+            doomed.send(("lease_many", "doomed", 1))
             reply = doomed.recv()
-            assert reply[0] == "task"
+            assert reply[0] == "tasks"
             doomed.close()
             # Now a healthy worker drains everything, including the
             # released shard.

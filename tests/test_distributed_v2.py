@@ -246,21 +246,23 @@ class TestBatchedOps:
             out, best_similarities(protos, vectors, row_tile=4, col_tile=6)
         )
 
-    def test_npy_framing_matches_pickle_path_bit_for_bit(self, sim_data):
-        """The same cluster work routed through wire v2 (npy frames)
-        and wire v1 (monolithic pickle) yields identical bytes."""
+    def test_npy_framing_matches_report_many_bit_for_bit(self, sim_data):
+        """The same cluster work routed through streamed wire-v2 frames
+        and through batched ``report_many`` uploads yields identical
+        bytes."""
         protos, vectors = sim_data
         with thread_cluster(1, stream_threshold=0, frame_bytes=128) as c_npy:
             via_npy = c_npy.best_similarities(protos, vectors, row_tile=4)
             assert c_npy._broker.n_streamed > 0
-        with thread_cluster(1, stream_threshold=1 << 30) as c_pickle:
-            via_pickle = c_pickle.best_similarities(protos, vectors, row_tile=4)
-            assert c_pickle._broker.n_streamed == 0
-        np.testing.assert_array_equal(via_npy, via_pickle)
-        assert via_npy.tobytes() == via_pickle.tobytes()
+        with thread_cluster(1, stream_threshold=1 << 30) as c_batched:
+            via_reports = c_batched.best_similarities(protos, vectors, row_tile=4)
+            assert c_batched._broker.n_streamed == 0
+            assert c_batched._broker.n_report_batches > 0
+        np.testing.assert_array_equal(via_npy, via_reports)
+        assert via_npy.tobytes() == via_reports.tobytes()
 
     def test_malformed_npy_frames_burn_a_retry_not_a_completion(self):
-        """Garbage bytes under encoding="npy" must queue.fail the shard
+        """Garbage bytes in a streamed result must queue.fail the shard
         (requeue/poison semantics), never complete it."""
         coordinator = thread_cluster(0, lease_timeout=30.0)
         try:
@@ -268,11 +270,10 @@ class TestBatchedOps:
             task = make_task()
             coordinator.queue.add(task)
             conn = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
-            conn.send(("lease", "liar"))
-            reply = conn.recv()
-            assert reply[0] == "task"
+            conn.send(("lease_many", "liar", 1))
+            assert conn.recv()[0] == "tasks"
             garbage = b"\x00" * 64  # length-consistent, structurally void
-            conn.send(("result-begin", "liar", task.task_id, 1, len(garbage), "npy"))
+            conn.send(("result-begin", "liar", task.task_id, 1, len(garbage)))
             conn.send(("frame", "liar", task.task_id, 0, garbage))
             conn.send(("result-end", "liar", task.task_id, 0.01))
             op, reason = conn.recv()
@@ -281,51 +282,88 @@ class TestBatchedOps:
             assert coordinator.queue.result(task.task_id) is None
             assert coordinator.queue.stats()["failed"] == 1
             assert coordinator._broker.n_stream_errors == 1
-            # A pickle blob mislabeled as npy is rejected the same way
-            # (the binary path never unpickles).
-            conn.send(("lease", "liar"))
-            assert conn.recv()[0] == "task"
+            # A pickle blob is rejected the same way (the broker never
+            # unpickles a streamed payload).
+            conn.send(("lease_many", "liar", 1))
+            assert conn.recv()[0] == "tasks"
             blob = pickle.dumps({"best": np.zeros((2, 2))})
-            conn.send(("result-begin", "liar", task.task_id, 1, len(blob), "npy"))
+            conn.send(("result-begin", "liar", task.task_id, 1, len(blob)))
             conn.send(("frame", "liar", task.task_id, 0, blob))
-            conn.send(("result-end", "liar", task.task_id))
+            conn.send(("result-end", "liar", task.task_id, 0.01))
             assert conn.recv()[0] == "error"
             assert coordinator.queue.stats()["failed"] == 2
-            # An unknown encoding is also a failure, not a guess.
-            conn.send(("lease", "liar"))
-            assert conn.recv()[0] == "task"
-            conn.send(("result-begin", "liar", task.task_id, 1, 4, "yaml"))
-            conn.send(("frame", "liar", task.task_id, 0, b"abcd"))
-            conn.send(("result-end", "liar", task.task_id))
-            op, reason = conn.recv()
-            assert op == "error"
-            assert "unknown result encoding" in reason
             conn.send(("bye", "liar"))
             conn.close()
         finally:
             coordinator.close()
 
-    def test_worker_falls_back_to_v1_on_old_broker_error_reply(self, sim_data):
-        """A worker whose lease_many is rejected flips to the v1 ops
-        and still completes the run (forward compatibility)."""
-        protos, vectors = sim_data
-        coordinator = thread_cluster(0)
+    def test_v1_single_shard_ops_are_unknown(self):
+        """The v1 ``lease`` and ``result`` ops are gone: the broker
+        answers each with an error, grants and completes nothing, and
+        the same connection still serves the batched protocol."""
+        coordinator = thread_cluster(0, lease_timeout=30.0)
         try:
             coordinator.start()
-            worker = Worker(coordinator.address, coordinator.config.authkey, poll_interval=0.01)
-            # Simulate an old broker by pre-flipping the worker's
-            # belief: every op it sends is now v1.
-            worker._v2_ops = False
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            out = coordinator.best_similarities(protos, vectors, row_tile=4)
-            worker.stop()
-            thread.join(timeout=10.0)
-            assert worker.tasks_completed > 0
-            assert worker.results_batched == 0  # no report_many in v1 mode
+            task = make_task()
+            coordinator.queue.add(task)
+            conn = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
+            conn.send(("lease", "old"))
+            assert conn.recv() == ("error", "unknown op 'lease'")
+            conn.send(("result", "old", task.task_id, {"best": np.zeros((2, 2))}))
+            assert conn.recv() == ("error", "unknown op 'result'")
+            assert coordinator.queue.result(task.task_id) is None
+            conn.send(("lease_many", "old", 4))
+            op, [granted] = conn.recv()
+            assert op == "tasks"
+            assert granted.task_id == task.task_id
+            conn.send(("bye", "old"))
+            conn.close()
         finally:
             coordinator.close()
-        np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4))
+
+    def test_unencodable_streamed_result_is_a_failure_not_a_pickle(self, monkeypatch):
+        """A streamed result wire v2 cannot carry (object dtype) is
+        reported through ``fail`` — burning a retry — instead of being
+        pickled, and the worker keeps serving."""
+        from repro.distributed import worker as worker_module
+
+        real_execute = worker_module.execute_shard
+        calls: list[str] = []
+
+        def unencodable_once(task, cache=None):
+            calls.append(task.task_id)
+            if len(calls) == 1:
+                return {"best": np.array([object()], dtype=object)}
+            return real_execute(task, cache=cache)
+
+        monkeypatch.setattr(worker_module, "execute_shard", unencodable_once)
+        coordinator = thread_cluster(0, lease_timeout=30.0)
+        try:
+            coordinator.start()
+            task = make_task()
+            coordinator.queue.add(task)
+            worker = Worker(
+                coordinator.address, coordinator.config.authkey,
+                poll_interval=0.01, stream_threshold=0,
+            )
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while coordinator.queue.result(task.task_id) is None:
+                assert time.monotonic() < deadline, "the requeued shard never completed"
+                time.sleep(0.01)
+            worker.stop()
+            thread.join(timeout=10.0)
+            assert calls == [task.task_id, task.task_id]  # failed, then retried
+            assert coordinator.queue.stats()["failed"] == 1
+            assert worker.tasks_failed == 1
+            assert worker.results_streamed == 1  # the retry streamed as wire v2
+            assert coordinator._broker.n_stream_errors == 0  # nothing bad was sent
+            np.testing.assert_array_equal(
+                coordinator.queue.result(task.task_id)["best"], real_execute(task)["best"]
+            )
+        finally:
+            coordinator.close()
 
 
 # ----------------------------------------------------------------------

@@ -270,15 +270,16 @@ class TestEngineConfigValidation:
             EngineConfig(n_jobs=0)
 
     def test_bad_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            EngineConfig(executor="gpu")
+        for executor in ("gpu", "process"):
+            with pytest.raises(ValueError, match="executor"):
+                EngineConfig(executor=executor)
 
     def test_executor_and_budget_flow_from_goggles_config(self):
         from repro.core import GogglesConfig
 
-        config = GogglesConfig(executor="process", n_jobs=4, cache_max_bytes=1024)
+        config = GogglesConfig(executor="serial", n_jobs=4, cache_max_bytes=1024)
         engine = config.engine_config()
-        assert engine.executor == "process"
+        assert engine.executor == "serial"
         assert engine.cache_max_bytes == 1024
 
 

@@ -21,6 +21,10 @@ from repro.core import Goggles, GogglesConfig
 from repro.serving import LabelingHTTPServer, LabelingService, serve_http
 
 TIMEOUT = 120.0
+# A started service is adopted as tenant "default" of the server's registry.
+SUBMIT = "/v1/tenants/default/submit"
+POLL = "/v1/tenants/default/poll"
+SUBMIT_ROUTE = "/v1/tenants/{id}/submit"  # the bounded route label
 
 
 def _get(url: str) -> tuple[int, dict]:
@@ -63,7 +67,7 @@ class TestRoutes:
     def test_submit_poll_roundtrip_npy(self, http_setup):
         server, service, images, n0 = http_setup
         code, payload, _ = _post(
-            f"{server.url}/submit",
+            f"{server.url}{SUBMIT}",
             _npy_bytes(images[n0 : n0 + 3]),
             "application/octet-stream",
         )
@@ -72,7 +76,7 @@ class TestRoutes:
         # Poll over HTTP until the background worker resolves the batch.
         deadline = time.monotonic() + TIMEOUT
         while True:
-            code, status = _get(f"{server.url}/poll/{ticket}")
+            code, status = _get(f"{server.url}{POLL}/{ticket}")
             assert code == 200
             if status["state"] != "pending":
                 break
@@ -90,7 +94,7 @@ class TestRoutes:
     def test_submit_json_body(self, http_setup):
         server, service, images, n0 = http_setup
         body = json.dumps({"images": images[n0 + 3 : n0 + 4].tolist()}).encode()
-        code, payload, _ = _post(f"{server.url}/submit", body, "application/json")
+        code, payload, _ = _post(f"{server.url}{SUBMIT}", body, "application/json")
         assert code == 202
         status = service.result(payload["ticket"], timeout=TIMEOUT)
         assert status.done
@@ -141,7 +145,7 @@ class TestRoutes:
         server = serve_http(service)
         try:
             code, payload, _ = _post(
-                f"{server.url}/submit", _npy_bytes(images[n0:]), "application/octet-stream"
+                f"{server.url}{SUBMIT}", _npy_bytes(images[n0:]), "application/octet-stream"
             )
             assert code == 202
             assert service.result(payload["ticket"], timeout=TIMEOUT).done
@@ -161,7 +165,7 @@ class TestRoutes:
     def test_unknown_ticket_404(self, http_setup):
         server, *_ = http_setup
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{server.url}/poll/t999999", timeout=30.0)
+            urllib.request.urlopen(f"{server.url}{POLL}/t999999", timeout=30.0)
         assert excinfo.value.code == 404
 
     def test_unknown_route_404(self, http_setup):
@@ -172,14 +176,14 @@ class TestRoutes:
 
     def test_garbage_body_400(self, http_setup):
         server, *_ = http_setup
-        code, payload, _ = _post(f"{server.url}/submit", b"not an array", "application/octet-stream")
+        code, payload, _ = _post(f"{server.url}{SUBMIT}", b"not an array", "application/octet-stream")
         assert code == 400
         assert "error" in payload
 
     def test_wrong_shape_400(self, http_setup):
         server, *_ = http_setup
         body = json.dumps({"images": [1.0, 2.0]}).encode()
-        code, payload, _ = _post(f"{server.url}/submit", body, "application/json")
+        code, payload, _ = _post(f"{server.url}{SUBMIT}", body, "application/json")
         assert code == 400
         assert "(M, C, H, W)" in payload["error"]["message"]
 
@@ -193,7 +197,7 @@ class TestBackPressure:
         server.serve_in_background()
         try:
             code, payload, headers = _post(
-                f"{server.url}/submit",
+                f"{server.url}{SUBMIT}",
                 _npy_bytes(images[n0 : n0 + 1]),
                 "application/octet-stream",
             )
@@ -285,7 +289,7 @@ class TestObservability:
         server.serve_in_background()
         try:
             code, payload, _ = _post(
-                f"{server.url}/submit", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
+                f"{server.url}{SUBMIT}", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
             )
             assert code == 202
             assert service.result(payload["ticket"], timeout=TIMEOUT).done
@@ -297,10 +301,10 @@ class TestObservability:
             while counter.value(route="/healthz", status="200", tenant="") < 1:
                 assert time.monotonic() < deadline, "healthz request never counted"
                 time.sleep(0.01)
-            assert counter.value(route="/submit", status="202", tenant="default") == 1
+            assert counter.value(route=SUBMIT_ROUTE, status="202", tenant="default") == 1
             assert counter.value(route="/healthz", status="200", tenant="") == 1
             histogram = registry.get("goggles_http_request_seconds")
-            assert histogram.count(route="/submit", tenant="default") == 1
+            assert histogram.count(route=SUBMIT_ROUTE, tenant="default") == 1
         finally:
             server.shutdown()
 
@@ -335,13 +339,13 @@ class TestObservability:
         try:
             for _ in range(3):
                 code, *_ = _post(
-                    f"{server.url}/submit", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
+                    f"{server.url}{SUBMIT}", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
                 )
                 assert code == 429
             assert registry.get("goggles_http_shed_total").total() == 3
             counter = registry.get("goggles_http_requests_total")
             deadline = time.monotonic() + 5.0
-            while counter.value(route="/submit", status="429", tenant="default") < 3:
+            while counter.value(route=SUBMIT_ROUTE, status="429", tenant="default") < 3:
                 assert time.monotonic() < deadline, "429s never counted"
                 time.sleep(0.01)
             _, health = _get(f"{server.url}/healthz")
@@ -356,7 +360,7 @@ class TestObservability:
         clear_spans()
         # Client-supplied trace id is honoured and echoed.
         request = urllib.request.Request(
-            f"{server.url}/submit",
+            f"{server.url}{SUBMIT}",
             data=_npy_bytes(images[n0 : n0 + 1]),
             headers={"Content-Type": "application/octet-stream", "X-Trace-Id": "trace-abc-123"},
             method="POST",
@@ -437,7 +441,7 @@ class TestObservability:
     def test_trace_id_minted_when_absent(self, http_setup):
         server, service, images, n0 = http_setup
         code, payload, headers = _post(
-            f"{server.url}/submit", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
+            f"{server.url}{SUBMIT}", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
         )
         assert code == 202
         assert payload["trace_id"]

@@ -446,17 +446,19 @@ class TestHTTPTenantAPI:
         finally:
             server.shutdown()
 
-    def test_legacy_routes_alias_default_with_deprecation(self, stack):
-        """On a registry server the unversioned routes still exist as
-        deprecated aliases onto the default tenant (unregistered here,
-        hence 404 — but with the Deprecation header and the envelope)."""
+    def test_unversioned_routes_are_unknown(self, stack):
+        """The unversioned ``/submit`` and ``/poll`` aliases are gone:
+        they fall through the route table like any other path."""
         _, server, _ = stack
         code, payload, headers = _request(
             "POST", f"{server.url}/submit", b"{}", {"Content-Type": "application/json"}
         )
         assert code == 404
-        assert payload["error"]["code"] == "unknown_tenant"
-        assert headers["Deprecation"] == "true"
+        assert payload["error"]["code"] == "unknown_route"
+        assert "Deprecation" not in headers
+        code, payload, _ = _request("GET", f"{server.url}/poll/default-t000001")
+        assert code == 404
+        assert payload["error"]["code"] == "unknown_route"
 
     def test_healthz_tenant_sections_and_filter(self, stack):
         _, server, _ = stack

@@ -298,7 +298,7 @@ class TestMemmapBlocks:
 
 
 class TestExecutorsOnSparse:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_bit_identical_to_serial(self, sparse_matrix, executor):
         config = HierarchicalConfig(n_classes=2, seed=0)
         reference = InferenceEngine(config, executor="serial").fit(sparse_matrix)
