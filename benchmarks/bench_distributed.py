@@ -1,12 +1,17 @@
 """Distributed shard runtime: cluster vs the serial path, with crossover.
 
-Two benchmarks share the repo-root ``BENCH_distributed.json``:
+Three benchmarks share the repo-root ``BENCH_distributed.json``, one
+section each:
 
-* ``test_distributed_vs_serial_bit_identical`` — the original N=80
-  cold-cluster smoke: one coordinator, two spawned workers, and the
-  acceptance contract that the merged :class:`AffinityMatrix` is
-  **bit-identical** to the serial build and the class-aligned labels
-  are exactly equal (atol=0).
+* ``test_distributed_extraction_bit_identical_at_any_worker_count`` —
+  cold clusters of 1, 2 and 4 spawned worker processes with result
+  streaming forced on (``stream_threshold=0``), so the framed path runs
+  under load.  At every worker count the merged pool features (values
+  *and* strides: the downstream GEMM rounds by operand layout), the
+  assembled :class:`AffinityMatrix` and the class-aligned labels must
+  be **bit-identical** (atol=0) to the serial path.  Written as the
+  ``extraction`` section; each cluster counts into its own registry, so
+  every row's counts are that cluster's.
 * ``test_distributed_crossover_sweep`` — the "does distributed ever
   win" question, answered with numbers: N ∈ {80, 160, 320} ×
   workers ∈ {2, 4} against a *warm* :class:`WorkerPool` (the cold
@@ -36,8 +41,10 @@ import pytest
 
 from repro.core import Goggles, GogglesConfig
 from repro.datasets import make_dataset
-from repro.distributed import DistributedConfig, WorkerPool
+from repro.distributed import Coordinator, DistributedConfig, WorkerPool
+from repro.engine.features import extract_pool_features
 from repro.eval.harness import shared_model
+from repro.obs import MetricsRegistry
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 N_WORKERS = 2
@@ -45,16 +52,19 @@ N_WORKERS = 2
 #: and warm-pool worker counts.
 SWEEP_N_PER_CLASS = (40, 80, 160)
 SWEEP_WORKERS = (2, 4)
+#: Extraction cells: worker counts, pool layers and chunk size.
+EXTRACTION_WORKERS = (1, 2, 4)
+EXTRACTION_LAYERS = (0, 1, 2, 3, 4)
+EXTRACTION_BATCH_SIZE = 32
 
 
 def update_trajectory(path: Path, key: str, rows: list[dict] | dict) -> None:
     """Merge one section into the shared trajectory JSON.
 
-    ``BENCH_distributed.json`` holds one section per distributed
-    benchmark (``rows`` and ``crossover`` from this file,
-    ``extraction`` from ``bench_distributed_extraction.py``); merging
-    instead of rewriting lets the benchmarks run in any order — or
-    alone — without erasing each other's numbers.
+    ``BENCH_distributed.json`` holds one section per benchmark in this
+    file (``extraction``, ``crossover``, ``telemetry``); merging instead
+    of rewriting lets the benchmarks run in any order — or alone —
+    without erasing each other's numbers.
     """
     try:
         document = json.loads(path.read_text())
@@ -67,66 +77,95 @@ def update_trajectory(path: Path, key: str, rows: list[dict] | dict) -> None:
 
 
 @pytest.mark.benchmark(group="distributed")
-def test_distributed_vs_serial_bit_identical(benchmark, settings, record_result):
+def test_distributed_extraction_bit_identical_at_any_worker_count(benchmark, settings, record_result):
     model = shared_model(settings)
     dataset = make_dataset("surface", n_per_class=settings.n_per_class, seed=0)
     dev = dataset.sample_dev_set(settings.dev_per_class, seed=0)
+    layers, batch_size = EXTRACTION_LAYERS, EXTRACTION_BATCH_SIZE
     rows: list[dict] = []
 
     def measure() -> list[dict]:
         rows.clear()
         start = time.perf_counter()
+        serial_pools = extract_pool_features(model, dataset.images, layers=layers, batch_size=batch_size)
+        serial_extract_s = time.perf_counter() - start
+        start = time.perf_counter()
         serial = Goggles(
-            GogglesConfig(n_classes=2, seed=0, executor="serial"), model=model
+            GogglesConfig(n_classes=2, seed=0, executor="serial", batch_size=batch_size),
+            model=model,
         ).label(dataset.images, dev)
         serial_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        with Goggles(
-            GogglesConfig(n_classes=2, seed=0, executor="distributed", n_workers=N_WORKERS),
-            model=model,
-        ) as goggles:
-            distributed = goggles.label(dataset.images, dev)
-            queue_stats = goggles.coordinator.queue.stats()
-            shard_stats = dict(goggles.coordinator.stats)
-        distributed_s = time.perf_counter() - start
+        for n_workers in EXTRACTION_WORKERS:
+            coordinator = Coordinator(
+                DistributedConfig(n_workers=n_workers, stream_threshold=0),
+                registry=MetricsRegistry(),
+            )
+            start = time.perf_counter()
+            with Goggles(
+                GogglesConfig(n_classes=2, seed=0, executor="distributed", batch_size=batch_size),
+                model=model,
+                coordinator=coordinator,
+            ) as goggles:
+                distributed = goggles.label(dataset.images, dev)
+                labeled_s = time.perf_counter() - start
+                start = time.perf_counter()
+                merged_pools = coordinator.extract_pool_features(
+                    model.config, dataset.images, layers=layers, batch_size=batch_size
+                )
+                extract_s = time.perf_counter() - start
+                streamed = coordinator.registry.get("goggles_broker_streamed_results_total")
+                queue_stats = coordinator.queue.stats()
 
-        # The acceptance contract: a 2-worker cluster reproduces the
-        # serial run exactly — matrix blocks bit-for-bit, labels atol=0.
-        assert np.array_equal(
-            distributed.affinity.values, serial.affinity.values
-        ), "distributed affinity matrix must be bit-identical to serial"
-        assert np.array_equal(
-            distributed.probabilistic_labels, serial.probabilistic_labels
-        ), "distributed probabilistic labels must equal serial at atol=0"
-        assert np.array_equal(distributed.predictions, serial.predictions)
+            features_identical = all(
+                np.array_equal(merged_pools[layer], serial_pools[layer])
+                and merged_pools[layer].strides == serial_pools[layer].strides
+                for layer in layers
+            )
+            affinity_identical = np.array_equal(distributed.affinity.values, serial.affinity.values)
+            labels_identical = np.array_equal(
+                distributed.probabilistic_labels, serial.probabilistic_labels
+            ) and np.array_equal(distributed.predictions, serial.predictions)
+            # The acceptance contract, enforced here so CI fails loudly.
+            assert features_identical, f"{n_workers}-worker pool features diverged"
+            assert affinity_identical, f"{n_workers}-worker affinity diverged"
+            assert labels_identical, f"{n_workers}-worker labels diverged"
 
-        rows.append(
-            {
-                "n": dataset.n_examples,
-                "workers": N_WORKERS,
-                "serial_seconds": round(serial_s, 4),
-                "distributed_seconds": round(distributed_s, 4),
-                "shards": shard_stats["shards_planned"],
-                "shards_completed": queue_stats["completed"],
-                "shards_requeued": queue_stats["requeued"],
-                "bit_identical": True,
-            }
-        )
+            rows.append(
+                {
+                    "n": dataset.n_examples,
+                    "workers": n_workers,
+                    "serial_extraction_seconds": round(serial_extract_s, 4),
+                    "distributed_extraction_seconds": round(extract_s, 4),
+                    "serial_pipeline_seconds": round(serial_s, 4),
+                    "distributed_pipeline_seconds": round(labeled_s, 4),
+                    "streamed_results": int(streamed.total()) if streamed is not None else 0,
+                    "shards_completed": queue_stats["completed"],
+                    "features_bit_identical": features_identical,
+                    "affinity_bit_identical": affinity_identical,
+                    "labels_bit_identical": labels_identical,
+                }
+            )
         return rows
 
     measured = benchmark.pedantic(measure, rounds=1, iterations=1)
-    update_trajectory(JSON_PATH, "rows", measured)
+    update_trajectory(JSON_PATH, "extraction", measured)
 
-    row = measured[0]
-    record_result(
-        f"Distributed runtime smoke (N={row['n']}, {row['workers']} worker processes)\n"
-        f"  serial      {row['serial_seconds']:.2f}s\n"
-        f"  distributed {row['distributed_seconds']:.2f}s over {row['shards']} shards "
-        f"({row['shards_completed']} completed, {row['shards_requeued']} requeued)\n"
-        f"  affinity matrix and labels bit-identical to serial: {row['bit_identical']}\n"
-        f"trajectory artifact: {JSON_PATH.name}"
-    )
+    lines = [
+        f"Distributed feature extraction (N={measured[0]['n']}, layers={list(layers)}, "
+        f"batch_size={batch_size}, streaming forced on)"
+    ]
+    for row in measured:
+        lines.append(
+            f"  {row['workers']} worker(s): extraction {row['distributed_extraction_seconds']:.2f}s "
+            f"(serial {row['serial_extraction_seconds']:.2f}s), pipeline "
+            f"{row['distributed_pipeline_seconds']:.2f}s (serial {row['serial_pipeline_seconds']:.2f}s), "
+            f"{row['streamed_results']} streamed results — features/affinity/labels "
+            f"bit-identical: {row['features_bit_identical']}/{row['affinity_bit_identical']}"
+            f"/{row['labels_bit_identical']}"
+        )
+    lines.append(f"trajectory artifact: {JSON_PATH.name} (section 'extraction')")
+    record_result("\n".join(lines))
 
 
 @pytest.mark.benchmark(group="distributed")
@@ -140,8 +179,6 @@ def test_distributed_telemetry_reconciliation(benchmark, settings, record_result
     ``goggles_worker_shards_completed_total`` series must sum to the
     coordinator's completed-shard count — exactly, not approximately.
     """
-    from repro.obs import MetricsRegistry
-
     model = shared_model(settings)
     dataset = make_dataset("surface", n_per_class=settings.n_per_class, seed=0)
     dev = dataset.sample_dev_set(settings.dev_per_class, seed=0)

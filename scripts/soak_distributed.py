@@ -13,7 +13,9 @@ chaos did not actually bite).
 
 All rounds share one :class:`~repro.obs.MetricsRegistry`, so the
 telemetry shipped over the wire by the spawned process workers
-accumulates across rounds; the soak asserts the merged per-worker
+accumulates across rounds, and so do the queue counts ``stats()``
+reads from it: each round prints its own deltas, and the totals come
+from the last round.  The soak asserts the merged per-worker
 ``goggles_worker_shards_completed_total`` series stay **monotone
 non-decreasing** round over round even while chaos steals leases
 (lost frames lose their completions too — totals may lag, never
@@ -112,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     registry = MetricsRegistry()
     previous_worker_totals: dict[tuple[str, ...], float] = {}
     total_thefts = 0
-    total_requeued = 0
+    stats = {"completed": 0, "requeued": 0}
     for round_index in range(args.rounds):
         dataset = make_dataset("surface", n_per_class=args.n_per_class, seed=round_index)
         dev = dataset.sample_dev_set(5, seed=round_index)
@@ -143,15 +145,15 @@ def main(argv: list[str] | None = None) -> int:
                 thief.stop()
                 thief.join(timeout=10.0)
             elapsed = time.perf_counter() - start
-            stats = coordinator.queue.stats()
+            previous, stats = stats, coordinator.queue.stats()
 
         affinity_ok = np.array_equal(distributed.affinity.values, serial.affinity.values)
         labels_ok = np.array_equal(distributed.probabilistic_labels, serial.probabilistic_labels)
         total_thefts += thief.thefts
-        total_requeued += stats["requeued"]
         print(
-            f"round {round_index}: {elapsed:.1f}s, {stats['completed']} shards "
-            f"completed, {thief.thefts} leases stolen, {stats['requeued']} requeued, "
+            f"round {round_index}: {elapsed:.1f}s, "
+            f"{stats['completed'] - previous['completed']} shards completed, "
+            f"{thief.thefts} leases stolen, {stats['requeued'] - previous['requeued']} requeued, "
             f"{stats['poisoned']} poisoned — affinity bit-identical: {affinity_ok}, "
             f"labels bit-identical: {labels_ok}"
         )
@@ -182,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         previous_worker_totals = worker_totals
 
+    total_requeued = stats["requeued"]
     if total_thefts == 0 or total_requeued == 0:
         print(
             f"FAIL: chaos never bit (thefts={total_thefts}, requeued={total_requeued}) "

@@ -276,12 +276,14 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         accuracy = result.accuracy(dataset.labels, exclude=dev.indices)
         queue_stats = coordinator.queue.stats()
+        planned = coordinator.registry.get("goggles_coordinator_shards_planned_total")
+        cache_hits = coordinator.registry.get("goggles_coordinator_shard_cache_hits_total")
         print(f"dataset: {dataset.name} ({dataset.n_examples} instances, dev {dev.size})")
         print(f"labeling accuracy (dev excluded): {100 * accuracy:.2f}%  in {elapsed:.2f}s")
         print(
-            f"shards: {coordinator.stats['shards_planned']} planned, "
+            f"shards: {int(planned.total())} planned, "
             f"{queue_stats['completed']} completed, {queue_stats['requeued']} requeued, "
-            f"{coordinator.stats['cache_hits']} cache hits"
+            f"{int(cache_hits.total())} cache hits"
         )
     return 0
 
@@ -301,9 +303,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     )
     print(f"worker {worker.worker_id} polling {args.connect}")
     worker.run()
+    completed = worker.registry.get("goggles_worker_shards_completed_total")
+    failed = worker.registry.get("goggles_worker_shards_failed_total")
     print(
-        f"worker exiting (coordinator gone): {worker.tasks_completed} shard(s) "
-        f"computed, {worker.tasks_failed} failed"
+        f"worker exiting (coordinator gone): {int(completed.value(worker=worker.worker_id))} "
+        f"shard(s) computed, {int(failed.value(worker=worker.worker_id))} failed"
     )
     return 0
 

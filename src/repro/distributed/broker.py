@@ -18,7 +18,7 @@ connection keeps serving.
 The optional trailing ``telemetry`` field (also accepted on
 ``result-end``) is an encoded frame of worker-side registry deltas and
 span records (:func:`repro.distributed.wire.encode_telemetry`), merged
-into the coordinator's scrape registry by the attached
+into the queue's registry by the broker's
 :class:`~repro.obs.ship.TelemetryMerger` *before* the completions the
 same message carries — so worker-shipped counters reconcile exactly
 with coordinator-observed completions the moment a run unblocks.
@@ -57,6 +57,7 @@ timeout catches workers that stay connected but stop responding.
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
 import threading
@@ -65,7 +66,7 @@ from multiprocessing.connection import Connection, Listener
 
 from repro.distributed.queue import TaskQueue
 from repro.distributed.wire import WireFormatError, decode_arrays, decode_telemetry
-from repro.obs import TelemetryMerger, default_registry
+from repro.obs import TelemetryMerger
 
 __all__ = ["Broker", "DEFAULT_PORT"]
 
@@ -93,32 +94,28 @@ class _ResultStream:
 
 
 class Broker:
-    """Serves a :class:`TaskQueue` to workers over authenticated TCP."""
+    """Serves a :class:`TaskQueue` to workers over authenticated TCP.
+
+    Every event the broker counts, and every worker telemetry frame it
+    merges, lands in ``queue.registry``; it keeps no counts of its own.
+    """
 
     def __init__(
         self,
         queue: TaskQueue,
         bind: tuple[str, int] = ("127.0.0.1", 0),
         authkey: str | bytes = "goggles-repro",
-        merger: TelemetryMerger | None = None,
     ):
         self.queue = queue
-        self.merger = merger
         self._authkey = authkey.encode() if isinstance(authkey, str) else bytes(authkey)
         self._listener = Listener(tuple(bind), authkey=self._authkey)
         self._closing = threading.Event()
         self._lock = threading.Lock()
         self._connections: list[Connection] = []
         self._handlers: list[threading.Thread] = []
-        self.n_connections = 0  # workers ever accepted
-        self.n_streamed = 0  # results reassembled from frames
-        self.n_stream_errors = 0  # malformed streams turned into failures
-        self.n_lease_batches = 0  # lease_many grants of more than one shard
-        self.n_report_batches = 0  # report_many uploads received
-        self.n_telemetry_errors = 0  # undecodable/malformed telemetry frames
-        # Process-wide Prometheus mirrors of the counters above (totals
-        # across every broker this process has run).
-        registry = default_registry()
+        self._handler_ids = itertools.count(1)  # names goggles-broker-conn-<n>
+        registry = queue.registry
+        self._merger = TelemetryMerger(registry)
         self._m_connections = registry.counter(
             "goggles_broker_connections_total", "Worker connections ever accepted by brokers."
         )
@@ -134,9 +131,7 @@ class Broker:
         self._m_report_batches = registry.counter(
             "goggles_broker_report_batches_total", "report_many uploads received."
         )
-        self._m_telemetry_errors = (
-            merger.registry if merger is not None else registry
-        ).counter(
+        self._m_telemetry_errors = registry.counter(
             "goggles_broker_telemetry_errors_total",
             "Telemetry frames dropped as undecodable or malformed.",
         )
@@ -175,12 +170,11 @@ class Broker:
                     conn.close()
                     return
                 self._connections.append(conn)
-                self.n_connections += 1
                 self._m_connections.inc()
                 handler = threading.Thread(
                     target=self._serve,
                     args=(conn,),
-                    name=f"goggles-broker-conn-{self.n_connections}",
+                    name=f"goggles-broker-conn-{next(self._handler_ids)}",
                     daemon=True,
                 )
                 self._handlers.append(handler)
@@ -203,8 +197,6 @@ class Broker:
                         break
                     tasks = self.queue.lease_many(worker_id, int(limit))
                     if len(tasks) > 1:
-                        with self._lock:
-                            self.n_lease_batches += 1
                         self._m_lease_batches.inc()
                     conn.send(("tasks", tasks) if tasks else ("idle",))
                 elif op == "report_many":
@@ -222,8 +214,6 @@ class Broker:
                             None if seconds is None else float(seconds),
                         ):
                             accepted += 1
-                    with self._lock:
-                        self.n_report_batches += 1
                     self._m_report_batches.inc()
                     conn.send(("ok", accepted))
                 elif op == "result-begin":
@@ -284,23 +274,18 @@ class Broker:
                     pass
 
     def _merge_telemetry(self, blob: object) -> None:
-        """Fold one piggybacked telemetry frame into the merger.
+        """Fold one piggybacked telemetry frame into the queue's registry.
 
         Telemetry is freight, never protocol: a malformed frame is
-        counted and dropped without failing the op it rode on, and a
-        broker with no merger ignores frames entirely.
+        counted and dropped without failing the op it rode on.
         """
-        if self.merger is None:
-            return
         try:
             if not isinstance(blob, (bytes, bytearray, memoryview)):
                 raise WireFormatError(
                     f"telemetry field must be bytes, got {type(blob).__name__}"
                 )
-            self.merger.merge(decode_telemetry(blob))
+            self._merger.merge(decode_telemetry(blob))
         except (WireFormatError, ValueError):
-            with self._lock:
-                self.n_telemetry_errors += 1
             self._m_telemetry_errors.inc()
 
     def _finish_stream(
@@ -327,14 +312,10 @@ class Broker:
             except WireFormatError as error:
                 reason = f"wire v2 decode failed: {error}"
         if reason is not None:
-            with self._lock:
-                self.n_stream_errors += 1
             self._m_stream_errors.inc()
             self.queue.fail(task_id, worker_id, f"streamed result discarded: {reason}")
             return ("error", reason)
         self.queue.complete(task_id, worker_id, arrays, seconds)
-        with self._lock:
-            self.n_streamed += 1
         self._m_streamed.inc()
         return ("ok",)
 

@@ -59,7 +59,7 @@ from repro.distributed.worker import (
 )
 from repro.engine.cache import ArtifactCache
 from repro.nn.vgg import VGGConfig
-from repro.obs import MetricsRegistry, TelemetryMerger, default_registry
+from repro.obs import MetricsRegistry, default_registry
 
 logger = logging.getLogger(__name__)
 
@@ -213,6 +213,11 @@ class Coordinator:
     the broker socket survive between runs; spawned worker processes
     keep their imported modules and memoised VGG backbone, which is
     most of what a cold run pays for.
+
+    ``registry`` (default: process-wide) is the session's one counter
+    store: the coordinator, queue, broker, in-thread workers and merged
+    telemetry count into it, so a count read through any of them is that
+    registry's total.  Tests asserting exact counts pass a fresh one.
     """
 
     def __init__(
@@ -234,21 +239,18 @@ class Coordinator:
             registry=self.registry,
             straggler_factor=self.config.straggler_factor,
         )
-        # Worker-shipped telemetry lands in the same registry /metrics
-        # scrapes, so goggles_worker_* families from spawned processes
-        # appear next to the coordinator-side ones.
-        self.merger = TelemetryMerger(self.registry)
         self._broker: Broker | None = None
         self._thread_workers: list[tuple[Worker, threading.Thread]] = []
         self._processes: list[multiprocessing.process.BaseProcess] = []
         self._closed = False
-        self.stats = {
-            "runs": 0,
-            "shards_planned": 0,
-            "cache_hits": 0,
-            "workers_spawned": 0,
-            "cache_writebacks": 0,
-        }
+        self._m_planned = self.registry.counter(
+            "goggles_coordinator_shards_planned_total",
+            "Shards enqueued for workers after the cache lookup.",
+        )
+        self._m_cache_hits = self.registry.counter(
+            "goggles_coordinator_shard_cache_hits_total",
+            "Shards resolved from the artifact cache without enqueueing.",
+        )
         self._m_spawned = self.registry.counter(
             "goggles_pool_workers_spawned_total", "Local workers spawned by coordinators."
         )
@@ -307,7 +309,7 @@ class Coordinator:
             return self
         bind = parse_address(self.config.bind)
         require_safe_authkey(bind[0], self.config.authkey)
-        self._broker = Broker(self.queue, bind=bind, authkey=self.config.authkey, merger=self.merger)
+        self._broker = Broker(self.queue, bind=bind, authkey=self.config.authkey)
         for index in range(self.config.n_workers):
             self._spawn_worker(index)
         return self
@@ -315,7 +317,6 @@ class Coordinator:
     def _spawn_worker(self, index: int) -> None:
         assert self._broker is not None
         host, port = self._broker.address
-        self.stats["workers_spawned"] += 1
         self._m_spawned.inc()
         if self.config.worker_mode == "thread":
             worker = Worker(
@@ -443,11 +444,10 @@ class Coordinator:
                 cached = load_shard_result(self.cache, task)
                 if cached is not None:
                     results[task.task_id] = cached
-                    self.stats["cache_hits"] += 1
+                    self._m_cache_hits.inc()
                     continue
             outstanding.append(task)
-        self.stats["runs"] += 1
-        self.stats["shards_planned"] += len(outstanding)
+        self._m_planned.inc(len(outstanding))
         if not outstanding:
             return results
         self.start()
@@ -479,7 +479,6 @@ class Coordinator:
                 # restart resume a half-finished plan from `shard` cache
                 # hits instead of recomputing.
                 self.cache.save_arrays("shard", task.task_id, result)
-                self.stats["cache_writebacks"] += 1
                 self._m_writebacks.inc()
         self.queue.forget(ids)
         return results

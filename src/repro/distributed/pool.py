@@ -14,9 +14,9 @@ A pool wraps a ``persistent`` :class:`~repro.distributed.coordinator.Coordinator
 a persistent coordinator ignores, so the workers, their warmed imports
 and backbones, and the broker socket all survive until the *pool* is
 closed (explicitly, via ``with``, or at garbage collection).  Reuse is
-observable: :attr:`workers_spawned` counts process/thread launches over
-the pool's whole life, so a test can assert a second run spawned zero
-new workers.
+observable: :attr:`workers_spawned` counts the coordinator's worker
+handles, and the coordinator never respawns, so a test can assert a
+second run spawned zero new workers.
 
 Usage::
 
@@ -61,8 +61,9 @@ class WorkerPool:
         worker_mode: ``"process"`` or ``"thread"`` (shorthand only).
         cache: optional shared artifact cache mounted on the
             coordinator (and on thread workers).
-        registry: metrics registry for the session's telemetry (shard
-            timelines, merged worker counters); default process-wide.
+        registry: the session's one counter store (shard timelines,
+            broker and coordinator counters, merged worker telemetry);
+            default process-wide.
     """
 
     def __init__(
@@ -107,17 +108,14 @@ class WorkerPool:
 
     @property
     def workers_spawned(self) -> int:
-        """Worker processes/threads launched over the pool's lifetime.
+        """Worker processes/threads the open pool's coordinator holds.
 
-        Stays flat across warm runs — the reuse counter the tests
-        assert on: run twice, expect the same number you started with.
+        A per-pool number, not a registry total: the coordinator spawns
+        each worker once and never respawns, so this stays flat across
+        warm runs — run twice, expect the same number you started with.
         """
-        return self._coordinator.stats["workers_spawned"]
-
-    @property
-    def runs(self) -> int:
-        """Shard-plan executions served (cache-only runs included)."""
-        return self._coordinator.stats["runs"]
+        coordinator = self._coordinator
+        return len(coordinator._thread_workers) + len(coordinator._processes)
 
     def warm_up(self) -> "WorkerPool":
         """Bind the broker and spawn the workers now, not at first use.

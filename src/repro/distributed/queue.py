@@ -47,7 +47,8 @@ class ShardAutotuner:
     mixed queue gets a mixed batch that still lands near the target.
 
     Thread-safety is the caller's: :class:`TaskQueue` drives the tuner
-    under its own condition lock.
+    under its own condition lock, and publishes each new estimate as
+    the ``goggles_autotuner_lease_seconds_ewma{kind}`` gauge.
     """
 
     def __init__(self, target_lease_seconds: float = 0.1, smoothing: float = 0.3):
@@ -58,12 +59,6 @@ class ShardAutotuner:
         self.target_lease_seconds = float(target_lease_seconds)
         self.smoothing = float(smoothing)
         self._seconds: dict[str, float] = {}  # kind -> EWMA of compute seconds
-        self.n_observations = 0
-        self._m_ewma = default_registry().gauge(
-            "goggles_autotuner_lease_seconds_ewma",
-            "Autotuner EWMA of per-shard compute seconds, by shard kind.",
-            labelnames=("kind",),
-        )
 
     def observe(self, kind: str, seconds: float) -> None:
         """Fold one completed shard's measured compute into the EWMA."""
@@ -73,8 +68,6 @@ class ShardAutotuner:
             self._seconds[kind] = seconds
         else:
             self._seconds[kind] = previous + self.smoothing * (seconds - previous)
-        self.n_observations += 1
-        self._m_ewma.set(self._seconds[kind], kind=kind)
 
     def estimate(self, kind: str) -> float | None:
         """EWMA compute seconds of one ``kind`` shard (``None`` = uncalibrated)."""
@@ -151,8 +144,9 @@ class TaskQueue:
             presumed dead and the shard is reassigned.
         max_attempts: lease grants per shard before it is poisoned.
         clock: monotonic time source (injectable for tests).
-        registry: metrics registry for the per-shard timeline
-            histograms and straggler counter (default: process-wide).
+        registry: the one store of this queue's counts (timeline
+            histograms, completion/requeue/failure/straggler counters,
+            the autotuner gauge) and its broker's (default: process-wide).
         straggler_factor: a completed shard whose compute exceeded
             ``straggler_factor ×`` the autotuner's EWMA estimate for
             its kind (taken *before* folding in the new measurement) is
@@ -190,12 +184,7 @@ class TaskQueue:
         self._pending: deque[str] = deque()
         self._results: dict[str, dict] = {}
         self._poisoned: dict[str, _Tracked] = {}
-        # Cumulative counters (monotone; exposed via stats()).
-        self.n_completed = 0
-        self.n_requeued = 0
-        self.n_failed = 0
-        self.n_stragglers = 0
-        registry = registry if registry is not None else default_registry()
+        self.registry = registry = registry if registry is not None else default_registry()
         self._m_queue_wait = registry.histogram(
             "goggles_shard_queue_wait_seconds",
             "Enqueue (or requeue) to lease grant, per shard, by kind.",
@@ -219,6 +208,21 @@ class TaskQueue:
         self._m_completed = registry.counter(
             "goggles_coordinator_shards_completed_total",
             "Shards the coordinator accepted a completion for, by kind.",
+            labelnames=("kind",),
+        )
+        self._m_requeued = registry.counter(
+            "goggles_shard_requeues_total",
+            "Shards put back in the queue after a failure, expiry or disconnect, by kind.",
+            labelnames=("kind",),
+        )
+        self._m_failed = registry.counter(
+            "goggles_shard_failures_total",
+            "Shard failures reported by the worker holding the lease, by kind.",
+            labelnames=("kind",),
+        )
+        self._m_ewma = registry.gauge(
+            "goggles_autotuner_lease_seconds_ewma",
+            "Autotuner EWMA of per-shard compute seconds, by shard kind.",
             labelnames=("kind",),
         )
 
@@ -359,7 +363,6 @@ class TaskQueue:
                     self.straggler_min_seconds,
                 )
                 if estimate is not None and seconds > threshold:
-                    self.n_stragglers += 1
                     self._m_stragglers.inc(kind=kind)
                     logger.warning(
                         "straggler shard %s (%s): %.3fs compute on worker %s "
@@ -367,6 +370,7 @@ class TaskQueue:
                         task_id[:12], kind, seconds, worker_id, estimate, self.straggler_factor,
                     )
                 self.autotuner.observe(kind, seconds)
+                self._m_ewma.set(self.autotuner.estimate(kind), kind=kind)
                 self._m_compute.observe(max(float(seconds), 0.0), kind=kind)
             if tracked.leased_at is not None:
                 elapsed = max(now - tracked.leased_at, 0.0)
@@ -374,7 +378,6 @@ class TaskQueue:
                 self._m_transfer.observe(max(overhead, 0.0), kind=kind)
             self._m_completed.inc(kind=kind)
             self._results[task_id] = result
-            self.n_completed += 1
             self._cond.notify_all()
             return True
 
@@ -384,7 +387,7 @@ class TaskQueue:
             tracked = self._tracked.get(task_id)
             if tracked is None or tracked.worker != worker_id:
                 return  # stale report from an expired lease
-            self.n_failed += 1
+            self._m_failed.inc(kind=tracked.task.kind)
             tracked.errors.append(error)
             self._requeue_or_poison(tracked)
 
@@ -411,7 +414,7 @@ class TaskQueue:
             self._tracked.pop(tid, None)
             self._poisoned[tid] = tracked
         else:
-            self.n_requeued += 1
+            self._m_requeued.inc(kind=tracked.task.kind)
             tracked.queued_at = self._clock()  # wait clock restarts on requeue
             self._pending.append(tid)
         self._cond.notify_all()
@@ -426,14 +429,18 @@ class TaskQueue:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
+        """This queue's live shard counts, plus the event totals of the
+        registry it counts into (summed over every queue sharing it)."""
         with self._cond:
             leased = sum(1 for t in self._tracked.values() if t.leased)
-            return {
-                "pending": len(self._tracked) - leased,
-                "leased": leased,
-                "completed": self.n_completed,
-                "requeued": self.n_requeued,
-                "failed": self.n_failed,
-                "poisoned": len(self._poisoned),
-                "stragglers": self.n_stragglers,
-            }
+            pending = len(self._tracked) - leased
+            poisoned = len(self._poisoned)
+        return {
+            "pending": pending,
+            "leased": leased,
+            "completed": int(self._m_completed.total()),
+            "requeued": int(self._m_requeued.total()),
+            "failed": int(self._m_failed.total()),
+            "poisoned": poisoned,
+            "stragglers": int(self._m_stragglers.total()),
+        }

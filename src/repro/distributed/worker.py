@@ -93,7 +93,8 @@ class Worker:
             the result is streamed as framed sub-messages; 0 streams
             every result, a huge value keeps everything single-message.
         frame_bytes: chunk size of a streamed result blob.
-        registry: metrics registry the worker instruments (default: the
+        registry: the one store of the worker's counts, the
+            ``goggles_worker_*{worker}`` families (default: the
             process-wide one; in-thread workers get the coordinator's).
         ship_telemetry: piggyback registry deltas + fresh span records
             on outgoing reports (``report_many`` / ``result-end`` /
@@ -146,34 +147,30 @@ class Worker:
         self.retry_delay = float(retry_delay)
         self.stream_threshold = int(stream_threshold)
         self.frame_bytes = int(frame_bytes)
-        self.tasks_completed = 0
-        self.tasks_failed = 0
-        self.results_streamed = 0
-        self.results_batched = 0  # results reported via report_many
-        # Prometheus mirrors, keyed by the worker's own id.  In-thread
-        # workers write them straight into the coordinator's registry;
-        # spawned workers write their own process registry and (with
+        # Counters keyed by the worker's own id.  In-thread workers
+        # write them straight into the coordinator's registry; spawned
+        # workers write their own process registry and (with
         # ``ship_telemetry``) ship deltas for the coordinator to merge —
         # the ``worker`` label makes both paths land as distinct series
         # of the same families.
-        self._registry = registry if registry is not None else default_registry()
-        self._m_completed = self._registry.counter(
+        self.registry = registry if registry is not None else default_registry()
+        self._m_completed = self.registry.counter(
             "goggles_worker_shards_completed_total",
             "Shards computed successfully, by worker.",
             labelnames=("worker",),
         )
-        self._m_failed = self._registry.counter(
+        self._m_failed = self.registry.counter(
             "goggles_worker_shards_failed_total",
             "Shards that raised during worker compute, by worker.",
             labelnames=("worker",),
         )
-        self._m_streamed = self._registry.counter(
+        self._m_streamed = self.registry.counter(
             "goggles_worker_results_streamed_total",
             "Large results streamed as framed buffers, by worker.",
             labelnames=("worker",),
         )
         self._shipper = (
-            TelemetryShipper(self.worker_id, self._registry) if ship_telemetry else None
+            TelemetryShipper(self.worker_id, self.registry) if ship_telemetry else None
         )
         self.idle_polls = 0
         self._idle_streak = 0
@@ -228,7 +225,6 @@ class Worker:
         conn.send(("result-begin", self.worker_id, task.task_id, n_frames, total))
         for index, frame in enumerate(wire.iter_frames(buffers, self.frame_bytes)):
             conn.send(("frame", self.worker_id, task.task_id, index, bytes(frame)))
-        self.results_streamed += 1
         self._m_streamed.inc(worker=self.worker_id)
         blob = self._telemetry_blob()
         if blob is not None:
@@ -252,7 +248,6 @@ class Worker:
         else:
             conn.send(("report_many", self.worker_id, reports))
         conn.recv()
-        self.results_batched += len(reports)
 
     def _process_tasks(self, conn: Connection, tasks: list[ShardTask]) -> None:
         """Compute a leased batch, timing each shard for the autotuner.
@@ -272,7 +267,7 @@ class Worker:
                 # compute, so the shard's span record carries it and the
                 # shipped telemetry stitches into that request's
                 # timeline on the coordinator.
-                with trace_context(task.trace_id), span(f"shard.{task.kind}", self._registry):
+                with trace_context(task.trace_id), span(f"shard.{task.kind}", self.registry):
                     arrays = execute_shard(task, cache=self.cache)
                 seconds = time.perf_counter() - started
                 # Size gate on the raw byte footprint — cheap to compute and
@@ -280,12 +275,10 @@ class Worker:
                 nbytes = sum(int(np.asarray(value).nbytes) for value in arrays.values())
                 buffers = wire.encode_arrays(arrays) if nbytes > self.stream_threshold else None
             except Exception as error:  # noqa: BLE001 - report, don't die
-                self.tasks_failed += 1
                 self._m_failed.inc(worker=self.worker_id)
                 conn.send(("fail", self.worker_id, task.task_id, f"{type(error).__name__}: {error}"))
                 conn.recv()
                 continue
-            self.tasks_completed += 1
             self._m_completed.inc(worker=self.worker_id)
             if buffers is not None:
                 self._stream_result(conn, task, buffers, seconds)

@@ -42,12 +42,14 @@ from repro.distributed import (
 )
 from repro.engine import ArtifactCache, EngineConfig, InferenceEngine
 from repro.engine.tiling import best_similarities
+from repro.obs import MetricsRegistry, default_registry
 from repro.utils.rng import derive_seed
 
 
 def thread_cluster(n_workers: int, **overrides) -> Coordinator:
     """A localhost cluster with in-process (thread) workers: cheap and
-    fast, but still exercising the full lease protocol over TCP."""
+    fast, but still exercising the full lease protocol over TCP.  Each
+    cluster counts into its own registry, so its counts are exact."""
     defaults = dict(
         n_workers=n_workers,
         worker_mode="thread",
@@ -55,7 +57,13 @@ def thread_cluster(n_workers: int, **overrides) -> Coordinator:
         run_timeout=120.0,
     )
     defaults.update(overrides)
-    return Coordinator(DistributedConfig(**defaults))
+    return Coordinator(DistributedConfig(**defaults), registry=MetricsRegistry())
+
+
+def counted(coordinator: Coordinator, name: str, **labels: object) -> int:
+    """A family's total (or one labeled series) in the session registry."""
+    family = coordinator.registry.get(name)
+    return int(family.value(**labels) if labels else family.total())
 
 
 @pytest.fixture()
@@ -103,7 +111,7 @@ class TestTaskQueue:
 
     def test_expired_lease_is_reassigned(self):
         clock = FakeClock()
-        queue = TaskQueue(lease_timeout=5.0, max_attempts=3, clock=clock)
+        queue = TaskQueue(lease_timeout=5.0, max_attempts=3, clock=clock, registry=MetricsRegistry())
         task = make_task()
         queue.add(task)
         assert queue.lease("dead") is not None
@@ -112,7 +120,7 @@ class TestTaskQueue:
         clock.now = 6.0
         reassigned = queue.lease("w2")
         assert reassigned is not None and reassigned.task_id == task.task_id
-        assert queue.n_requeued == 1
+        assert queue.stats()["requeued"] == 1
 
     def test_retry_budget_poisons(self):
         clock = FakeClock()
@@ -133,14 +141,14 @@ class TestTaskQueue:
 
     def test_stale_fail_from_expired_lease_ignored(self):
         clock = FakeClock()
-        queue = TaskQueue(lease_timeout=1.0, max_attempts=2, clock=clock)
+        queue = TaskQueue(lease_timeout=1.0, max_attempts=2, clock=clock, registry=MetricsRegistry())
         task = make_task()
         queue.add(task)
         queue.lease("slow")
         clock.now = 2.0
         assert queue.lease("w2") is not None  # reassigned
         queue.fail(task.task_id, "slow", "late failure")  # stale: not the leaseholder
-        assert queue.n_failed == 0
+        assert queue.stats()["failed"] == 0
         # The current holder can still complete.
         assert queue.complete(task.task_id, "w2", {"best": np.zeros(1)})
 
@@ -182,8 +190,6 @@ class TestTaskQueue:
 # ----------------------------------------------------------------------
 class TestShardTimelines:
     def test_queue_wait_compute_transfer_decomposition(self):
-        from repro.obs import MetricsRegistry
-
         clock = FakeClock()
         registry = MetricsRegistry()
         queue = TaskQueue(lease_timeout=60.0, clock=clock, registry=registry)
@@ -200,8 +206,6 @@ class TestShardTimelines:
         assert registry.get("goggles_coordinator_shards_completed_total").value(kind=kind) == 1
 
     def test_requeue_restarts_the_wait_clock(self):
-        from repro.obs import MetricsRegistry
-
         clock = FakeClock()
         registry = MetricsRegistry()
         queue = TaskQueue(lease_timeout=1.0, max_attempts=3, clock=clock, registry=registry)
@@ -219,8 +223,6 @@ class TestShardTimelines:
     def test_straggler_detected_against_prior_estimate(self, caplog):
         import logging
 
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         queue = TaskQueue(
             registry=registry, straggler_factor=4.0, straggler_min_seconds=0.05
@@ -233,13 +235,12 @@ class TestShardTimelines:
             queue.add(task)
             queue.lease("w1")
             queue.complete(task.task_id, "w1", {"best": np.zeros(1)}, seconds=0.1)
-        assert queue.n_stragglers == 0
+        assert queue.stats()["stragglers"] == 0
         slow = make_task(99)
         queue.add(slow)
         queue.lease("w-sick")
         with caplog.at_level(logging.WARNING, logger="repro.distributed.queue"):
             queue.complete(slow.task_id, "w-sick", {"best": np.zeros(1)}, seconds=5.0)
-        assert queue.n_stragglers == 1
         assert registry.get("goggles_stragglers_total").value(kind=kind) == 1
         assert queue.stats()["stragglers"] == 1
         assert any(
@@ -248,8 +249,6 @@ class TestShardTimelines:
         )
 
     def test_straggler_does_not_raise_its_own_threshold(self):
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         queue = TaskQueue(registry=registry, straggler_factor=4.0)
         first = make_task(0)
@@ -257,11 +256,9 @@ class TestShardTimelines:
         queue.lease("w1")
         # First-ever measurement: no prior estimate, never a straggler.
         queue.complete(first.task_id, "w1", {"best": np.zeros(1)}, seconds=50.0)
-        assert queue.n_stragglers == 0
+        assert queue.stats()["stragglers"] == 0
 
     def test_micro_shard_jitter_below_floor_is_not_a_straggler(self):
-        from repro.obs import MetricsRegistry
-
         queue = TaskQueue(
             registry=MetricsRegistry(), straggler_factor=2.0, straggler_min_seconds=0.5
         )
@@ -271,7 +268,7 @@ class TestShardTimelines:
             queue.lease("w1")
             # 0.02s is 20x the EWMA but under the absolute floor.
             queue.complete(task.task_id, "w1", {"best": np.zeros(1)}, seconds=seconds)
-        assert queue.n_stragglers == 0
+        assert queue.stats()["stragglers"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -453,11 +450,12 @@ class TestCluster:
         with thread_cluster(1) as coordinator:
             coordinator.cache = cache
             first = coordinator.best_similarities(protos, vectors, row_tile=4)
-            planned = coordinator.stats["shards_planned"]
+            planned = counted(coordinator, "goggles_coordinator_shards_planned_total")
             assert planned > 0
             second = coordinator.best_similarities(protos, vectors, row_tile=4)
-            assert coordinator.stats["cache_hits"] == planned
-            assert coordinator.stats["shards_planned"] == planned  # nothing re-enqueued
+            assert counted(coordinator, "goggles_coordinator_shard_cache_hits_total") == planned
+            # Nothing re-enqueued.
+            assert counted(coordinator, "goggles_coordinator_shards_planned_total") == planned
         np.testing.assert_array_equal(first, second)
 
     def test_extract_pool_features_bit_identical_with_strides(self, vgg, tiny_images):
@@ -480,8 +478,8 @@ class TestCluster:
         protos, vectors = sim_data
         with thread_cluster(2, stream_threshold=0, frame_bytes=256) as coordinator:
             out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
-            assert coordinator._broker.n_streamed > 0
-            assert coordinator._broker.n_stream_errors == 0
+            assert counted(coordinator, "goggles_broker_streamed_results_total") > 0
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 0
         expected = best_similarities(protos, vectors, row_tile=4, col_tile=6)
         np.testing.assert_array_equal(out, expected)
 
@@ -489,7 +487,7 @@ class TestCluster:
         protos, vectors = sim_data
         with thread_cluster(1, stream_threshold=1 << 30) as coordinator:
             out = coordinator.best_similarities(protos, vectors, row_tile=4)
-            assert coordinator._broker.n_streamed == 0
+            assert counted(coordinator, "goggles_broker_streamed_results_total") == 0
         np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4))
 
     def test_mid_stream_disconnect_discards_partial_frames(self, sim_data):
@@ -528,6 +526,7 @@ class TestCluster:
                 poll_interval=0.01,
                 stream_threshold=0,
                 frame_bytes=128,
+                registry=coordinator.registry,
             )
             rescuer = threading.Thread(target=worker.run, daemon=True)
             rescuer.start()
@@ -536,9 +535,12 @@ class TestCluster:
             worker.stop()
             stats = coordinator.queue.stats()
             assert stats["requeued"] >= 1  # the dropped lease came back
-            assert worker.results_streamed > 0  # rescue used the framed path
+            # The rescue used the framed path.
+            assert counted(
+                coordinator, "goggles_worker_results_streamed_total", worker=worker.worker_id
+            ) > 0
             # Partial frames never reached the queue as a completion.
-            assert coordinator._broker.n_stream_errors == 0
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 0
             expected = best_similarities(protos, vectors, row_tile=4, col_tile=6)
             np.testing.assert_array_equal(outcome["out"], expected)
         finally:
@@ -563,7 +565,7 @@ class TestCluster:
             reply = conn.recv()
             assert reply[0] == "error"
             assert coordinator.queue.stats()["failed"] == 1
-            assert coordinator._broker.n_stream_errors == 1
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 1
             # An orphan result-end (no begin) is likewise a failure.
             conn.send(("lease_many", "liar", 1))
             reply = conn.recv()  # the requeued shard comes back
@@ -654,6 +656,64 @@ class TestCluster:
             assert time.monotonic() - start < 60.0
         finally:
             coordinator.close()
+
+
+class TestSessionRegistry:
+    #: Families the broker, autotuner and queue count into the
+    #: coordinator's registry.
+    FAMILIES = (
+        "goggles_broker_connections_total",
+        "goggles_broker_streamed_results_total",
+        "goggles_broker_stream_errors_total",
+        "goggles_broker_lease_batches_total",
+        "goggles_broker_report_batches_total",
+        "goggles_broker_telemetry_errors_total",
+        "goggles_autotuner_lease_seconds_ewma",
+        "goggles_shard_failures_total",
+        "goggles_shard_requeues_total",
+    )
+
+    def _process_wide(self) -> dict:
+        registry = default_registry()
+        return {
+            name: registry.get(name).series() if registry.get(name) is not None else {}
+            for name in self.FAMILIES
+        }
+
+    def test_runtime_counts_land_in_the_coordinator_registry_only(self, sim_data):
+        """Broker, autotuner and queue count into the coordinator's own
+        registry, and the process-wide registry does not move."""
+        protos, vectors = sim_data
+        before = self._process_wide()
+        with thread_cluster(2) as coordinator:
+            registry = coordinator.registry
+            assert registry is not default_registry()
+            out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
+            # Park the spawned workers so the hand-rolled client below
+            # is the only one that can lease.
+            for worker, thread in coordinator._thread_workers:
+                worker.stop()
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+            task = make_task()
+            coordinator.queue.add(task)
+            conn = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
+            conn.send(("lease_many", "flaky", 1))
+            op, [leased] = conn.recv()
+            assert op == "tasks" and leased.task_id == task.task_id
+            conn.send(("fail", "flaky", task.task_id, "RuntimeError: boom"))
+            assert conn.recv() == ("ok",)
+            conn.send(("bye", "flaky"))
+            conn.close()
+            assert [name for name in self.FAMILIES if registry.get(name) is None] == []
+            assert counted(coordinator, "goggles_broker_connections_total") >= 1
+            assert registry.get("goggles_autotuner_lease_seconds_ewma").series()
+            assert counted(coordinator, "goggles_shard_failures_total", kind=task.kind) == 1
+            assert counted(coordinator, "goggles_shard_requeues_total", kind=task.kind) == 1
+            assert coordinator.queue.stats()["failed"] == 1
+            assert coordinator.queue.stats()["requeued"] == 1
+        np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4, col_tile=6))
+        assert self._process_wide() == before
 
 
 # ----------------------------------------------------------------------

@@ -40,9 +40,10 @@ from repro.distributed import (
 )
 from repro.engine import ArtifactCache, EngineConfig
 from repro.engine.tiling import best_similarities
+from repro.obs import MetricsRegistry
 from repro.utils.rng import derive_seed
 
-from test_distributed import _prefix_dev, make_task, sim_data, thread_cluster  # noqa: F401
+from test_distributed import _prefix_dev, counted, make_task, sim_data, thread_cluster  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +159,6 @@ class TestShardAutotuner:
         tuner.observe("k", 0.1)
         tuner.observe("k", 0.3)
         assert tuner.estimate("k") == pytest.approx(0.2)
-        assert tuner.n_observations == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -167,13 +167,16 @@ class TestShardAutotuner:
             ShardAutotuner(smoothing=0.0)
 
     def test_queue_feeds_observed_seconds_into_the_tuner(self):
-        queue = TaskQueue(lease_timeout=10.0)
+        registry = MetricsRegistry()
+        queue = TaskQueue(lease_timeout=10.0, registry=registry)
         task = make_task()
         queue.add(task)
         [granted] = queue.lease_many("w", 4)
         assert granted.task_id == task.task_id
         queue.complete(task.task_id, "w", {"best": np.zeros((2, 2))}, seconds=0.02)
         assert queue.autotuner.estimate(task.kind) == pytest.approx(0.02)
+        gauge = registry.get("goggles_autotuner_lease_seconds_ewma")
+        assert gauge.value(kind=task.kind) == pytest.approx(0.02)
 
 
 # ----------------------------------------------------------------------
@@ -203,8 +206,8 @@ class TestBatchedOps:
             for i, task in enumerate(tasks):
                 result = coordinator.queue.result(task.task_id)
                 np.testing.assert_array_equal(result["best"], np.full((2, 2), float(i)))
-            assert coordinator._broker.n_lease_batches == 1
-            assert coordinator._broker.n_report_batches == 1
+            assert counted(coordinator, "goggles_broker_lease_batches_total") == 1
+            assert counted(coordinator, "goggles_broker_report_batches_total") == 1
             # An idle queue replies ("idle",) to lease_many too.
             conn.send(("lease_many", "batcher", 32))
             assert conn.recv() == ("idle",)
@@ -240,8 +243,8 @@ class TestBatchedOps:
         protos, vectors = sim_data
         with thread_cluster(2, stream_threshold=0, frame_bytes=256) as coordinator:
             out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
-            assert coordinator._broker.n_streamed > 0
-            assert coordinator._broker.n_stream_errors == 0
+            assert counted(coordinator, "goggles_broker_streamed_results_total") > 0
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 0
         np.testing.assert_array_equal(
             out, best_similarities(protos, vectors, row_tile=4, col_tile=6)
         )
@@ -253,11 +256,11 @@ class TestBatchedOps:
         protos, vectors = sim_data
         with thread_cluster(1, stream_threshold=0, frame_bytes=128) as c_npy:
             via_npy = c_npy.best_similarities(protos, vectors, row_tile=4)
-            assert c_npy._broker.n_streamed > 0
+            assert counted(c_npy, "goggles_broker_streamed_results_total") > 0
         with thread_cluster(1, stream_threshold=1 << 30) as c_batched:
             via_reports = c_batched.best_similarities(protos, vectors, row_tile=4)
-            assert c_batched._broker.n_streamed == 0
-            assert c_batched._broker.n_report_batches > 0
+            assert counted(c_batched, "goggles_broker_streamed_results_total") == 0
+            assert counted(c_batched, "goggles_broker_report_batches_total") > 0
         np.testing.assert_array_equal(via_npy, via_reports)
         assert via_npy.tobytes() == via_reports.tobytes()
 
@@ -281,7 +284,7 @@ class TestBatchedOps:
             assert "wire v2 decode failed" in reason
             assert coordinator.queue.result(task.task_id) is None
             assert coordinator.queue.stats()["failed"] == 1
-            assert coordinator._broker.n_stream_errors == 1
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 1
             # A pickle blob is rejected the same way (the broker never
             # unpickles a streamed payload).
             conn.send(("lease_many", "liar", 1))
@@ -344,7 +347,7 @@ class TestBatchedOps:
             coordinator.queue.add(task)
             worker = Worker(
                 coordinator.address, coordinator.config.authkey,
-                poll_interval=0.01, stream_threshold=0,
+                poll_interval=0.01, stream_threshold=0, registry=coordinator.registry,
             )
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
@@ -356,9 +359,11 @@ class TestBatchedOps:
             thread.join(timeout=10.0)
             assert calls == [task.task_id, task.task_id]  # failed, then retried
             assert coordinator.queue.stats()["failed"] == 1
-            assert worker.tasks_failed == 1
-            assert worker.results_streamed == 1  # the retry streamed as wire v2
-            assert coordinator._broker.n_stream_errors == 0  # nothing bad was sent
+            worker_id = worker.worker_id
+            assert counted(coordinator, "goggles_worker_shards_failed_total", worker=worker_id) == 1
+            # The retry streamed as wire v2, and nothing bad was sent.
+            assert counted(coordinator, "goggles_worker_results_streamed_total", worker=worker_id) == 1
+            assert counted(coordinator, "goggles_broker_stream_errors_total") == 0
             np.testing.assert_array_equal(
                 coordinator.queue.result(task.task_id)["best"], real_execute(task)["best"]
             )
@@ -431,7 +436,8 @@ class TestWorkerPool:
                 worker_mode="thread",
                 lease_timeout=10.0,
                 run_timeout=120.0,
-            )
+            ),
+            registry=MetricsRegistry(),
         )
 
     def test_unwrap_protocol(self):
@@ -466,7 +472,6 @@ class TestWorkerPool:
                 out2 = second.label(images, dev)
             # The reuse counter: a warm second run spawned nothing.
             assert pool.workers_spawned == spawned_after_first
-            assert pool.runs > 0
         np.testing.assert_array_equal(out1.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out2.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out1.affinity.values, expected.affinity.values)
@@ -502,8 +507,6 @@ class TestWorkerPool:
     def test_close_does_not_hang_on_stuck_worker_thread(self):
         """close() bounds every join: a thread that never exits is leaked
         loudly (counter + warning) instead of hanging the caller."""
-        from repro.obs import MetricsRegistry
-
         registry = MetricsRegistry()
         coordinator = Coordinator(
             DistributedConfig(n_workers=0, close_join_timeout=0.2), registry=registry
@@ -527,8 +530,6 @@ class TestWorkerPool:
     def test_pool_close_survives_dead_broker(self):
         """Closing a pool whose broker already died returns promptly —
         the workers' joins are bounded by close_join_timeout."""
-        from repro.obs import MetricsRegistry
-
         pool = WorkerPool(
             DistributedConfig(
                 n_workers=1, worker_mode="thread", close_join_timeout=1.0
@@ -568,8 +569,9 @@ class TestRestartRecovery:
         try:
             results = second.run(tasks)
             assert len(results) == 6
-            assert second.stats["cache_hits"] == 3  # the finished half
-            assert second.stats["shards_planned"] == 3  # only the rest
+            # The finished half hits the cache; only the rest is planned.
+            assert counted(second, "goggles_coordinator_shard_cache_hits_total") == 3
+            assert counted(second, "goggles_coordinator_shards_planned_total") == 3
             for task in tasks[:3]:
                 np.testing.assert_array_equal(
                     results[task.task_id]["best"], done[task.task_id]["best"]
@@ -595,7 +597,7 @@ class TestRestartRecovery:
             coordinator.run(tasks)
             worker.stop()
             thread.join(timeout=10.0)
-            assert coordinator.stats["cache_writebacks"] == len(tasks)
+            assert counted(coordinator, "goggles_pool_cache_writebacks_total") == len(tasks)
             for task in tasks:
                 assert cache.has("shard", task.task_id)
         finally:
@@ -606,7 +608,7 @@ class TestRestartRecovery:
         try:
             results = rerun.run(tasks)
             assert len(results) == len(tasks)
-            assert rerun.stats["cache_hits"] == len(tasks)
+            assert counted(rerun, "goggles_coordinator_shard_cache_hits_total") == len(tasks)
             assert not rerun.started  # never even bound the broker
         finally:
             rerun.close()
