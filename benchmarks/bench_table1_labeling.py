@@ -3,12 +3,18 @@
 Paper reference (Table 1): GOGGLES averages 81.76% and beats Snuba
 (58.88%) by ~23 points; GMM is the best clustering baseline (76.35%);
 prototype affinities beat HOG (69.30%) and Logits (70.71%).
+
+GOGGLES' per-dataset accuracy is merged into the ``accuracy`` section of
+``BENCH_inference.json``; ``scripts/check_bench.py`` fails the build
+when any of those ``*_accuracy`` values drops by more than one point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from bench_distributed import update_trajectory
+from bench_incremental_inference import JSON_PATH
 
 from repro.eval.harness import run_table1
 from repro.eval.paper import TABLE1_METHODS, TABLE1_PAPER
@@ -22,6 +28,19 @@ def test_table1_labeling_accuracy(benchmark, settings, record_result):
         format_comparison_table(
             table, TABLE1_PAPER, TABLE1_METHODS, "Table 1: labeling accuracy (%) on the train split"
         )
+    )
+    update_trajectory(
+        JSON_PATH,
+        "accuracy",
+        [
+            {
+                "dataset": dataset,
+                "n_per_class": settings.n_per_class,
+                "seeds": settings.n_seeds,
+                "goggles_accuracy": round(row["goggles"], 4),
+            }
+            for dataset, row in table.items()
+        ],
     )
 
     def mean_of(method: str) -> float:

@@ -40,6 +40,11 @@ pair.  Two classes of change fail the build:
   submissions shed with 429 at a fixed offered load) that rose more
   than ``--max-shed-increase`` (absolute, default 0.10) above its
   baseline: the service started refusing work it used to absorb.
+* **accuracy drop** — any ``*_accuracy`` metric (labeling accuracy in
+  percent, e.g. the ``accuracy`` section of ``BENCH_inference.json``)
+  that fell more than ``MAX_ACCURACY_DROP`` (1 point) below its
+  baseline.  Accuracy is deterministic at a fixed protocol, so the
+  bound is absolute and has no jitter floor; a rise always passes.
 
 The ``telemetry`` section of ``BENCH_distributed.json`` (cluster-wide
 telemetry reconciliation) is gated by the rules above without any
@@ -67,6 +72,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+MAX_ACCURACY_DROP = 1.0  # percentage points
 
 
 def compare(
@@ -145,6 +152,15 @@ def compare(
             issues.append(
                 f"{path}: shed rate rose {baseline:.3f} -> {fresh:.3f} at the same "
                 f"offered load (limit +{max_shed_increase:.2f} absolute)"
+            )
+        return issues
+    if isinstance(baseline, (int, float)) and key.endswith("_accuracy"):
+        if not isinstance(fresh, (int, float)) or isinstance(fresh, bool):
+            return [f"{path}: baseline is a number, fresh is {json.dumps(fresh)}"]
+        if fresh < baseline - MAX_ACCURACY_DROP:
+            issues.append(
+                f"{path}: labeling accuracy dropped {baseline:.2f} -> {fresh:.2f} "
+                f"(-{baseline - fresh:.2f} points, limit -{MAX_ACCURACY_DROP:.0f})"
             )
         return issues
     if isinstance(baseline, (int, float)) and key.endswith("_seconds"):

@@ -5,19 +5,34 @@ with a K-component GMM whose covariances are **diagonal** — the key
 simplification that reduces parameters from O(N²) to O(N) per class
 ("Instead of using the full covariance matrix Σ_k ... we use the
 diagonal covariance matrix", §4.1).  EM updates follow Eq. 8/10.
+
+EM runs on centred sufficient statistics.  Once per fit the input is
+copied C-contiguous, its column mean m subtracted, and
+``F = [x − m, (x − m)²]`` built, shape ``(N, 2D)``.  With δ_k = μ_k − m,
+
+    Σ_j (x_j − μ_kj)² / σ²_kj = F · [−2δ_k/σ²_k ; 1/σ²_k] + Σ_j δ²_kj / σ²_kj,
+
+so an E-step is one GEMM ``F·W`` plus a per-component constant, and an
+M-step is one GEMM ``Rᵀ·F`` giving Σγ(x−m) and Σγ(x−m)², from which
+δ_k = Σγ(x−m)/n_k and σ²_k = Σγ(x−m)²/n_k − δ²_k.  Centring is what
+keeps the expansion exact enough: affinity columns sit near 0.99 with
+variances down to 1e-6, and the uncentred ``x²/σ²`` terms would cancel
+away the digits EM needs.  Copying first also makes a fit independent
+of its input's memory layout (a strided block of the affinity matrix
+and its contiguous copy fit bit-identically).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_array
 
-__all__ = ["DiagonalGMM", "GMMFitResult", "GMMParams", "kmeans_plusplus_init"]
+__all__ = ["DiagonalGMM", "GMMFitResult", "GMMParams", "gmm_posterior", "kmeans_plusplus_init"]
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -81,6 +96,61 @@ def kmeans_plusplus_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
+class _Centred(NamedTuple):
+    """One fit's input, prepared once: ``x`` as a C-contiguous copy, its
+    column mean ``centre`` and ``features = [x − centre, (x − centre)²]``."""
+
+    x: np.ndarray
+    centre: np.ndarray
+    features: np.ndarray
+
+
+def _features(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """``[x − centre, (x − centre)²]`` as one ``(N, 2D)`` array."""
+    n, d = x.shape
+    features = np.empty((n, 2 * d))
+    diff = np.subtract(x, centre, out=features[:, :d])
+    np.square(diff, out=features[:, d:])
+    return features
+
+
+def _centre(x: np.ndarray) -> _Centred:
+    x = np.array(x, dtype=np.float64, order="C")
+    centre = x.mean(axis=0)
+    return _Centred(x, centre, _features(x, centre))
+
+
+def _log_joint(features: np.ndarray, centre: np.ndarray, params: GMMParams) -> np.ndarray:
+    """Per-component joint log density log π_k + log N(x | μ_k, Σ_k), ``(N, K)``."""
+    precision = 1.0 / params.variances
+    offset = params.means - centre
+    coefficients = np.concatenate([-2.0 * offset * precision, precision], axis=1)
+    constant = (
+        centre.shape[0] * _LOG_2PI
+        + np.log(params.variances).sum(axis=1)
+        + (offset * offset * precision).sum(axis=1)
+    )
+    return np.log(np.maximum(params.weights, 1e-300)) - 0.5 * (features @ coefficients.T + constant)
+
+
+def _normalise(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior rows and their ``(N, 1)`` log normaliser (max-shifted)."""
+    shift = log_joint.max(axis=1, keepdims=True)
+    log_norm = shift + np.log(np.exp(log_joint - shift).sum(axis=1, keepdims=True))
+    return np.exp(log_joint - log_norm), log_norm
+
+
+def gmm_posterior(x: np.ndarray, params: GMMParams) -> np.ndarray:
+    """Posterior P(y = k | x) of rows ``x`` under a fitted diagonal GMM.
+
+    Centred on the mixture mean Σπ_kμ_k, which equals the training
+    column mean after any M-step, so new rows score through the same
+    kernel, with the same conditioning, as the fit's own E-step.
+    """
+    centre = params.weights @ params.means
+    return _normalise(_log_joint(_features(x, centre), centre, params))[0]
+
+
 class DiagonalGMM:
     """K-component Gaussian mixture with diagonal covariances.
 
@@ -115,43 +185,34 @@ class DiagonalGMM:
         self.variances_: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    def _log_prob(self, x: np.ndarray) -> np.ndarray:
-        """Per-component joint log density: log π_k + log N(x | μ_k, Σ_k)."""
+    def _params(self) -> GMMParams:
         assert self.means_ is not None and self.variances_ is not None and self.weights_ is not None
-        n, d = x.shape
-        log_probs = np.empty((n, self.n_components))
-        for k in range(self.n_components):
-            diff_sq = (x - self.means_[k]) ** 2
-            log_det = np.log(self.variances_[k]).sum()
-            quad = (diff_sq / self.variances_[k]).sum(axis=1)
-            log_probs[:, k] = -0.5 * (d * _LOG_2PI + log_det + quad)
-        return log_probs + np.log(np.maximum(self.weights_, 1e-300))
+        return GMMParams(weights=self.weights_, means=self.means_, variances=self.variances_)
 
-    def _e_step(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        log_joint = self._log_prob(x)
-        log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-        responsibilities = np.exp(log_joint - log_norm)
+    def _e_step(self, data: _Centred) -> tuple[np.ndarray, float]:
+        responsibilities, log_norm = _normalise(_log_joint(data.features, data.centre, self._params()))
         return responsibilities, float(log_norm.sum())
 
-    def _m_step(self, x: np.ndarray, responsibilities: np.ndarray, rng: np.random.Generator) -> None:
+    def _m_step(self, data: _Centred, responsibilities: np.ndarray, rng: np.random.Generator) -> None:
+        x, centre, features = data
         n, d = x.shape
         nk = responsibilities.sum(axis=0)
-        for k in range(self.n_components):
-            if nk[k] < 1e-10:
-                # Re-seed an empty component at a random data point.
-                idx = int(rng.integers(n))
-                self.means_[k] = x[idx]
-                self.variances_[k] = np.maximum(x.var(axis=0), self.variance_floor)
-                self.weights_[k] = 1.0 / n
-                continue
-            self.weights_[k] = nk[k] / n
-            self.means_[k] = responsibilities[:, k] @ x / nk[k]
-            diff_sq = (x - self.means_[k]) ** 2
-            self.variances_[k] = np.maximum(responsibilities[:, k] @ diff_sq / nk[k], self.variance_floor)
-        self.weights_ /= self.weights_.sum()
+        empty = nk < 1e-10
+        mass = np.where(empty, 1.0, nk)[:, None]
+        sums = responsibilities.T @ features  # (K, 2D): Σγ(x−m) | Σγ(x−m)²
+        offset = sums[:, :d] / mass
+        means = centre + offset
+        variances = np.maximum(sums[:, d:] / mass - offset * offset, self.variance_floor)
+        weights = nk / n
+        for k in np.flatnonzero(empty):
+            # Re-seed an empty component at a random data point.
+            means[k] = x[int(rng.integers(n))]
+            variances[k] = np.maximum(x.var(axis=0), self.variance_floor)
+            weights[k] = 1.0 / n
+        self.weights_, self.means_, self.variances_ = weights / weights.sum(), means, variances
 
     def _initialise(
-        self, x: np.ndarray, init: GMMParams | np.ndarray | None, rng: np.random.Generator
+        self, data: _Centred, init: GMMParams | np.ndarray | None, rng: np.random.Generator
     ) -> None:
         """Set the starting parameters for EM.
 
@@ -162,6 +223,7 @@ class DiagonalGMM:
         posterior — the portable warm start, since responsibilities
         survive a change of feature dimension while means do not).
         """
+        x = data.x
         n, d = x.shape
         k = self.n_components
         if init is None:
@@ -186,10 +248,7 @@ class DiagonalGMM:
         )
         if responsibilities.shape != (n, k):
             raise ValueError(f"init responsibilities shaped {responsibilities.shape}, expected ({n}, {k})")
-        self.means_ = np.empty((k, d))
-        self.variances_ = np.empty((k, d))
-        self.weights_ = np.empty(k)
-        self._m_step(x, responsibilities, rng)
+        self._m_step(data, responsibilities, rng)
 
     # ------------------------------------------------------------------
     def fit(self, x: np.ndarray, init: GMMParams | np.ndarray | None = None) -> GMMFitResult:
@@ -203,22 +262,23 @@ class DiagonalGMM:
         if n < self.n_components:
             raise ValueError(f"need at least {self.n_components} examples, got {n}")
         rng = spawn_rng(self.seed, "diag-gmm")
-        self._initialise(x, init, rng)
+        data = _centre(x)
+        self._initialise(data, init, rng)
 
         previous_ll = -np.inf
         responsibilities = np.full((n, self.n_components), 1.0 / self.n_components)
         converged = False
         iteration = 0
         for iteration in range(1, self.max_iter + 1):
-            responsibilities, log_likelihood = self._e_step(x)
-            self._m_step(x, responsibilities, rng)
+            responsibilities, log_likelihood = self._e_step(data)
+            self._m_step(data, responsibilities, rng)
             if log_likelihood - previous_ll < self.tol and iteration > 1:
                 converged = True
                 previous_ll = log_likelihood
                 break
             previous_ll = log_likelihood
         # Final E-step so responsibilities match the last parameters.
-        responsibilities, log_likelihood = self._e_step(x)
+        responsibilities, log_likelihood = self._e_step(data)
         hard = responsibilities.argmax(axis=1)
         return GMMFitResult(
             responsibilities=responsibilities,
@@ -237,6 +297,4 @@ class DiagonalGMM:
         """Posterior P(y = k | x) for new rows under the fitted model."""
         if self.means_ is None:
             raise RuntimeError("DiagonalGMM must be fitted before predict_proba")
-        x = check_array(np.asarray(x, dtype=np.float64), name="x", ndim=2)
-        log_joint = self._log_prob(x)
-        return np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
+        return gmm_posterior(check_array(np.asarray(x, dtype=np.float64), name="x", ndim=2), self._params())

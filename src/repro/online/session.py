@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import logsumexp
 
-from repro.core.inference.base_gmm import DiagonalGMM, GMMParams
+from repro.core.inference.base_gmm import GMMParams, gmm_posterior
 from repro.core.inference.bernoulli import BernoulliParams, one_hot_encode_lp
 from repro.core.inference.mapping import apply_mapping, map_clusters_to_classes
 from repro.datasets.base import DevSet
@@ -280,11 +280,6 @@ class OnlineSession:
     # ------------------------------------------------------------------
     # Scoring under the current parameters
     # ------------------------------------------------------------------
-    def _base_posterior(self, rows: np.ndarray, params: GMMParams) -> np.ndarray:
-        model = DiagonalGMM(self.n_classes, variance_floor=self._variance_floor)
-        model.weights_, model.means_, model.variances_ = params.weights, params.means, params.variances
-        return model.predict_proba(rows)
-
     @staticmethod
     def _ensemble_log_joint(one_hot: np.ndarray, params: BernoulliParams) -> np.ndarray:
         log_b = np.log(params.probs)
@@ -301,7 +296,7 @@ class OnlineSession:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """One hierarchical E-step on a batch: LP, one-hot, posterior, mean ll."""
         lp = np.concatenate(
-            [self._base_posterior(rows[f], base_params[f]) for f in range(self.alpha)], axis=1
+            [gmm_posterior(rows[f], base_params[f]) for f in range(self.alpha)], axis=1
         )
         one_hot = one_hot_encode_lp(lp, self.n_classes)
         log_joint = self._ensemble_log_joint(one_hot, ens_params)

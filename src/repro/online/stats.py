@@ -108,10 +108,12 @@ class GMMStats:
     def params(self, variance_floor: float) -> GMMParams:
         """The M-step: parameters maximising the expected log-likelihood.
 
-        Identical to :meth:`repro.core.inference.base_gmm.DiagonalGMM`'s
-        M-step (the ``Σγ(x-μ)²`` form there equals ``sxx/nk - μ²`` here
-        algebraically), so a fit summarised by its statistics and a fit
-        on the raw data produce the same parameters.
+        The same formulas as :class:`repro.core.inference.base_gmm.DiagonalGMM`'s
+        M-step, which takes its moments about the column mean m
+        (``σ² = Σγ(x-m)²/nk - (μ-m)²``) where this takes them about
+        zero (``sxx/nk - μ²``); the two are equal algebraically, so a
+        fit summarised by its statistics and a fit on the raw data
+        produce the same parameters.
         """
         nk = np.maximum(self.nk, 1e-10)
         means = self.sx / nk[:, None]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Goggles, GogglesConfig
+from repro.core.affinity import AffinityMatrix
 from repro.datasets import make_dataset
 from repro.nn import VGG16, VGGConfig
 
@@ -37,3 +39,14 @@ def small_cub():
 def small_surface():
     """A small Surface dataset shared by integration tests."""
     return make_dataset("surface", n_per_class=12, image_size=64, seed=1)
+
+
+@pytest.fixture(scope="session")
+def small_surface_affinity(vgg, small_surface) -> AffinityMatrix:
+    """The default (dense float64, α=50) affinity matrix of ``small_surface``.
+
+    Real affinities sit near 1 with tiny column variances, the regime
+    where base-fit numerics and memory layout matter; a uniform random
+    matrix does not exercise either.
+    """
+    return Goggles(GogglesConfig(), model=vgg).build_affinity_matrix(small_surface.images)

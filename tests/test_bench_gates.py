@@ -103,6 +103,42 @@ class TestSpeedupGate:
         assert "flipped" in capsys.readouterr().out
 
 
+class TestAccuracyGate:
+    """The ``accuracy`` section of ``BENCH_inference.json``: GOGGLES'
+    Table 1 accuracy per dataset, in percent, may not drop > 1 point."""
+
+    @staticmethod
+    def _section(*values: float) -> dict:
+        datasets = ("cub", "gtsrb", "surface")
+        return {"accuracy": [{"dataset": d, "goggles_accuracy": v} for d, v in zip(datasets, values)]}
+
+    def test_drop_beyond_one_point_fails(self, tmp_path, capsys):
+        baseline = self._section(94.3, 71.4, 94.3)
+        fresh = self._section(94.3, 70.0, 94.3)
+        assert _run_gate(tmp_path, baseline, fresh) == 1
+        out = capsys.readouterr().out
+        assert "labeling accuracy dropped" in out
+        assert "accuracy[1].goggles_accuracy" in out
+
+    def test_drop_within_one_point_passes(self, tmp_path):
+        baseline = self._section(94.3, 71.4, 94.3)
+        fresh = self._section(93.5, 71.4, 94.3)
+        assert _run_gate(tmp_path, baseline, fresh) == 0
+
+    def test_rise_passes(self, tmp_path):
+        assert _run_gate(tmp_path, self._section(70.0, 70.0, 70.0), self._section(90.0, 80.0, 75.0)) == 0
+
+    def test_type_drift_fails(self, tmp_path, capsys):
+        baseline = self._section(94.3)
+        fresh = {"accuracy": [{"dataset": "cub", "goggles_accuracy": None}]}
+        assert _run_gate(tmp_path, baseline, fresh) == 1
+        assert "baseline is a number" in capsys.readouterr().out
+
+    def test_dropped_dataset_row_fails(self, tmp_path, capsys):
+        assert _run_gate(tmp_path, self._section(94.3, 71.4, 94.3), self._section(94.3, 71.4)) == 1
+        assert "coverage shrank" in capsys.readouterr().out
+
+
 class TestServingGates:
     def test_p99_regression_fails(self, tmp_path, capsys):
         baseline = {"load": [{"rps": 4, "submit_p99_seconds": 0.20, "shed_rate": 0.0}]}

@@ -312,16 +312,20 @@ class TestPlannerAndTasks:
         again, _ = planner.similarity_shards(protos, vectors)
         assert again[0].task_id == tasks[0].task_id  # stable address
 
-    def test_base_fit_shard_matches_direct_fit(self, random_affinity):
+    def test_base_fit_shard_matches_direct_fit(self, random_affinity, small_surface_affinity):
+        """A shard fits a contiguous copy of the block, the direct fit its
+        strided view of the whole matrix: every function must agree, on
+        a random matrix and on a real one (values near 1, tiny variances)."""
         from repro.core.inference.hierarchical import fit_base_function
 
         config = HierarchicalConfig(n_classes=2, seed=0)
-        task = base_fit_task(random_affinity.block(1), config, 1)
-        result = execute_shard(task)
-        direct = fit_base_function(random_affinity.block(1), config, 1)
-        np.testing.assert_array_equal(result["responsibilities"], direct.responsibilities)
-        assert float(result["log_likelihood"]) == direct.log_likelihood
-        assert int(result["n_iterations"]) == direct.n_iterations
+        for affinity in (random_affinity, small_surface_affinity):
+            for f in range(affinity.n_functions):
+                result = execute_shard(base_fit_task(affinity.block(f), config, f))
+                direct = fit_base_function(affinity.block(f), config, f)
+                np.testing.assert_array_equal(result["responsibilities"], direct.responsibilities)
+                assert float(result["log_likelihood"]) == direct.log_likelihood
+                assert int(result["n_iterations"]) == direct.n_iterations
 
     def test_warm_init_changes_the_content_address(self, random_affinity):
         config = HierarchicalConfig(n_classes=2, seed=0)
@@ -432,17 +436,18 @@ class TestCluster:
         np.testing.assert_array_equal(out, expected)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_posterior_identical_any_worker_count(self, random_affinity, n_workers):
+    def test_posterior_identical_any_worker_count(self, random_affinity, small_surface_affinity, n_workers):
         config = HierarchicalConfig(n_classes=2, seed=0)
-        serial = InferenceEngine(config, executor="serial").fit(random_affinity)
-        with thread_cluster(n_workers) as coordinator:
-            engine = InferenceEngine(config, executor="distributed", coordinator=coordinator)
-            distributed = engine.fit(random_affinity)
-        np.testing.assert_array_equal(distributed.posterior, serial.posterior)
-        np.testing.assert_array_equal(distributed.label_predictions, serial.label_predictions)
-        assert [r.n_iterations for r in distributed.base_results] == [
-            r.n_iterations for r in serial.base_results
-        ]
+        for affinity in (random_affinity, small_surface_affinity):
+            serial = InferenceEngine(config, executor="serial").fit(affinity)
+            with thread_cluster(n_workers) as coordinator:
+                engine = InferenceEngine(config, executor="distributed", coordinator=coordinator)
+                distributed = engine.fit(affinity)
+            np.testing.assert_array_equal(distributed.posterior, serial.posterior)
+            np.testing.assert_array_equal(distributed.label_predictions, serial.label_predictions)
+            assert [r.n_iterations for r in distributed.base_results] == [
+                r.n_iterations for r in serial.base_results
+            ]
 
     def test_shared_cache_short_circuits_rerun(self, sim_data, tmp_path):
         protos, vectors = sim_data

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Goggles, GogglesConfig
-from repro.core.inference.base_gmm import DiagonalGMM
+from repro.core.inference.base_gmm import DiagonalGMM, _centre
 from repro.core.inference.mapping import ClusterMapping
 from repro.online import BernoulliStats, GMMStats, OnlineConfig, OnlineSession, step_size
 from repro.serving import LabelingService
@@ -70,10 +70,7 @@ class TestGMMStats:
         resp = _soft_assignments(rng, 20, 3)
         params = GMMStats.from_responsibilities(x, resp).params(VARIANCE_FLOOR)
         model = DiagonalGMM(n_components=3, variance_floor=VARIANCE_FLOOR, seed=0)
-        model.weights_ = np.empty(3)
-        model.means_ = np.empty((3, 4))
-        model.variances_ = np.empty((3, 4))
-        model._m_step(x, resp, spawn_rng(0, "unused"))
+        model._m_step(_centre(x), resp, spawn_rng(0, "unused"))
         np.testing.assert_allclose(params.weights, model.weights_, atol=1e-12)
         np.testing.assert_allclose(params.means, model.means_, atol=1e-10)
         np.testing.assert_allclose(params.variances, model.variances_, atol=1e-10)
@@ -158,10 +155,7 @@ def test_property_gmm_merge_reproduces_concatenated_m_step(case):
     x = np.concatenate([x1, x2])
     resp = np.concatenate([r1, r2])
     model = DiagonalGMM(n_components=k, variance_floor=VARIANCE_FLOOR, seed=0)
-    model.weights_ = np.empty(k)
-    model.means_ = np.empty((k, x.shape[1]))
-    model.variances_ = np.empty((k, x.shape[1]))
-    model._m_step(x, resp, spawn_rng(0, "unused"))
+    model._m_step(_centre(x), resp, spawn_rng(0, "unused"))
     np.testing.assert_allclose(params.weights, model.weights_, atol=1e-10)
     np.testing.assert_allclose(params.means, model.means_, atol=1e-8)
     np.testing.assert_allclose(params.variances, model.variances_, atol=1e-8)
