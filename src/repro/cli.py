@@ -43,6 +43,7 @@ from repro.eval.paper import TABLE1_METHODS, TABLE1_PAPER, TABLE2_METHODS, TABLE
 from repro.eval.tables import format_comparison_table, format_curve
 from repro.serving import LabelingService
 from repro.utils.rng import derive_seed
+from repro.utils.threads import usable_cores
 
 __all__ = ["main"]
 
@@ -524,7 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--dev-per-class", type=int, default=5)
     parser.add_argument("--seeds", type=int, default=3, help="runs averaged per experiment cell")
     parser.add_argument(
-        "--n-jobs", type=int, default=1, help="workers for affinity tiling and base-model fits"
+        "--n-jobs", type=int, default=usable_cores(),
+        help="threads for backbone chunks, affinity tiles and base-model fits; above 1, BLAS "
+             "runs on one thread (default: usable cores, %(default)s here)",
     )
     parser.add_argument(
         "--executor", choices=EXECUTORS, default="thread",

@@ -35,6 +35,7 @@ from repro.engine.inference import InferenceEngine, InferenceState
 from repro.engine.source import PrototypeAffinitySource
 from repro.nn.vgg import VGG16, VGGConfig
 from repro.obs import span
+from repro.utils.threads import usable_cores
 from repro.utils.validation import check_images
 
 if TYPE_CHECKING:  # runtime import would cycle (repro.online builds on the engines)
@@ -52,9 +53,12 @@ class GogglesConfig:
         top_z: prototypes per max-pool layer (paper: 10).
         layers: which of the 5 max-pool layers to use (paper: all).
         seed: root seed for inference initialisation.
-        n_jobs: worker count shared by affinity tiling and the
-            base-model fits ("we can parallelize all of the base
-            models", §5.3).  Results are identical at any width.
+        n_jobs: threads shared by backbone chunks, affinity tiles
+            and the base-model fits ("we can parallelize all of the
+            base models", §5.3); defaults to the usable core count.
+            Above 1 the engines' pools pin the process to one BLAS
+            thread (see :class:`~repro.engine.engine.EngineConfig`).
+            Results are identical at any width.
         executor: worker model for the base-model fits — ``"serial"``,
             ``"thread"`` (default; the EM loops release the GIL) or
             ``"distributed"`` (feature extraction, affinity tiles
@@ -106,7 +110,7 @@ class GogglesConfig:
     top_z: int = 10
     layers: tuple[int, ...] = (0, 1, 2, 3, 4)
     seed: int = 0
-    n_jobs: int = 1
+    n_jobs: int = field(default_factory=usable_cores)
     executor: str = "thread"
     broker: str | None = None
     n_workers: int = 0

@@ -29,6 +29,7 @@ from repro.core.inference.bernoulli import (
     one_hot_encode_lp,
 )
 from repro.utils.rng import derive_seed
+from repro.utils.threads import pin_thread_budget
 
 __all__ = [
     "HierarchicalConfig",
@@ -190,6 +191,7 @@ def fit_all_base_functions(
     if n_jobs > 1 and alpha > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        pin_thread_budget()  # each fit is a loop of small GEMMs: the pool owns the cores
         with ThreadPoolExecutor(max_workers=min(n_jobs, alpha)) as pool:
             results = tuple(pool.map(fit_one, range(alpha)))
     else:

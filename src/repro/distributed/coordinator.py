@@ -278,7 +278,9 @@ class Coordinator:
         Without one, ``executor="distributed"`` should still just work:
         bind an ephemeral localhost port and spawn ``n_workers`` (or,
         when that is 0, ``n_jobs``) local workers — a one-knob local
-        cluster.
+        cluster.  At the library default ``n_jobs`` that is one worker
+        per usable core, each pinned to one BLAS thread
+        (:func:`~repro.distributed.worker.run_worker_process`).
         """
         if broker is None and n_workers == 0:
             n_workers = max(1, n_jobs)

@@ -44,7 +44,7 @@ from repro.core.inference.base_gmm import GMMFitResult
 from repro.core.inference.hierarchical import HierarchicalConfig, fit_base_function
 from repro.engine.cache import ArtifactCache, hash_arrays, hash_params
 from repro.engine.features import iter_batches
-from repro.engine.tiling import tile_bounds
+from repro.engine.tiling import best_similarities, tile_bounds
 from repro.nn.vgg import VGG16, VGGConfig
 from repro.obs import current_trace_id
 
@@ -265,17 +265,14 @@ def _run_extraction(payload: dict) -> dict[str, np.ndarray]:
 
 
 def _run_similarity(payload: dict) -> dict[str, np.ndarray]:
-    """Exactly the serial ``score_block`` inner loop of
-    :func:`repro.engine.tiling.best_similarities`: same per-image
-    matmul shapes *and strides* (see :func:`similarity_task`), so the
-    result is bit-identical to a serial tile."""
+    """The serial kernel itself — :func:`repro.engine.tiling.best_similarities`
+    on one tile — with the same per-image matmul shapes *and strides*
+    (see :func:`similarity_task`), so the result is bit-identical to a
+    serial tile."""
     prototypes, vectors = payload["prototypes"], payload["vectors"]
     if payload.get("transposed"):
         vectors = vectors.transpose(0, 2, 1)  # restore the serial F-order view
-    best = np.empty((prototypes.shape[0], vectors.shape[0]), dtype=np.float64)
-    for i in range(vectors.shape[0]):
-        best[:, i] = (prototypes @ vectors[i]).max(axis=1)
-    return {"best": best}
+    return {"best": best_similarities(prototypes, vectors, row_tile=None, dtype=prototypes.dtype)}
 
 
 def _run_base_fit(payload: dict) -> dict[str, np.ndarray]:

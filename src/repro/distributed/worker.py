@@ -47,6 +47,7 @@ from repro.distributed import wire
 from repro.distributed.tasks import ShardTask, execute_shard
 from repro.engine.cache import ArtifactCache
 from repro.obs import MetricsRegistry, TelemetryShipper, default_registry, span, trace_context
+from repro.utils.threads import pin_thread_budget
 
 __all__ = [
     "DEFAULT_STREAM_THRESHOLD",
@@ -351,6 +352,9 @@ def run_worker_process(
     included, so worker writes respect the LRU bound) because an
     :class:`ArtifactCache` handle does not cross process boundaries.
     """
+    # Local workers run side by side, one per core by default, so each
+    # runs BLAS on one thread.
+    pin_thread_budget()
     cache = ArtifactCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
     Worker(
         (host, int(port)),

@@ -18,7 +18,7 @@ change is an automatic miss.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.engine.source import (
 )
 from repro.engine.tiling import sparsify_affinity, topk_block
 from repro.obs import span
+from repro.utils.threads import usable_cores
 from repro.utils.validation import check_images
 
 __all__ = ["EngineConfig", "AffinityEngine"]
@@ -49,8 +50,13 @@ class EngineConfig:
             ``None`` runs the whole corpus in one pass.
         row_tile / col_tile: similarity tile sizes over (images ×
             prototype rows); ``None`` disables that tiling axis.
-        n_jobs: worker count for tile fan-out (and, downstream,
-            base-model fitting).  Values are identical at any width.
+        n_jobs: threads that extraction chunks and similarity tiles
+            fan out over (and, downstream, base-model fits); defaults
+            to the usable core count.  Above 1, opening the pool pins
+            the process to one BLAS thread and one malloc arena
+            (:func:`repro.utils.threads.pin_thread_budget`), so the
+            pool, not OpenBLAS, owns the cores.  Values are identical
+            at any width.
         executor: worker model for the similarity stage and the
             downstream base-model fits — ``"serial"``, ``"thread"``
             (GIL-releasing EM loops on a thread pool) or
@@ -87,7 +93,7 @@ class EngineConfig:
     batch_size: int | None = 32
     row_tile: int | None = 32
     col_tile: int | None = None
-    n_jobs: int = 1
+    n_jobs: int = field(default_factory=usable_cores)
     executor: str = "thread"
     precision: str = "float64"
     cache_dir: str | None = None

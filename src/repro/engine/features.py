@@ -3,14 +3,16 @@
 ``VGG16.forward_pools`` materialises every intermediate activation of
 the conv stack for the whole batch at once, so its working set grows
 linearly with N.  The engine instead drives the backbone in fixed-size
-chunks: peak memory is bounded by ``batch_size`` images (plus the
-retained pool outputs, which are the stage's product), and the results
-are bitwise identical because every layer of the backbone is
-per-sample independent (conv / ReLU / max-pool, no batch statistics).
+chunks: peak memory is bounded by ``batch_size`` images per thread
+running chunks (plus the retained pool outputs, which are the stage's
+product), and the results are bitwise identical because every layer of
+the backbone is per-sample independent (conv / ReLU / max-pool, no
+batch statistics).
 """
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +50,7 @@ def extract_pool_features(
     images: np.ndarray,
     layers: tuple[int, ...] | None = None,
     batch_size: int | None = None,
+    executor: Executor | None = None,
 ) -> dict[int, np.ndarray]:
     """Max-pool filter maps for ``images``, computed ``batch_size`` at a time.
 
@@ -57,6 +60,10 @@ def extract_pool_features(
             Layers not requested are discarded chunk-by-chunk, so they
             never occupy memory for more than one chunk.
         batch_size: images per forward pass; ``None`` = single pass.
+        executor: fans the chunks out over its threads (the forward
+            pass keeps no state, so threads share ``model``); ``None``,
+            or a single chunk, runs on the calling thread.  Chunks are
+            concatenated in corpus order, so values do not depend on it.
 
     Returns:
         ``{layer: (N, C_L, H_L, W_L)}`` for each requested layer.
@@ -69,12 +76,17 @@ def extract_pool_features(
     for layer in layers:
         if not 0 <= layer < model.N_POOL_LAYERS:
             raise ValueError(f"layer {layer} out of range [0, {model.N_POOL_LAYERS})")
-    chunks: dict[int, list[np.ndarray]] = {layer: [] for layer in layers}
-    for batch in iter_batches(images.shape[0], batch_size):
+
+    def forward(batch: slice) -> list[np.ndarray]:
         pools = model.forward_pools(images[batch])
-        for layer in layers:
-            chunks[layer].append(pools[layer])
+        return [pools[layer] for layer in layers]
+
+    batches = list(iter_batches(images.shape[0], batch_size))
+    if executor is not None and len(batches) > 1:
+        chunks = list(executor.map(forward, batches))
+    else:
+        chunks = [forward(batch) for batch in batches]
     return {
-        layer: parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-        for layer, parts in chunks.items()
+        layer: chunks[0][k] if len(chunks) == 1 else np.concatenate([chunk[k] for chunk in chunks], axis=0)
+        for k, layer in enumerate(layers)
     }

@@ -130,7 +130,11 @@ class InferenceEngine:
             identical posteriors in every mode.
         n_jobs: worker count for the thread executor (and the local
             worker count a self-created distributed session defaults
-            to).
+            to).  Above 1, the thread executor's pool pins the process
+            to one BLAS thread and one malloc arena
+            (:func:`repro.utils.threads.pin_thread_budget`): each fit
+            is a loop of small GEMMs, which a multi-threaded OpenBLAS
+            would split over the cores the pool already keeps busy.
         cache: optional artifact cache; fitted parameters and the
             posterior are persisted next to the corpus state, so a
             fresh process can restore the warm-start state from disk.

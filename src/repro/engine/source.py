@@ -61,6 +61,9 @@ class EngineRuntime:
     """Execution knobs handed from the engine to a source.
 
     None of these change output values except ``dtype``.
+    ``n_jobs`` is the width of the :func:`tile_executor` pool each build
+    or extend opens for extraction chunks and similarity tiles (1 = no
+    pool); opening it pins the process to one BLAS thread.
     ``coordinator`` (a :class:`repro.distributed.Coordinator`, when the
     engine runs with ``executor="distributed"``) reroutes the feature
     extraction and similarity stages to the shard cluster; it is
@@ -88,12 +91,12 @@ class EngineRuntime:
         return 1 if self.coordinator is not None else self.n_jobs
 
     def pool_features(
-        self, model: VGG16, images: np.ndarray, layers: tuple[int, ...]
+        self, model: VGG16, images: np.ndarray, layers: tuple[int, ...], pool=None
     ) -> dict[int, np.ndarray]:
         """Stage-1 extraction under this runtime: chunked local forward
-        passes, or ``"extraction"`` shards leased to the distributed
-        cluster (workers rebuild the deterministic backbone from
-        ``model.config``, so only image chunks travel).
+        passes fanned over ``pool``, or ``"extraction"`` shards leased to
+        the distributed cluster (workers rebuild the deterministic
+        backbone from ``model.config``, so only image chunks travel).
 
         Under ``dtype=float32`` the batch is cast up front so the whole
         backbone forward runs at half width (``check_images`` preserves
@@ -106,7 +109,9 @@ class EngineRuntime:
             return self.coordinator.extract_pool_features(
                 model.config, images, layers=layers, batch_size=self.batch_size
             )
-        return extract_pool_features(model, images, layers=layers, batch_size=self.batch_size)
+        return extract_pool_features(
+            model, images, layers=layers, batch_size=self.batch_size, executor=pool
+        )
 
     def similarities(self, prototypes: np.ndarray, vectors: np.ndarray, pool) -> np.ndarray:
         """``best_similarities`` under this runtime: local tiles fanned
@@ -220,9 +225,9 @@ class PrototypeAffinitySource:
 
     # -- incremental ----------------------------------------------------
     def _layer_state(
-        self, images: np.ndarray, runtime: EngineRuntime
+        self, images: np.ndarray, runtime: EngineRuntime, pool
     ) -> dict[int, tuple[np.ndarray, LayerPrototypes]]:
-        pools = runtime.pool_features(self.model, images, self.layers)
+        pools = runtime.pool_features(self.model, images, self.layers, pool)
         return {
             layer: (unit_location_vectors(pools[layer]), unique_unit_prototypes(pools[layer], self.top_z))
             for layer in self.layers
@@ -230,10 +235,10 @@ class PrototypeAffinitySource:
 
     def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
         images = check_images(images)
-        per_layer = self._layer_state(images, runtime)
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.local_jobs) as pool:
+            per_layer = self._layer_state(images, runtime, pool)
             for layer in self.layers:
                 vectors, prototypes = per_layer[layer]
                 best = runtime.similarities(prototypes.vectors, vectors, pool)
@@ -261,8 +266,8 @@ class PrototypeAffinitySource:
         ``build()`` block under the same runtime.
         """
         images = check_images(images)
-        pools = runtime.pool_features(self.model, images, self.layers)
         with tile_executor(runtime.local_jobs) as pool:
+            pools = runtime.pool_features(self.model, images, self.layers, pool)
             for layer in self.layers:
                 filter_maps = pools.pop(layer)  # free each layer as it is consumed
                 vectors = unit_location_vectors(filter_maps)
@@ -297,9 +302,9 @@ class PrototypeAffinitySource:
         """
         new_images = check_images(new_images)
         self._check_state_alpha(state)
-        pools = runtime.pool_features(self.model, new_images, self.layers)
         rows: list[np.ndarray] = []
         with tile_executor(runtime.local_jobs) as pool:
+            pools = runtime.pool_features(self.model, new_images, self.layers, pool)
             for layer in self.layers:
                 old_protos = LayerPrototypes(
                     vectors=state.arrays[f"proto_{layer}"],
@@ -314,10 +319,10 @@ class PrototypeAffinitySource:
         new_images = check_images(new_images)
         n, m = state.n_images, new_images.shape[0]
         self._check_state_alpha(state)
-        per_layer_new = self._layer_state(new_images, runtime)
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.local_jobs) as pool:
+            per_layer_new = self._layer_state(new_images, runtime, pool)
             for layer_pos, layer in enumerate(self.layers):
                 old_vectors = state.arrays[f"uv_{layer}"]
                 old_protos = LayerPrototypes(

@@ -14,9 +14,11 @@ equivalent kernel possible:
 
 2. **Tiling.**  The similarity computation decomposes into independent
    (row-tile of images × column-tile of prototype rows) blocks.  Tiles
-   keep the ``(U_tile, P)`` similarity scratch inside the CPU cache and
    are embarrassingly parallel, so they fan out over a thread pool
    (the matmul/max inner ops are BLAS/numpy-bound and release the GIL).
+   Inside a tile, prototype rows are scored in ~1 MB chunks through one
+   reused scratch, which keeps the ``(rows, P)`` similarity product
+   inside the CPU cache.
 
 The kernel optionally computes in float32 (``dtype=np.float32``):
 outputs are cast back to float64 and agree with the float64 path to
@@ -39,6 +41,7 @@ from repro.core.affinity import (
     SparseAffinityMatrix,
     _EPS,
 )
+from repro.utils.threads import pin_thread_budget
 
 __all__ = [
     "tile_executor",
@@ -55,11 +58,22 @@ __all__ = [
 ]
 
 
+#: Bytes of ``(rows, P)`` similarities a tile task computes at a time:
+#: 128 float64 prototype rows at L0 of a 64×64 image (1024 positions).
+_SCRATCH_BYTES = 1 << 20
+
+
 @contextmanager
 def tile_executor(n_jobs: int) -> Iterator[Executor | None]:
-    """The thread pool for tile fan-out: a pool for ``n_jobs > 1``,
-    ``None`` (serial execution) otherwise."""
+    """The thread pool for extraction chunks and similarity tiles: a pool
+    for ``n_jobs > 1``, ``None`` (serial execution) otherwise.
+
+    Opening a pool pins the process to one BLAS thread
+    (:func:`~repro.utils.threads.pin_thread_budget`), so the pool's
+    threads, not OpenBLAS's, share the cores.
+    """
     if n_jobs > 1:
+        pin_thread_budget()
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
             yield pool
     else:
@@ -160,6 +174,20 @@ def tile_bounds(n: int, tile: int | None) -> list[tuple[int, int]]:
     return [(start, min(start + tile, n)) for start in range(0, n, tile)]
 
 
+def _balanced_bounds(n: int, size: int) -> list[tuple[int, int]]:
+    """``[start, end)`` bounds cutting ``range(n)`` into the fewest
+    chunks of at most ``size``, balanced to within one element.
+
+    Unlike :func:`tile_bounds` there is no short remainder: a lone
+    trailing row would make its matmul a matrix-vector product, which
+    BLAS sums in a different order than the matrix product every other
+    row goes through.
+    """
+    count = max(1, -(-n // size))
+    edges = [-(-n * c // count) for c in range(count + 1)]  # the first chunk is the largest
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def best_similarities(
     prototypes: np.ndarray,
     unit_vectors: np.ndarray,
@@ -175,7 +203,14 @@ def best_similarities(
     The (image-tile × prototype-tile) grid is fanned out over
     ``executor`` when given; each task scores one block with per-image
     matmuls (the cache-optimal blocking for the small channel counts of
-    a width-scaled VGG).
+    a width-scaled VGG).  Within a task the prototype rows are scored
+    about ``_SCRATCH_BYTES`` of similarities at a time, through one
+    ``(chunk, P)`` scratch the task reuses for every image, so the
+    product the max reduces never leaves the cache and is never
+    allocated per image.  Chunks are balanced to within one row, so
+    every chunk is a matrix product like the unchunked call and the
+    output is bit-identical to it (``tests/test_thread_budget.py``
+    holds it to the unchunked per-image kernel).
 
     ``out_dtype`` controls the dtype of the returned table; ``None``
     keeps the historical float64 output (bit-compatible with every
@@ -186,14 +221,19 @@ def best_similarities(
     dtype = np.dtype(dtype)
     protos = prototypes.astype(dtype, copy=False)
     vectors = unit_vectors.astype(dtype, copy=False)
-    n_rows, n_images = protos.shape[0], vectors.shape[0]
+    n_rows, n_images, positions = protos.shape[0], vectors.shape[0], vectors.shape[2]
     out = np.empty((n_rows, n_images), dtype=np.float64 if out_dtype is None else np.dtype(out_dtype))
+    chunk_rows = max(1, _SCRATCH_BYTES // (positions * dtype.itemsize))
 
     def score_block(bounds: tuple[tuple[int, int], tuple[int, int]]) -> None:
         (i0, i1), (j0, j1) = bounds
-        block = protos[j0:j1]
+        chunks = [(j0 + r0, j0 + r1) for r0, r1 in _balanced_bounds(j1 - j0, chunk_rows)]
+        scratch = np.empty((chunks[0][1] - chunks[0][0], positions), dtype=dtype)
         for i in range(i0, i1):
-            out[j0:j1, i] = (block @ vectors[i]).max(axis=1)
+            for r0, r1 in chunks:
+                similarities = scratch[: r1 - r0]
+                np.matmul(protos[r0:r1], vectors[i], out=similarities)
+                similarities.max(axis=1, out=out[r0:r1, i])
 
     tasks = [
         (rows, cols)

@@ -17,7 +17,7 @@ module, so the exact experiment protocol lives in one place:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from repro.labeling import LabelModel, Snuba, apply_labeling_functions, attribut
 from repro.labeling.primitives import extract_snuba_primitives
 from repro.nn.vgg import VGG16, VGGConfig
 from repro.utils.rng import derive_seed
+from repro.utils.threads import usable_cores
 from repro.vision.hog import hog_batch
 from repro.vision.pca import PCA
 
@@ -71,8 +72,10 @@ class ExperimentSettings:
             smaller default keeps CPU benchmarks affordable).
         vgg_seed: seed of the surrogate-pretrained backbone.
         seed: root seed for everything else.
-        n_jobs: worker count for affinity tiling and base-model
-            fitting; results are identical at any width.
+        n_jobs: worker count for feature extraction, affinity
+            tiling and base-model fitting; defaults to the usable core
+            count, like :class:`~repro.core.goggles.GogglesConfig`.
+            Results are identical at any width.
         executor: worker model for base-model fits (``"serial"`` /
             ``"thread"`` / ``"distributed"``); value-neutral like n_jobs.
         batch_size: images per backbone forward pass in the affinity
@@ -98,7 +101,7 @@ class ExperimentSettings:
     n_seeds: int = 5
     vgg_seed: int = 0
     seed: int = 0
-    n_jobs: int = 1
+    n_jobs: int = field(default_factory=usable_cores)
     executor: str = "thread"
     batch_size: int | None = 32
     precision: str | None = None
@@ -156,7 +159,7 @@ def _infer_with_affinity(
     dev: DevSet,
     n_classes: int,
     seed: int,
-    n_jobs: int = 1,
+    n_jobs: int,
     executor: str = "thread",
 ) -> np.ndarray:
     """Hierarchical inference + dev mapping on a prebuilt affinity matrix."""
@@ -573,7 +576,7 @@ def run_fig8(
     affinity = build_affinity(model, dataset.images, settings)
     hierarchical = HierarchicalModel(
         HierarchicalConfig(n_classes=k, seed=derive_seed(settings.seed, "fig8-inf", run_seed))
-    ).fit(affinity)
+    ).fit(affinity, n_jobs=settings.n_jobs)
     out: dict[int, float] = {}
     for size in dev_sizes:
         per_class = size // k
@@ -614,7 +617,7 @@ def run_fig9(
     hier = HierarchicalModel(
         HierarchicalConfig(n_classes=k, seed=derive_seed(settings.seed, "fig9-inf", run_seed))
     )
-    label_predictions, _ = hier.fit_base_models(affinity)
+    label_predictions, _ = hier.fit_base_models(affinity, n_jobs=settings.n_jobs)
     alpha = affinity.n_functions
     rng = np.random.default_rng(derive_seed(settings.seed, "fig9-subsets", run_seed))
     out: dict[int, float] = {}
@@ -669,7 +672,7 @@ def run_inference_ablation(
     hier = HierarchicalModel(
         HierarchicalConfig(n_classes=k, seed=derive_seed(settings.seed, "abl-h", run_seed))
     )
-    result = hier.fit(affinity)
+    result = hier.fit(affinity, n_jobs=settings.n_jobs)
     mapping = map_clusters_to_classes(result.posterior, dev, k)
     out["hierarchical"] = 100 * labeling_accuracy(
         apply_mapping(result.posterior, mapping), dataset.labels, exclude=dev.indices

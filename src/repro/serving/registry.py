@@ -46,6 +46,7 @@ label (the registry stamps each tenant's cache instance).
 
 from __future__ import annotations
 
+import math
 import re
 import threading
 import time
@@ -58,6 +59,7 @@ from repro.datasets.base import DevSet
 from repro.obs import MetricsRegistry, default_registry
 from repro.online import OnlineConfig
 from repro.serving.service import SERVICE_MODES, LabelingService, TicketStatus
+from repro.utils.threads import blas_threads
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -233,6 +235,11 @@ class TenantHandle:
         return row
 
 
+def _blas_threads_or_nan() -> float:
+    threads = blas_threads()
+    return math.nan if threads is None else float(threads)
+
+
 class TenantRegistry:
     """``tenant_id -> TenantHandle`` with lifecycle + budget enforcement.
 
@@ -293,6 +300,10 @@ class TenantRegistry:
             "goggles_tenants_resident_bytes",
             "Estimated resident corpus bytes across active tenants.",
         ).set_function(self.resident_bytes)
+        self.metrics.gauge(
+            "goggles_blas_threads",
+            "Threads numpy's OpenBLAS runs each call on (NaN when unreadable).",
+        ).set_function(_blas_threads_or_nan)
 
     # ------------------------------------------------------------------
     # Lookup

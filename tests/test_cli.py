@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.core import GogglesConfig
 
 
 class TestCli:
@@ -57,6 +59,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "labeling accuracy" in out
         assert "evictions" in out  # cache stats line includes the new counter
+
+    def test_n_jobs_defaults_to_library_default(self, monkeypatch):
+        """Omitting --n-jobs runs at ``GogglesConfig().n_jobs`` (the usable cores)."""
+        seen = []
+
+        def capture(args) -> int:
+            seen.append(cli._settings(args).n_jobs)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_label", capture)
+        assert main(["label"]) == 0
+        assert main(["--n-jobs", "1", "label"]) == 0
+        assert seen == [GogglesConfig().n_jobs, 1]
 
     def test_invalid_executor_rejected(self):
         for executor in ("gpu", "process"):

@@ -23,6 +23,7 @@ import pytest
 from repro.core import Goggles, GogglesConfig
 from repro.datasets.base import DevSet
 from repro.obs import MetricsRegistry, default_registry
+from repro.serving import registry as registry_module
 from repro.serving import (
     BackPressureError,
     LabelingHTTPServer,
@@ -34,6 +35,7 @@ from repro.serving import (
     UnknownTenantError,
     serve_http,
 )
+from repro.utils.threads import blas_threads
 
 TIMEOUT = 120.0
 
@@ -490,3 +492,17 @@ class TestHTTPTenantAPI:
         assert samples, "filtered exposition kept no alpha series"
         assert all('tenant="alpha"' in line for line in samples)
         assert 'tenant="beta"' not in text
+
+    def test_metrics_exports_blas_threads(self, stack, monkeypatch):
+        _, server, _ = stack
+
+        def scrape() -> str:
+            with urllib.request.urlopen(f"{server.url}/metrics", timeout=30.0) as response:
+                text = response.read().decode("utf-8")
+            (line,) = [line for line in text.splitlines() if line.startswith("goggles_blas_threads ")]
+            return line.split()[1]
+
+        threads = blas_threads()
+        assert scrape() == ("NaN" if threads is None else f"{threads:g}")
+        monkeypatch.setattr(registry_module, "blas_threads", lambda: None)  # getter unreadable
+        assert scrape() == "NaN"
