@@ -13,12 +13,21 @@ import time
 
 import numpy as np
 import pytest
+from reference_affinity import _layer_affinity_blocks
 
-from repro.core.affinity import _layer_affinity_blocks, compute_affinity_matrix
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
 from repro.datasets import make_dataset
-from repro.engine import AffinityEngine, EngineConfig, PrototypeAffinitySource, tiled_affinity_matrix
-from repro.eval.harness import shared_model
+from repro.engine import (
+    AffinityEngine,
+    EngineConfig,
+    PrototypeAffinitySource,
+    assemble_blocks,
+    best_similarities,
+    tile_executor,
+    unique_unit_prototypes,
+    unit_location_vectors,
+)
+from repro.eval.harness import build_affinity, shared_model
 from repro.eval.tables import format_curve
 
 
@@ -26,7 +35,7 @@ from repro.eval.tables import format_curve
 def test_runtime_scales_linearly_with_functions(benchmark, settings, record_result):
     model = shared_model(settings)
     dataset = make_dataset("cub", n_per_class=settings.n_per_class, seed=0, pair_seed=0)
-    affinity = compute_affinity_matrix(model, dataset.images, top_z=10)
+    affinity = build_affinity(model, dataset.images, settings, top_z=10)
 
     def measure():
         timings = {}
@@ -58,7 +67,7 @@ def test_affinity_construction_scaling(benchmark, settings, record_result):
         for n in (10, 20, 40):
             dataset = make_dataset("surface", n_per_class=n, seed=0)
             start = time.perf_counter()
-            compute_affinity_matrix(model, dataset.images, top_z=10)
+            build_affinity(model, dataset.images, settings, top_z=10)
             timings[2 * n] = time.perf_counter() - start
         return timings
 
@@ -72,18 +81,29 @@ def test_affinity_construction_scaling(benchmark, settings, record_result):
 
 @pytest.mark.benchmark(group="runtime")
 def test_tiled_vs_naive_affinity_construction(benchmark, settings, record_result, tmp_path):
-    """Tiled engine vs the legacy per-image loop, N=80, affinity stage.
+    """Tiled kernels vs the per-image reference loop, N=80, affinity stage.
 
     Measures the similarity-construction stage (pool features are the
-    previous stage's product and identical in both paths), then the
-    end-to-end engine with a cold and a warm artifact cache.
+    previous stage's product and identical in both paths): the naive
+    side is ``tests/reference_affinity.py``, the tiled side the
+    production kernels composed as ``PrototypeAffinitySource`` does.
+    Then the end-to-end engine with a cold and a warm artifact cache.
     """
     model = shared_model(settings)
     dataset = make_dataset("surface", n_per_class=settings.n_per_class, seed=0)
     n = dataset.n_examples
     layers = tuple(range(model.N_POOL_LAYERS))
     pools = model.forward_pools(dataset.images)
-    pool_map = dict(enumerate(pools))
+
+    def tiled(dtype=np.float64):
+        blocks = []
+        with tile_executor(4) as pool:
+            for layer in layers:
+                prototypes = unique_unit_prototypes(pools[layer], 10)
+                vectors = unit_location_vectors(pools[layer])
+                best = best_similarities(prototypes.vectors, vectors, executor=pool, dtype=dtype)
+                blocks.extend(assemble_blocks(best, prototypes.rank_rows))
+        return np.concatenate(blocks, axis=1)
 
     def timed(fn):
         # min over 2 runs: one-core CI boxes are noisy enough to matter
@@ -101,15 +121,13 @@ def test_tiled_vs_naive_affinity_construction(benchmark, settings, record_result
         )
         naive = np.concatenate([b for lb in naive_blocks for b in lb], axis=1)
 
-        timings["tiled_f64"], tiled64 = timed(lambda: tiled_affinity_matrix(pool_map, 10, layers, n_jobs=4))
-        timings["tiled_f32"], tiled32 = timed(
-            lambda: tiled_affinity_matrix(pool_map, 10, layers, n_jobs=4, dtype=np.float32)
-        )
+        timings["tiled_f64"], tiled64 = timed(tiled)
+        timings["tiled_f32"], tiled32 = timed(lambda: tiled(np.float32))
 
         # float64 tiling agrees to the last ulp (BLAS kernel choice may
         # round differently for different GEMM shapes); float32 to ~1e-6.
-        assert np.allclose(naive, tiled64.values, atol=1e-12, rtol=0.0)
-        assert np.allclose(naive, tiled32.values), "float32 tiling must stay within allclose"
+        assert np.allclose(naive, tiled64, atol=1e-12, rtol=0.0)
+        assert np.allclose(naive, tiled32), "float32 tiling must stay within allclose"
 
         engine = AffinityEngine(
             PrototypeAffinitySource(model, top_z=10),

@@ -9,11 +9,15 @@ a full reproduction uses more seeds:
 
 Rendered paper-vs-measured tables are printed and also appended to
 ``benchmarks/results.txt`` so they survive pytest's output capture.
+
+``tests/`` is put on ``sys.path`` so a benchmark can time the test-only
+reference kernels (``reference_affinity``) against the library's.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,7 @@ import pytest
 from repro.eval.harness import ExperimentSettings
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

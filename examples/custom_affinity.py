@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import make_dataset
-from repro.core import AffinityMatrix, affinity_from_features, compute_affinity_matrix
+from repro.core import AffinityMatrix, affinity_from_features
 from repro.core.inference import HierarchicalConfig, HierarchicalModel, apply_mapping, map_clusters_to_classes
-from repro.eval.harness import ExperimentSettings, shared_model
+from repro.eval.harness import ExperimentSettings, build_affinity, shared_model
 from repro.eval.metrics import labeling_accuracy
 from repro.vision.hog import hog_batch
 
@@ -33,11 +33,12 @@ def infer(affinity: AffinityMatrix, dataset, dev) -> float:
 
 
 def main() -> None:
-    model = shared_model(ExperimentSettings())
+    settings = ExperimentSettings()
+    model = shared_model(settings)
     dataset = make_dataset("surface", n_per_class=40, seed=5)
     dev = dataset.sample_dev_set(per_class=5, seed=0)
 
-    prototype_affinity = compute_affinity_matrix(model, dataset.images, top_z=10)
+    prototype_affinity = build_affinity(model, dataset.images, settings, top_z=10)
     print(f"prototype affinity functions ({prototype_affinity.n_functions}): "
           f"{100 * infer(prototype_affinity, dataset, dev):.1f}%")
 

@@ -1,4 +1,4 @@
-"""Affinity functions and affinity-matrix construction (paper §2.2, §3.2).
+"""Affinity functions and the affinity-matrix containers (paper §2.2, §3.2).
 
 An affinity function ``f^z_L(x_i, x_j)`` scores how strongly image
 ``x_i`` contains the z-th most informative prototype of image ``x_j``
@@ -11,7 +11,10 @@ prototypes per layer GOGGLES has α = 50 affinity functions.
 
 The affinity matrix ``A ∈ R^{N × αN}`` (N = n unlabeled + m dev) uses
 the paper's exact column layout: ``A[i, j] = f_{j // N}(x_i, x_{j % N})``
-— i.e. α contiguous blocks of N columns, one block per function.
+— i.e. α contiguous blocks of N columns, one block per function.  The
+prototype matrix is built by
+:class:`repro.engine.source.PrototypeAffinitySource` through
+:class:`repro.engine.AffinityEngine`.
 """
 
 from __future__ import annotations
@@ -22,9 +25,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro.core.prototypes import extract_prototypes
-from repro.nn.vgg import VGG16
-from repro.utils.validation import check_array, check_images
+from repro.utils.validation import check_array
 
 __all__ = [
     "AffinityFunctionId",
@@ -32,7 +33,6 @@ __all__ = [
     "SparseAffinityMatrix",
     "densify_topk_rows",
     "cosine_similarity",
-    "compute_affinity_matrix",
     "affinity_from_features",
 ]
 
@@ -367,71 +367,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a_unit = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), _EPS)
     b_unit = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), _EPS)
     return a_unit @ b_unit.T
-
-
-def _layer_affinity_blocks(filter_maps: np.ndarray, z: int) -> np.ndarray:
-    """All Z affinity blocks for one layer: returns ``(Z, N, N)``.
-
-    ``out[rank, i, j] = f^rank_L(x_i, x_j)`` — the maximum cosine
-    similarity between prototype ``rank`` of image j and any location
-    vector of image i (Eq. 2).
-    """
-    n, c, h, w = filter_maps.shape
-    # Unit location vectors per image: (N, C, P).
-    vectors = filter_maps.reshape(n, c, h * w)
-    norms = np.maximum(np.linalg.norm(vectors, axis=1, keepdims=True), _EPS)
-    unit_vectors = vectors / norms
-    # Unit prototypes per image: (N, Z, C), padded to exactly Z rows.
-    prototype_sets = extract_prototypes(filter_maps, z)
-    prototypes = np.stack([p.padded_vectors(z) for p in prototype_sets])
-    proto_norms = np.maximum(np.linalg.norm(prototypes, axis=2, keepdims=True), _EPS)
-    unit_prototypes = (prototypes / proto_norms).reshape(n * z, c)
-
-    out = np.empty((z, n, n))
-    for i in range(n):
-        # (N*Z, C) @ (C, P) -> (N*Z, P); max over locations of image i.
-        sims = unit_prototypes @ unit_vectors[i]
-        best = sims.max(axis=1).reshape(n, z)  # best[j, rank]
-        out[:, i, :] = best.T
-    return out
-
-
-def compute_affinity_matrix(
-    model: VGG16,
-    images: np.ndarray,
-    top_z: int = 10,
-    layers: tuple[int, ...] | None = None,
-) -> AffinityMatrix:
-    """Build the GOGGLES affinity matrix for a batch of images.
-
-    Args:
-        model: the (frozen) VGG-16 feature extractor.
-        images: ``(N, C, H, W)`` batch — unlabeled *and* dev images
-            together, as in §2.2 step 1.
-        top_z: prototypes per layer (paper default 10).
-        layers: which max-pool layers to use (default: all five).
-
-    Returns:
-        An :class:`AffinityMatrix` with α = len(layers) · top_z blocks.
-    """
-    images = check_images(images)
-    if layers is None:
-        layers = tuple(range(model.N_POOL_LAYERS))
-    if len(layers) == 0:
-        raise ValueError("need at least one layer")
-    if top_z < 1:
-        raise ValueError(f"top_z must be >= 1, got {top_z}")
-    pools = model.forward_pools(images)
-    blocks: list[np.ndarray] = []
-    ids: list[AffinityFunctionId] = []
-    for layer in layers:
-        if not 0 <= layer < len(pools):
-            raise ValueError(f"layer {layer} out of range [0, {len(pools)})")
-        layer_blocks = _layer_affinity_blocks(pools[layer], top_z)
-        for rank in range(top_z):
-            blocks.append(layer_blocks[rank])
-            ids.append(AffinityFunctionId(layer=layer, z=rank))
-    return AffinityMatrix(values=np.concatenate(blocks, axis=1), function_ids=tuple(ids))
 
 
 def affinity_from_features(features: np.ndarray) -> AffinityMatrix:

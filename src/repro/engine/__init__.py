@@ -3,11 +3,13 @@
 Splits the monolithic image→affinity-matrix path into reusable stages:
 
 * :mod:`repro.engine.features` — chunked backbone feature extraction.
-* :mod:`repro.engine.tiling` — tiled, de-duplicated, thread-parallel
-  affinity construction.
+* :mod:`repro.engine.tiling` — the tiled, de-duplicated,
+  thread-parallel similarity kernels and the top-k kernel of the
+  sparse path.
 * :mod:`repro.engine.cache` — content-addressed on-disk artifact cache.
-* :mod:`repro.engine.source` — interchangeable affinity backends
-  (VGG prototypes, HOG, raw-feature cosine).
+* :mod:`repro.engine.source` — the ``AffinitySource`` protocol and its
+  backends: :class:`PrototypeAffinitySource`, the only builder of the
+  paper's prototype matrix, and flat-feature cosine (HOG, logits).
 * :mod:`repro.engine.engine` — the orchestrator, including the
   incremental corpus-extension path.
 * :mod:`repro.engine.inference` — the staged inference engine
@@ -29,7 +31,6 @@ from repro.engine.source import (
     CorpusState,
     EngineRuntime,
     FeatureCosineSource,
-    IncrementalAffinitySource,
     PrototypeAffinitySource,
     hog_source,
     logits_source,
@@ -38,11 +39,8 @@ from repro.engine.tiling import (
     LayerPrototypes,
     assemble_blocks,
     best_similarities,
-    sparsify_affinity,
     tile_bounds,
     tile_executor,
-    tiled_affinity_matrix,
-    tiled_layer_affinity_blocks,
     topk_block,
     unique_unit_prototypes,
     unit_location_vectors,
@@ -63,7 +61,6 @@ __all__ = [
     "extract_pool_features",
     "iter_batches",
     "AffinitySource",
-    "IncrementalAffinitySource",
     "CorpusState",
     "EngineRuntime",
     "FeatureCosineSource",
@@ -73,11 +70,8 @@ __all__ = [
     "LayerPrototypes",
     "assemble_blocks",
     "best_similarities",
-    "sparsify_affinity",
     "tile_bounds",
     "tile_executor",
-    "tiled_affinity_matrix",
-    "tiled_layer_affinity_blocks",
     "topk_block",
     "unique_unit_prototypes",
     "unit_location_vectors",

@@ -25,13 +25,8 @@ import numpy as np
 from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
 from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays
 from repro.engine.inference import EXECUTORS
-from repro.engine.source import (
-    AffinitySource,
-    CorpusState,
-    EngineRuntime,
-    IncrementalAffinitySource,
-)
-from repro.engine.tiling import sparsify_affinity, topk_block
+from repro.engine.source import AffinitySource, CorpusState, EngineRuntime
+from repro.engine.tiling import topk_block
 from repro.obs import span
 from repro.utils.threads import usable_cores
 from repro.utils.validation import check_images
@@ -64,9 +59,11 @@ class EngineConfig:
             and base fits shipped as shard tasks leased to
             coordinator/worker cluster processes, possibly on other
             machines).  Value-neutral, like ``n_jobs``.
-        precision: ``"float64"`` (bit-compatible with the legacy path)
-            or ``"float32"`` (≈2× faster similarity stage, equal to
-            within ~1e-6 — inside ``np.allclose`` tolerance).
+        precision: ``"float64"`` (default; within ``atol=1e-12`` of
+            the direct per-image form of Eq. 2 kept in
+            ``tests/reference_affinity.py``) or ``"float32"`` (≈2×
+            faster similarity stage, equal to within ~1e-6 — inside
+            ``np.allclose`` tolerance).
         cache_dir: artifact cache directory; ``None`` disables caching.
         cache_max_bytes: size budget for the artifact cache; writes
             that push the directory above it evict least-recently-used
@@ -224,10 +221,6 @@ class AffinityEngine:
         return self.cache.key(data_hash, self._params())
 
     @property
-    def supports_incremental(self) -> bool:
-        return isinstance(self.source, IncrementalAffinitySource)
-
-    @property
     def state(self) -> CorpusState | None:
         """The in-memory corpus state of the last build/extend, if any."""
         return self._state
@@ -258,12 +251,11 @@ class AffinityEngine:
     ) -> AffinityMatrix | SparseAffinityMatrix:
         """Affinity matrix for ``images``; cache-aware.
 
-        ``keep_state`` (default: whenever the source supports it)
-        additionally retains/caches the corpus state that
-        :meth:`extend` needs.  With ``affinity_mode="sparse"`` the
-        result is a :class:`SparseAffinityMatrix` (same ``block(f)``
-        accessor) and corpus state is not kept — the sparse path is
-        build-only.
+        ``keep_state`` (default: on the dense path) additionally
+        retains/caches the corpus state that :meth:`extend` needs.
+        With ``affinity_mode="sparse"`` the result is a
+        :class:`SparseAffinityMatrix` (same ``block(f)`` accessor) and
+        corpus state is not kept — the sparse path is build-only.
         """
         with span("engine.build"):
             return self._build(images, keep_state)
@@ -279,29 +271,23 @@ class AffinityEngine:
                     "path is build-only (incremental extension stays dense)"
                 )
             return self._build_sparse(images)
-        if keep_state is None:
-            keep_state = self.supports_incremental
-        if keep_state and not self.supports_incremental:
-            raise ValueError(f"source {self.source.name!r} does not support incremental state")
+        keep_state = True if keep_state is None else keep_state
         key = None
         if self.cache is not None:
             key = self._corpus_key(hash_arrays(images))
             cached = self._load_cached(key, need_state=keep_state)
             if cached is not None:
                 return cached
-        runtime = self._runtime()
-        if keep_state:
-            state = self.source.build_state(images, runtime)
-            self._remember(state, key)
-            matrix = state.affinity
-        else:
+        if not keep_state:
             self._forget()
-            matrix = self.source.build(images, runtime)
+        state = self.source.build_state(images, self._runtime())
+        if keep_state:
+            self._remember(state, key)
         if self.cache is not None and key is not None:
-            self.cache.save_affinity(key, matrix)
-            if keep_state and self._state is not None:
-                self._save_state(key, self._state)
-        return matrix
+            self.cache.save_affinity(key, state.affinity)
+            if keep_state:
+                self._save_state(key, state)
+        return state.affinity
 
     def _build_sparse(self, images: np.ndarray) -> SparseAffinityMatrix:
         """The sparse build path: stream blocks, top-k each, never hold
@@ -318,28 +304,22 @@ class AffinityEngine:
         runtime = dataclasses.replace(self._runtime(), out_dtype=cfg.dtype)
         n = int(images.shape[0])
         k = min(cfg.top_k if cfg.top_k is not None else max(1, -(-n // 4)), n)
-        iterate = getattr(self.source, "iter_function_blocks", None)
-        if iterate is not None:
-            data_parts: list[np.ndarray] = []
-            index_parts: list[np.ndarray] = []
-            fill_parts: list[np.ndarray] = []
-            ids: list[object] = []
-            for fid, block in iterate(images, runtime):
-                data, indices, fill = topk_block(block, k, row_tile=cfg.row_tile)
-                data_parts.append(data)
-                index_parts.append(indices)
-                fill_parts.append(fill)
-                ids.append(fid)
-            sparse = SparseAffinityMatrix(
-                data=np.stack(data_parts),
-                indices=np.stack(index_parts),
-                fill=np.stack(fill_parts),
-                function_ids=tuple(ids),
-            )
-        else:
-            # Sources without a streaming hook: build dense, sparsify.
-            dense = self.source.build(images, runtime)
-            sparse = sparsify_affinity(dense, k, dtype=cfg.dtype, row_tile=cfg.row_tile)
+        data_parts: list[np.ndarray] = []
+        index_parts: list[np.ndarray] = []
+        fill_parts: list[np.ndarray] = []
+        ids: list[object] = []
+        for fid, block in self.source.iter_function_blocks(images, runtime):
+            data, indices, fill = topk_block(block, k, row_tile=cfg.row_tile)
+            data_parts.append(data)
+            index_parts.append(indices)
+            fill_parts.append(fill)
+            ids.append(fid)
+        sparse = SparseAffinityMatrix(
+            data=np.stack(data_parts),
+            indices=np.stack(index_parts),
+            fill=np.stack(fill_parts),
+            function_ids=tuple(ids),
+        )
         if self.cache is not None and key is not None:
             self.cache.save_affinity_csr(key, sparse)
         return self._attach_store(sparse, key)
@@ -370,8 +350,6 @@ class AffinityEngine:
                 "extend() requires affinity_mode='dense': the sparse path is "
                 "build-only (serving and online labeling stay on the dense path)"
             )
-        if not self.supports_incremental:
-            raise ValueError(f"source {self.source.name!r} does not support incremental state")
         if self._state is None:
             raise RuntimeError(
                 "no corpus state: call build() on the original corpus first "

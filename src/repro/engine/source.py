@@ -6,10 +6,11 @@ class-inference module.  The engine therefore talks to an abstract
 source:
 
 * :class:`PrototypeAffinitySource` — the paper's §3 pipeline (chunked
-  VGG pool extraction → tiled prototype affinity), incremental-capable.
+  VGG pool extraction → tiled prototype affinity), the only builder of
+  the prototype matrix.
 * :class:`FeatureCosineSource` — any flat feature extractor compared
-  with pair-wise cosine (α = 1), incremental-capable because the state
-  is just the feature table.
+  with pair-wise cosine (α = 1); its corpus state is just the feature
+  table.
 * :func:`hog_source` / :func:`logits_source` — the two ablation
   backends of §5.1.5 as ready-made sources.
 
@@ -22,7 +23,7 @@ about the runtime — into cache keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -48,7 +49,6 @@ __all__ = [
     "EngineRuntime",
     "CorpusState",
     "AffinitySource",
-    "IncrementalAffinitySource",
     "PrototypeAffinitySource",
     "FeatureCosineSource",
     "hog_source",
@@ -156,7 +156,13 @@ class CorpusState:
 
 
 class AffinitySource(Protocol):
-    """An interchangeable affinity-matrix backend."""
+    """An interchangeable affinity-matrix backend.
+
+    The engine calls every method: :meth:`build_state` on dense builds
+    (dropping the state when it is not kept), :meth:`iter_function_blocks`
+    on sparse builds, :meth:`extend_state` on ``extend`` and
+    :meth:`extend_rows` on online absorbs.
+    """
 
     name: str
 
@@ -164,22 +170,21 @@ class AffinitySource(Protocol):
         """Value-affecting parameters, folded into cache keys."""
         ...
 
-    def build(self, images: np.ndarray, runtime: EngineRuntime) -> AffinityMatrix:
-        """Build the full affinity matrix for a corpus."""
+    def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
+        """The corpus affinity matrix plus the state that extends it."""
         ...
 
+    def iter_function_blocks(
+        self, images: np.ndarray, runtime: EngineRuntime
+    ) -> Iterator[tuple[AffinityFunctionId, np.ndarray]]:
+        """The blocks of :meth:`build_state`, in order, bit for bit."""
+        ...
 
-@runtime_checkable
-class IncrementalAffinitySource(Protocol):
-    """A source that can also extend an existing corpus row/column-wise."""
-
-    name: str
-
-    def signature(self) -> dict[str, object]: ...
-
-    def build(self, images: np.ndarray, runtime: EngineRuntime) -> AffinityMatrix: ...
-
-    def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState: ...
+    def extend_rows(
+        self, state: CorpusState, new_images: np.ndarray, runtime: EngineRuntime
+    ) -> list[np.ndarray]:
+        """The ``[n:, :n]`` quadrant of :meth:`extend_state`, one block per function."""
+        ...
 
     def extend_state(
         self, state: CorpusState, new_images: np.ndarray, runtime: EngineRuntime
@@ -207,6 +212,9 @@ class PrototypeAffinitySource:
             raise ValueError(f"top_z must be >= 1, got {top_z}")
         if not self.layers:
             raise ValueError("need at least one layer")
+        for layer in self.layers:
+            if not 0 <= layer < model.N_POOL_LAYERS:
+                raise ValueError(f"layer {layer} out of range [0, {model.N_POOL_LAYERS})")
         self.name = "vgg-prototypes"
 
     def signature(self) -> dict[str, object]:
@@ -217,32 +225,28 @@ class PrototypeAffinitySource:
             "layers": self.layers,
         }
 
-    def build(self, images: np.ndarray, runtime: EngineRuntime) -> AffinityMatrix:
-        # Same work as build_state (the state arrays are intermediates
-        # of the tiled computation either way); the state is simply not
-        # retained by the caller.
-        return self.build_state(images, runtime).affinity
+    def _layer_blocks(self, images: np.ndarray, runtime: EngineRuntime, pool):
+        """Per layer, ``(layer, unit vectors, prototypes, (Z, N, N) blocks)``.
 
-    # -- incremental ----------------------------------------------------
-    def _layer_state(
-        self, images: np.ndarray, runtime: EngineRuntime, pool
-    ) -> dict[int, tuple[np.ndarray, LayerPrototypes]]:
+        Each layer's filter maps are dropped as soon as they are
+        consumed, so only the layers not yet reached stay in memory.
+        """
         pools = runtime.pool_features(self.model, images, self.layers, pool)
-        return {
-            layer: (unit_location_vectors(pools[layer]), unique_unit_prototypes(pools[layer], self.top_z))
-            for layer in self.layers
-        }
+        for layer in self.layers:
+            filter_maps = pools.pop(layer)
+            vectors = unit_location_vectors(filter_maps)
+            prototypes = unique_unit_prototypes(filter_maps, self.top_z)
+            del filter_maps
+            best = runtime.similarities(prototypes.vectors, vectors, pool)
+            yield layer, vectors, prototypes, assemble_blocks(best, prototypes.rank_rows)
 
     def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
         images = check_images(images)
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.local_jobs) as pool:
-            per_layer = self._layer_state(images, runtime, pool)
-            for layer in self.layers:
-                vectors, prototypes = per_layer[layer]
-                best = runtime.similarities(prototypes.vectors, vectors, pool)
-                blocks.extend(assemble_blocks(best, prototypes.rank_rows))
+            for layer, vectors, prototypes, layer_blocks in self._layer_blocks(images, runtime, pool):
+                blocks.extend(layer_blocks)
                 arrays[f"uv_{layer}"] = vectors
                 arrays[f"proto_{layer}"] = prototypes.vectors
                 arrays[f"rank_{layer}"] = prototypes.rank_rows
@@ -256,26 +260,19 @@ class PrototypeAffinitySource:
 
     def iter_function_blocks(self, images: np.ndarray, runtime: EngineRuntime):
         """Stream ``(function_id, dense N×N block)`` pairs, one layer at
-        a time, in the same function order :meth:`build` concatenates.
+        a time, in the same function order :meth:`build_state`
+        concatenates.
 
-        The sparse build path consumes this instead of :meth:`build`:
-        only one layer's Z blocks are dense at any moment, so peak
-        memory is O(Z·N²) instead of the full matrix's O(α·N²) — which
-        is the point of building sparse in the first place.  Each
-        block's values are bit-identical to the corresponding
-        ``build()`` block under the same runtime.
+        The sparse build path consumes this: only one layer's Z blocks
+        are dense at any moment, so peak memory is O(Z·N²) instead of
+        the full matrix's O(α·N²) — which is the point of building
+        sparse in the first place.  Both walk the same per-layer loop,
+        so each block is bit-identical to the corresponding
+        ``build_state`` block under the same runtime.
         """
         images = check_images(images)
         with tile_executor(runtime.local_jobs) as pool:
-            pools = runtime.pool_features(self.model, images, self.layers, pool)
-            for layer in self.layers:
-                filter_maps = pools.pop(layer)  # free each layer as it is consumed
-                vectors = unit_location_vectors(filter_maps)
-                prototypes = unique_unit_prototypes(filter_maps, self.top_z)
-                del filter_maps
-                best = runtime.similarities(prototypes.vectors, vectors, pool)
-                layer_blocks = assemble_blocks(best, prototypes.rank_rows)
-                del best, vectors
+            for layer, _, _, layer_blocks in self._layer_blocks(images, runtime, pool):
                 for rank in range(self.top_z):
                     yield AffinityFunctionId(layer=layer, z=rank), layer_blocks[rank]
 
@@ -322,14 +319,15 @@ class PrototypeAffinitySource:
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.local_jobs) as pool:
-            per_layer_new = self._layer_state(new_images, runtime, pool)
+            pools = runtime.pool_features(self.model, new_images, self.layers, pool)
             for layer_pos, layer in enumerate(self.layers):
                 old_vectors = state.arrays[f"uv_{layer}"]
                 old_protos = LayerPrototypes(
                     vectors=state.arrays[f"proto_{layer}"],
                     rank_rows=state.arrays[f"rank_{layer}"],
                 )
-                new_vectors, new_protos = per_layer_new[layer]
+                new_vectors = unit_location_vectors(pools[layer])
+                new_protos = unique_unit_prototypes(pools[layer], self.top_z)
                 all_vectors = np.concatenate([old_vectors, new_vectors], axis=0)
                 # Old prototypes × new images: the new rows of old column blocks.
                 best_old_new = runtime.similarities(old_protos.vectors, new_vectors, pool)
@@ -385,9 +383,6 @@ class FeatureCosineSource:
         parts = [self.extractor(images[batch]) for batch in iter_batches(images.shape[0], runtime.batch_size)]
         features = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
         return np.asarray(features, dtype=np.float64)
-
-    def build(self, images: np.ndarray, runtime: EngineRuntime) -> AffinityMatrix:
-        return self.build_state(images, runtime).affinity
 
     def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
         features = self._features(images, runtime)

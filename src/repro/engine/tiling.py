@@ -1,13 +1,16 @@
-"""Stage 2 of the affinity engine: tiled affinity construction.
+"""Stage 2 of the affinity engine: the tiled affinity kernels.
 
-The legacy :func:`repro.core.affinity._layer_affinity_blocks` walks the
-corpus image-by-image in Python, scoring *all* ``N·Z`` padded prototype
-rows against each image.  Two observations make a faster, exactly
-equivalent kernel possible:
+:class:`~repro.engine.source.PrototypeAffinitySource` composes these
+per layer: :func:`unit_location_vectors`, :func:`unique_unit_prototypes`,
+:func:`best_similarities`, then :func:`assemble_blocks`.  The direct
+form of Eq. 2 (``tests/reference_affinity.py``, test-only) walks the
+corpus image by image in Python, scoring *all* ``N·Z`` padded
+prototype rows against each image.  Two observations make a faster,
+exactly equivalent kernel possible:
 
-1. **Prototype de-duplication.**  ``PrototypeSet.padded_vectors`` pads
-   to Z rows by *cycling* the unique prototypes, so rank ``r >= u_j``
-   of image j is a bitwise copy of rank ``r % u_j``.  Scoring only the
+1. **Prototype de-duplication.**  Top-Z selection pads each image to Z
+   rows by *cycling* its unique prototypes, so rank ``r >= u_j`` of
+   image j is a bitwise copy of rank ``r % u_j``.  Scoring only the
    unique rows and replicating the results afterwards removes 30–60 %
    of the similarity work (deeper layers have as few as 4 candidate
    locations) without changing a single output bit.
@@ -35,12 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.affinity import (
-    AffinityFunctionId,
-    AffinityMatrix,
-    SparseAffinityMatrix,
-    _EPS,
-)
+from repro.core.affinity import _EPS
 from repro.utils.threads import pin_thread_budget
 
 __all__ = [
@@ -51,10 +49,7 @@ __all__ = [
     "unique_unit_prototypes",
     "best_similarities",
     "assemble_blocks",
-    "tiled_layer_affinity_blocks",
-    "tiled_affinity_matrix",
     "topk_block",
-    "sparsify_affinity",
 ]
 
 
@@ -122,13 +117,14 @@ def unit_location_vectors(filter_maps: np.ndarray) -> np.ndarray:
 def unique_unit_prototypes(filter_maps: np.ndarray, z: int) -> LayerPrototypes:
     """Unique unit prototypes of every image plus the rank→row map.
 
-    Matches :func:`repro.core.prototypes.select_top_z` exactly — same
-    channel ranking (activation descending, channel ascending on ties),
-    same argmax locations, same first-seen de-duplication — but ranks
-    channels and finds argmax locations for the whole batch in one
-    vectorised pass.  Normalising a vector and its padded copies yields
-    identical rows, so the cycle map ``rank_rows[j, r] = offset_j +
-    r % u_j`` reproduces exactly the ``padded_vectors`` layout.
+    Matches the per-image ``select_top_z`` of ``tests/reference_affinity.py``
+    exactly — same channel ranking (activation descending, channel
+    ascending on ties), same argmax locations, same first-seen
+    de-duplication — but ranks channels and finds argmax locations for
+    the whole batch in one vectorised pass.  Normalising a vector and
+    its padded copies yields identical rows, so the cycle map
+    ``rank_rows[j, r] = offset_j + r % u_j`` reproduces exactly the
+    reference's ``padded_vectors`` layout.
     """
     if z < 1:
         raise ValueError(f"z must be >= 1, got {z}")
@@ -257,66 +253,6 @@ def assemble_blocks(best: np.ndarray, rank_rows: np.ndarray) -> np.ndarray:
     return best[rank_rows.T].transpose(0, 2, 1)
 
 
-def tiled_layer_affinity_blocks(
-    filter_maps: np.ndarray,
-    z: int,
-    *,
-    row_tile: int | None = 32,
-    col_tile: int | None = None,
-    executor: Executor | None = None,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    """Drop-in tiled replacement for the legacy per-image layer kernel."""
-    vectors = unit_location_vectors(filter_maps)
-    prototypes = unique_unit_prototypes(filter_maps, z)
-    best = best_similarities(
-        prototypes.vectors,
-        vectors,
-        row_tile=row_tile,
-        col_tile=col_tile,
-        executor=executor,
-        dtype=dtype,
-    )
-    return assemble_blocks(best, prototypes.rank_rows)
-
-
-def tiled_affinity_matrix(
-    pool_features: dict[int, np.ndarray],
-    top_z: int,
-    layers: tuple[int, ...],
-    *,
-    row_tile: int | None = 32,
-    col_tile: int | None = None,
-    n_jobs: int = 1,
-    dtype: np.dtype | type = np.float64,
-) -> AffinityMatrix:
-    """Affinity matrix from precomputed pool features, tile-parallel.
-
-    Produces the paper's exact column layout (α = len(layers)·top_z
-    blocks of N columns each, layer-major then rank).
-    """
-    if not layers:
-        raise ValueError("need at least one layer")
-    if top_z < 1:
-        raise ValueError(f"top_z must be >= 1, got {top_z}")
-    blocks: list[np.ndarray] = []
-    ids: list[AffinityFunctionId] = []
-    with tile_executor(n_jobs) as pool:
-        for layer in layers:
-            layer_blocks = tiled_layer_affinity_blocks(
-                pool_features[layer],
-                top_z,
-                row_tile=row_tile,
-                col_tile=col_tile,
-                executor=pool,
-                dtype=dtype,
-            )
-            for rank in range(top_z):
-                blocks.append(layer_blocks[rank])
-                ids.append(AffinityFunctionId(layer=layer, z=rank))
-    return AffinityMatrix(values=np.concatenate(blocks, axis=1), function_ids=tuple(ids))
-
-
 # ----------------------------------------------------------------------
 # Blocked top-k sparsification (the exact kernel of the sparse path)
 # ----------------------------------------------------------------------
@@ -360,34 +296,3 @@ def topk_block(
             dropped = tile.sum(axis=1, dtype=np.float64) - kept_values.sum(axis=1, dtype=np.float64)
             fill[r0:r1] = (dropped / (n_cols - kept)).astype(block.dtype)
     return data, indices, fill
-
-
-def sparsify_affinity(
-    matrix: AffinityMatrix,
-    top_k: int,
-    *,
-    dtype: np.dtype | type | None = None,
-    row_tile: int | None = 32,
-) -> SparseAffinityMatrix:
-    """Top-k sparsification of a dense affinity matrix, block by block.
-
-    Convenience wrapper over :func:`topk_block` for sources that only
-    produce a full dense matrix; the staged engine's sparse build path
-    instead sparsifies blocks as they stream out of the similarity
-    stage, never holding the dense matrix (see
-    ``AffinityEngine._build_sparse``).  ``dtype`` converts the stored
-    values (float32 on the default sparse path); selection happens on
-    the converted block so the kept entries are exactly the ones a
-    float32-end-to-end build would keep.
-    """
-    target = np.dtype(dtype) if dtype is not None else matrix.values.dtype
-    n = matrix.n_examples
-    kept = min(top_k, n)
-    alpha = matrix.n_functions
-    data = np.empty((alpha, n, kept), dtype=target)
-    indices = np.empty((alpha, n, kept), dtype=np.int64)
-    fill = np.empty((alpha, n), dtype=target)
-    for f in range(alpha):
-        block = matrix.block(f).astype(target, copy=False)
-        data[f], indices[f], fill[f] = topk_block(block, top_k, row_tile=row_tile)
-    return SparseAffinityMatrix(data=data, indices=indices, fill=fill, function_ids=matrix.function_ids)

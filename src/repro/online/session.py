@@ -443,22 +443,13 @@ class OnlineSession:
     def _arrival_rows(self, images: np.ndarray) -> list[np.ndarray]:
         """The batch's ``(M, n_seed)`` affinity rows to the frozen corpus.
 
-        Sources that implement ``extend_rows`` (the VGG-prototype and
-        feature-cosine backends) compute exactly these blocks — no new
-        prototypes, no old-row columns, no (N+M)² assembly; otherwise
-        fall back to a throwaway ``extend_state`` and slice it.  The
-        engine's corpus state is never touched either way.
+        ``extend_rows`` computes exactly these blocks — no new
+        prototypes, no old-row columns, no (N+M)² assembly — and never
+        touches the engine's corpus state.
         """
         engine = self.goggles.engine
         assert engine.state is not None
-        runtime = engine._runtime()
-        if hasattr(engine.source, "extend_rows"):
-            return engine.source.extend_rows(engine.state, images, runtime)
-        extended = engine.source.extend_state(engine.state, images, runtime)
-        return [
-            np.array(extended.affinity.block(f)[self.n_seed :, : self.n_seed], copy=True)
-            for f in range(self.alpha)
-        ]
+        return engine.source.extend_rows(engine.state, images, engine._runtime())
 
     def _snapshot(self) -> tuple:
         """The mutable online state (statistics are immutable — shallow is enough)."""

@@ -6,15 +6,21 @@ import io
 
 import numpy as np
 import pytest
+from reference_affinity import select_top_z
 
 from repro.core.affinity import (
     AffinityFunctionId,
     AffinityMatrix,
     affinity_from_features,
-    compute_affinity_matrix,
     cosine_similarity,
 )
-from repro.core.prototypes import select_top_z
+from repro.engine import AffinityEngine, PrototypeAffinitySource
+
+
+def build_prototype_affinity(vgg, images, top_z=10, layers=None) -> AffinityMatrix:
+    """The prototype affinity matrix through the library's one builder."""
+    source = PrototypeAffinitySource(vgg, top_z=top_z, layers=layers)
+    return AffinityEngine(source).build(images, keep_state=False)
 
 
 class TestCosineSimilarity:
@@ -118,7 +124,7 @@ class TestComputeAffinityMatrix:
         """A[i, j] = f_{j // N}(x_i, x_{j % N}) — verified against a
         direct evaluation of Eq. 2 for a sample of cells."""
         top_z = 2
-        matrix = compute_affinity_matrix(vgg, tiny_images, top_z=top_z, layers=(1,))
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=top_z, layers=(1,))
         n = tiny_images.shape[0]
         feats = vgg.pool_features(tiny_images, 1)
         c = feats.shape[1]
@@ -135,26 +141,26 @@ class TestComputeAffinityMatrix:
                 assert matrix.values[i, j_col] == pytest.approx(expected, abs=1e-10)
 
     def test_shape_and_ids(self, vgg, tiny_images):
-        matrix = compute_affinity_matrix(vgg, tiny_images, top_z=3, layers=(0, 2))
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=3, layers=(0, 2))
         n = tiny_images.shape[0]
         assert matrix.values.shape == (n, 6 * n)
         assert matrix.function_ids[0] == AffinityFunctionId(layer=0, z=0)
         assert matrix.function_ids[-1] == AffinityFunctionId(layer=2, z=2)
 
     def test_default_uses_all_five_layers(self, vgg, tiny_images):
-        matrix = compute_affinity_matrix(vgg, tiny_images, top_z=2)
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=2)
         assert matrix.n_functions == 10
         layers = {fid.layer for fid in matrix.function_ids}
         assert layers == {0, 1, 2, 3, 4}
 
     def test_values_in_cosine_range(self, vgg, tiny_images):
-        matrix = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(0,))
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(0,))
         assert matrix.values.min() >= -1.0 - 1e-9
         assert matrix.values.max() <= 1.0 + 1e-9
 
     def test_self_affinity_is_maximal(self, vgg, tiny_images):
         """f(x_j, x_j) = 1: the prototype's own location is a perfect match."""
-        matrix = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(1,))
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(1,))
         n = tiny_images.shape[0]
         for f in range(matrix.n_functions):
             diag = np.diag(matrix.block(f))
@@ -162,15 +168,15 @@ class TestComputeAffinityMatrix:
 
     def test_bad_layer(self, vgg, tiny_images):
         with pytest.raises(ValueError, match="layer"):
-            compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(7,))
+            build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(7,))
 
     def test_bad_top_z(self, vgg, tiny_images):
         with pytest.raises(ValueError, match="top_z"):
-            compute_affinity_matrix(vgg, tiny_images, top_z=0)
+            build_prototype_affinity(vgg, tiny_images, top_z=0)
 
     def test_empty_layers(self, vgg, tiny_images):
         with pytest.raises(ValueError, match="at least one layer"):
-            compute_affinity_matrix(vgg, tiny_images, layers=())
+            build_prototype_affinity(vgg, tiny_images, layers=())
 
 
 class TestAffinityFromFeatures:

@@ -22,9 +22,10 @@ from multiprocessing.connection import Client
 
 import numpy as np
 import pytest
+from reference_affinity import compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
-from repro.core.affinity import AffinityMatrix, compute_affinity_matrix
+from repro.core.affinity import AffinityMatrix
 from repro.core.inference.hierarchical import HierarchicalConfig, fit_all_base_functions
 from repro.datasets.base import DevSet
 from repro.distributed import (
@@ -848,3 +849,15 @@ class TestEndToEnd:
         with Goggles(config, model=vgg, coordinator=thread_cluster(2)) as goggles:
             built = goggles.build_affinity_matrix(tiny_images)
         np.testing.assert_allclose(built.values, legacy.values, atol=1e-12)
+
+    def test_out_of_range_layer_rejected_before_any_shard(self, vgg):
+        """A bad layer fails where the source is built, with the local
+        error, instead of as extraction shards failing on the workers
+        until the build is poisoned."""
+        config = GogglesConfig(layers=(7,), engine=EngineConfig(executor="distributed"))
+        with thread_cluster(2) as coordinator:
+            with pytest.raises(ValueError, match=r"layer 7 out of range \[0, 5\)"):
+                Goggles(config, model=vgg, coordinator=coordinator)
+            assert counted(coordinator, "goggles_coordinator_shards_planned_total") == 0
+            stats = coordinator.queue.stats()
+            assert stats["completed"] == stats["failed"] == stats["requeued"] == 0

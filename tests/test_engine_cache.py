@@ -331,7 +331,7 @@ class TestConcurrentWriteEvictionRaces:
         it mid-write and break the publishing rename.  Scratch files now
         never match the entry pattern, so a concurrent over-budget write
         cannot touch them."""
-        from repro.core.affinity import compute_affinity_matrix
+        from reference_affinity import compute_affinity_matrix
 
         matrix = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(1,))
         cache = ArtifactCache(str(tmp_path), max_bytes=1)  # evict everything else

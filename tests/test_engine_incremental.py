@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_affinity import compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
-from repro.core.affinity import compute_affinity_matrix
 from repro.engine import AffinityEngine, EngineConfig, FeatureCosineSource, PrototypeAffinitySource
 
 
@@ -49,7 +49,7 @@ class TestEngineExtend:
         engine = AffinityEngine(source)
         engine.build(tiny_images[:3])
         extended = engine.extend(tiny_images[3:])
-        scratch = source.build(tiny_images, engine.config.runtime())
+        scratch = source.build_state(tiny_images, engine.config.runtime()).affinity
         np.testing.assert_allclose(extended.values, scratch.values, atol=1e-12, rtol=0.0)
 
 

@@ -5,16 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_affinity import _layer_affinity_blocks, compute_affinity_matrix, extract_prototypes
 
-from repro.core.affinity import _EPS, _layer_affinity_blocks, compute_affinity_matrix
-from repro.core.prototypes import extract_prototypes
+from repro.core.affinity import _EPS
 from repro.engine import (
+    AffinityEngine,
+    EngineConfig,
+    PrototypeAffinitySource,
     assemble_blocks,
     best_similarities,
     extract_pool_features,
     iter_batches,
-    tiled_affinity_matrix,
-    tiled_layer_affinity_blocks,
+    tile_executor,
     unique_unit_prototypes,
     unit_location_vectors,
 )
@@ -161,34 +163,56 @@ class TestAssembleBlocks:
                     assert blocks[z, i, j] == best[rank_rows[j, z], i]
 
 
+def tiled_layer_blocks(filter_maps: np.ndarray, z: int, **kernel) -> np.ndarray:
+    """One layer's ``(Z, N, N)`` blocks from the production kernels, composed as the source does."""
+    prototypes = unique_unit_prototypes(filter_maps, z)
+    best = best_similarities(prototypes.vectors, unit_location_vectors(filter_maps), **kernel)
+    return assemble_blocks(best, prototypes.rank_rows)
+
+
 class TestTiledVsNaive:
     def test_layer_blocks_equal(self, filter_maps):
         for z in (1, 3, 7):
             naive = _layer_affinity_blocks(filter_maps, z)
-            tiled = tiled_layer_affinity_blocks(filter_maps, z, row_tile=4, col_tile=6)
+            tiled = tiled_layer_blocks(filter_maps, z, row_tile=4, col_tile=6)
             np.testing.assert_allclose(tiled, naive, atol=1e-12, rtol=0.0)
 
     def test_full_matrix_matches_legacy(self, vgg, tiny_images):
         naive = compute_affinity_matrix(vgg, tiny_images, top_z=3, layers=(0, 2))
-        pools = extract_pool_features(vgg, tiny_images, layers=(0, 2), batch_size=2)
-        tiled = tiled_affinity_matrix(pools, 3, (0, 2), row_tile=2, n_jobs=2)
+        source = PrototypeAffinitySource(vgg, top_z=3, layers=(0, 2))
+        engine = AffinityEngine(source, EngineConfig(batch_size=2, row_tile=2, n_jobs=2))
+        tiled = engine.build(tiny_images, keep_state=False)
         np.testing.assert_allclose(tiled.values, naive.values, atol=1e-12, rtol=0.0)
         assert tiled.function_ids == naive.function_ids
 
     def test_parallel_matches_serial(self, filter_maps):
-        serial = tiled_layer_affinity_blocks(filter_maps, 4)
-        pools = {0: filter_maps}
-        parallel = tiled_affinity_matrix(pools, 4, (0,), row_tile=2, col_tile=4, n_jobs=4)
-        np.testing.assert_array_equal(parallel.values, np.concatenate(list(serial), axis=1))
+        serial = tiled_layer_blocks(filter_maps, 4)
+        with tile_executor(4) as pool:
+            parallel = tiled_layer_blocks(filter_maps, 4, row_tile=2, col_tile=4, executor=pool)
+        np.testing.assert_array_equal(parallel, serial)
 
     def test_float32_within_allclose(self, filter_maps):
         naive = _layer_affinity_blocks(filter_maps, 5)
-        tiled = tiled_layer_affinity_blocks(filter_maps, 5, dtype=np.float32)
+        tiled = tiled_layer_blocks(filter_maps, 5, dtype=np.float32)
         assert tiled.dtype == np.float64  # outputs always float64
         assert np.allclose(tiled, naive)
 
-    def test_validation(self, filter_maps):
+    def test_validation(self, vgg):
         with pytest.raises(ValueError, match="at least one layer"):
-            tiled_affinity_matrix({0: filter_maps}, 2, ())
+            PrototypeAffinitySource(vgg, top_z=2, layers=())
         with pytest.raises(ValueError, match="top_z"):
-            tiled_affinity_matrix({0: filter_maps}, 0, (0,))
+            PrototypeAffinitySource(vgg, top_z=0, layers=(0,))
+
+
+class TestPrototypeSourceStreaming:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_function_blocks_equal_build_state_blocks(self, vgg, tiny_images, n_jobs):
+        """The sparse path's block stream and the dense build walk the
+        same per-layer loop: same ids, same order, same bits."""
+        source = PrototypeAffinitySource(vgg, top_z=3, layers=(0, 2, 4))
+        runtime = EngineConfig(batch_size=3, row_tile=2, n_jobs=n_jobs).runtime()
+        built = source.build_state(tiny_images, runtime).affinity
+        streamed = list(source.iter_function_blocks(tiny_images, runtime))
+        assert tuple(fid for fid, _ in streamed) == built.function_ids
+        for f, (_, block) in enumerate(streamed):
+            np.testing.assert_array_equal(block, built.block(f))

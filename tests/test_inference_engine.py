@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_affinity import compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
-from repro.core.affinity import compute_affinity_matrix
 from repro.core.inference.base_gmm import DiagonalGMM, GMMParams
 from repro.core.inference.bernoulli import BernoulliMixture, BernoulliParams, one_hot_encode_lp
 from repro.core.inference.hierarchical import (

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference_affinity import compute_affinity_matrix
 
-from repro.core.affinity import AffinityFunctionId, AffinityMatrix, compute_affinity_matrix
+from repro.core.affinity import AffinityFunctionId, AffinityMatrix
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
 
 

@@ -31,9 +31,16 @@ from repro.engine import (
     FeatureCosineSource,
     InferenceEngine,
     MemmapBlockStore,
-    sparsify_affinity,
     topk_block,
 )
+
+
+def sparsify_affinity(matrix: AffinityMatrix, top_k: int, dtype=None) -> SparseAffinityMatrix:
+    """Top-k of every block of a dense matrix: what the streaming sparse build must equal."""
+    target = np.dtype(dtype) if dtype is not None else matrix.values.dtype
+    blocks = [topk_block(matrix.block(f).astype(target), top_k) for f in range(matrix.n_functions)]
+    data, indices, fill = (np.stack(parts) for parts in zip(*blocks))
+    return SparseAffinityMatrix(data=data, indices=indices, fill=fill, function_ids=matrix.function_ids)
 
 
 def _flat_source() -> FeatureCosineSource:
