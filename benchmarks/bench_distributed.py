@@ -14,12 +14,18 @@ section each:
   every row's counts are that cluster's.
 * ``test_distributed_crossover_sweep`` — the "does distributed ever
   win" question, answered with numbers: N ∈ {80, 160, 320} ×
-  workers ∈ {2, 4} against a *warm* :class:`WorkerPool` (the cold
-  first run — spawn + import + per-process backbone build — is timed
-  separately per pool), every cell asserted bit-identical, and a
-  ``crossover`` section recording the smallest N where distributed ≤
-  serial per worker count (or null).  The sweep also asserts the warm
-  pool spawned **zero** new workers after its first run.
+  workers ∈ {2, 4} against a *warm* session — a :class:`Coordinator`
+  held open across runs (the cold first run — spawn + import +
+  per-process backbone build — is timed separately per session), every
+  cell asserted bit-identical, and a ``crossover`` section recording
+  the smallest N where distributed ≤ serial per worker count (or null).
+  The sweep also asserts the warm session spawned **zero** new workers
+  after its first run.
+
+The ``serial_*`` keys keep their names so the committed baselines stay
+comparable key for key, but they time the library default
+(``executor="thread"``): extraction chunks, similarity tiles and base
+fits all fan out over ``n_jobs`` local threads.
 * ``test_distributed_telemetry_reconciliation`` — the cluster-wide
   telemetry contract: two *process* workers ship their
   ``goggles_worker_shards_completed_total`` deltas over the wire, and
@@ -41,7 +47,7 @@ import pytest
 
 from repro.core import Goggles, GogglesConfig
 from repro.datasets import make_dataset
-from repro.distributed import Coordinator, DistributedConfig, WorkerPool
+from repro.distributed import Coordinator, DistributedConfig
 from repro.engine.features import extract_pool_features
 from repro.eval.harness import shared_model
 from repro.obs import MetricsRegistry
@@ -49,7 +55,7 @@ from repro.obs import MetricsRegistry
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 N_WORKERS = 2
 #: Crossover sweep grid: images per class (2 classes → N = 80/160/320)
-#: and warm-pool worker counts.
+#: and warm-session worker counts.
 SWEEP_N_PER_CLASS = (40, 80, 160)
 SWEEP_WORKERS = (2, 4)
 #: Extraction cells: worker counts, pool layers and chunk size.
@@ -90,24 +96,19 @@ def test_distributed_extraction_bit_identical_at_any_worker_count(benchmark, set
         serial_pools = extract_pool_features(model, dataset.images, layers=layers, batch_size=batch_size)
         serial_extract_s = time.perf_counter() - start
         start = time.perf_counter()
-        serial = Goggles(
-            GogglesConfig(n_classes=2, seed=0, executor="serial", batch_size=batch_size),
-            model=model,
-        ).label(dataset.images, dev)
+        config = GogglesConfig(n_classes=2, seed=0, batch_size=batch_size)
+        serial = Goggles(config, model=model).label(dataset.images, dev)
         serial_s = time.perf_counter() - start
 
         for n_workers in EXTRACTION_WORKERS:
-            coordinator = Coordinator(
+            start = time.perf_counter()
+            with Coordinator(
                 DistributedConfig(n_workers=n_workers, stream_threshold=0),
                 registry=MetricsRegistry(),
-            )
-            start = time.perf_counter()
-            with Goggles(
-                GogglesConfig(n_classes=2, seed=0, executor="distributed", batch_size=batch_size),
-                model=model,
-                coordinator=coordinator,
-            ) as goggles:
-                distributed = goggles.label(dataset.images, dev)
+            ) as coordinator:
+                distributed = Goggles(config, model=model, coordinator=coordinator).label(
+                    dataset.images, dev
+                )
                 labeled_s = time.perf_counter() - start
                 start = time.perf_counter()
                 merged_pools = coordinator.extract_pool_features(
@@ -188,14 +189,11 @@ def test_distributed_telemetry_reconciliation(benchmark, settings, record_result
         section.clear()
         registry = MetricsRegistry()
         start = time.perf_counter()
-        with WorkerPool(DistributedConfig(n_workers=N_WORKERS), registry=registry) as pool:
-            with Goggles(
-                GogglesConfig(n_classes=2, seed=0, executor="distributed"),
-                model=model,
-                coordinator=pool,
-            ) as goggles:
-                goggles.label(dataset.images, dev)
-                queue_stats = goggles.coordinator.queue.stats()
+        with Coordinator(DistributedConfig(n_workers=N_WORKERS), registry=registry) as coordinator:
+            Goggles(GogglesConfig(n_classes=2, seed=0), model=model, coordinator=coordinator).label(
+                dataset.images, dev
+            )
+            queue_stats = coordinator.queue.stats()
         elapsed = time.perf_counter() - start
 
         workers = registry.get("goggles_worker_shards_completed_total")
@@ -252,15 +250,16 @@ def test_distributed_telemetry_reconciliation(benchmark, settings, record_result
 
 @pytest.mark.benchmark(group="distributed")
 def test_distributed_crossover_sweep(benchmark, settings, record_result):
-    """Warm-pool N-sweep: where does distributed stop losing to serial?
+    """Warm-session N-sweep: where does distributed stop losing to local?
 
-    Serial is timed once per N; each worker count gets one persistent
-    :class:`WorkerPool` whose cold first run (process spawn + imports +
-    per-process backbone build) is timed separately and excluded from
-    the sweep rows — those measure warm steady-state, which is what a
-    long-lived service actually sees.  Every cell must stay
-    bit-identical to serial, and the pool must spawn zero new workers
-    after warm-up.
+    The local side (the library default, ``executor="thread"``) is
+    timed once per N; each worker count gets one :class:`Coordinator`
+    held open across runs, whose cold first run (process spawn +
+    imports + per-process backbone build) is timed separately and
+    excluded from the sweep rows — those measure warm steady-state,
+    which is what a long-lived service actually sees.  Every cell must
+    stay bit-identical to the local run, and the session must spawn
+    zero new workers after warm-up.
     """
     model = shared_model(settings)
     datasets = {
@@ -276,34 +275,37 @@ def test_distributed_crossover_sweep(benchmark, settings, record_result):
         section.clear()
         serial_out: dict[int, object] = {}
         serial_s: dict[int, float] = {}
+        config = GogglesConfig(n_classes=2, seed=0)
         for npc in SWEEP_N_PER_CLASS:
             start = time.perf_counter()
-            serial_out[npc] = Goggles(
-                GogglesConfig(n_classes=2, seed=0, executor="serial"), model=model
-            ).label(datasets[npc].images, devs[npc])
+            serial_out[npc] = Goggles(config, model=model).label(datasets[npc].images, devs[npc])
             serial_s[npc] = time.perf_counter() - start
 
         rows: list[dict] = []
         warmups: list[dict] = []
-        config = GogglesConfig(n_classes=2, seed=0, executor="distributed")
         for n_workers in SWEEP_WORKERS:
-            with WorkerPool(DistributedConfig(n_workers=n_workers)) as pool:
+            with Coordinator(
+                DistributedConfig(n_workers=n_workers), registry=MetricsRegistry()
+            ) as pool:
+                spawned = pool.registry.get("goggles_pool_workers_spawned_total")
                 warm_npc = SWEEP_N_PER_CLASS[0]
                 start = time.perf_counter()
-                with Goggles(config, model=model, coordinator=pool) as goggles:
-                    goggles.label(datasets[warm_npc].images, devs[warm_npc])
+                Goggles(config, model=model, coordinator=pool).label(
+                    datasets[warm_npc].images, devs[warm_npc]
+                )
                 warmups.append(
                     {
                         "workers": n_workers,
                         "cold_first_run_seconds": round(time.perf_counter() - start, 4),
-                        "workers_spawned": pool.workers_spawned,
+                        "workers_spawned": int(spawned.total()),
                     }
                 )
-                spawned_after_warmup = pool.workers_spawned
+                spawned_after_warmup = int(spawned.total())
                 for npc in SWEEP_N_PER_CLASS:
                     start = time.perf_counter()
-                    with Goggles(config, model=model, coordinator=pool) as goggles:
-                        distributed = goggles.label(datasets[npc].images, devs[npc])
+                    distributed = Goggles(config, model=model, coordinator=pool).label(
+                        datasets[npc].images, devs[npc]
+                    )
                     distributed_s = time.perf_counter() - start
                     serial = serial_out[npc]
                     assert np.array_equal(
@@ -323,9 +325,9 @@ def test_distributed_crossover_sweep(benchmark, settings, record_result):
                             "bit_identical": True,
                         }
                     )
-                assert pool.workers_spawned == spawned_after_warmup, (
-                    "warm pool spawned new workers mid-sweep "
-                    f"({spawned_after_warmup} -> {pool.workers_spawned})"
+                assert int(spawned.total()) == spawned_after_warmup, (
+                    "warm session spawned new workers mid-sweep "
+                    f"({spawned_after_warmup} -> {int(spawned.total())})"
                 )
 
         crossover_n: dict[str, int | None] = {}
@@ -344,7 +346,7 @@ def test_distributed_crossover_sweep(benchmark, settings, record_result):
     update_trajectory(JSON_PATH, "crossover", measured)
 
     lines = [
-        f"Distributed crossover sweep (warm pools, N in "
+        f"Distributed crossover sweep (warm sessions, N in "
         f"{sorted({2 * npc for npc in SWEEP_N_PER_CLASS})}, workers in {list(SWEEP_WORKERS)})"
     ]
     for row in measured["rows"]:

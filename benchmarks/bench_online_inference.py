@@ -97,7 +97,7 @@ def test_online_absorb_vs_full_refit(benchmark, settings, record_result):
             extended = reference.engine.extend(dataset.images[n0:])
             hier = HierarchicalConfig(n_classes=2, seed=0)
             start = time.perf_counter()
-            refit = InferenceEngine(hier, executor="serial").fit(extended, warm_start=warm_state)
+            refit = InferenceEngine(hier).fit(extended, warm_start=warm_state)
             refit_s = time.perf_counter() - start
             mapping = map_clusters_to_classes(refit.posterior, dev, 2)
             refit_labels = apply_mapping(refit.posterior, mapping)[n0:]

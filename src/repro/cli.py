@@ -8,9 +8,12 @@ Examples::
     goggles-repro --executor distributed --n-jobs 2 serve --dataset surface
     goggles-repro serve --http-port 8080 --max-queued-pixels 2000000
 
-A local two-command cluster (terminal 1 runs the coordinator, which
-shards affinity tiles and base fits over the task queue; terminal 2+
-run workers — on this machine or any other that can reach the broker)::
+``--executor distributed`` runs every stage on one coordinator/worker
+session that the command opens and closes (``serve`` keeps it warm for
+the seed labeling and every streamed batch).  A local two-command
+cluster (terminal 1 runs the coordinator, which shards affinity tiles
+and base fits over the task queue; terminal 2+ run workers — on this
+machine or any other that can reach the broker)::
 
     goggles-repro coordinator --dataset surface --bind 127.0.0.1:41817
     goggles-repro worker --connect 127.0.0.1:41817
@@ -27,9 +30,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import Goggles, GogglesConfig
+from repro.core import EXECUTORS, Goggles, GogglesConfig
 from repro.datasets import DATASET_NAMES, make_dataset
-from repro.engine import EXECUTORS, ArtifactCache
+from repro.engine import ArtifactCache
 from repro.eval.harness import (
     ExperimentSettings,
     run_fig2,
@@ -72,11 +75,8 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
 
 def _goggles_config(args: argparse.Namespace, n_classes: int, keep_corpus_state: bool) -> GogglesConfig:
     """The pipeline config implied by the global CLI flags."""
-    return GogglesConfig(
-        n_classes=n_classes,
-        seed=args.seed,
-        keep_corpus_state=keep_corpus_state,
-        engine=_settings(args).engine_config(),
+    return _settings(args).goggles_config(
+        n_classes=n_classes, seed=args.seed, keep_corpus_state=keep_corpus_state
     )
 
 
@@ -142,15 +142,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 refit_every=args.refit_every,
             ),
         )
-    pool = None
-    if config.engine.executor == "distributed":
-        # A long-lived service wants a *warm* cluster: one pool of
-        # spawned workers serves the seed labeling and every streamed
-        # batch after it, instead of re-paying spawn + import per run.
-        from repro.distributed import WorkerPool
+    coordinator = None
+    if config.executor == "distributed":
+        # A long-lived service wants a *warm* cluster: one session of
+        # spawned workers, held open here, serves the seed labeling and
+        # every streamed batch after it, instead of re-paying spawn +
+        # import per run.
+        from repro.distributed import Coordinator, DistributedConfig
 
-        pool = WorkerPool(n_workers=max(1, config.engine.n_workers or config.engine.n_jobs))
-    goggles = Goggles(config, coordinator=pool)
+        coordinator = Coordinator(DistributedConfig(n_workers=max(1, config.engine.n_jobs)))
+    goggles = Goggles(config, coordinator=coordinator)
     service = LabelingService(
         goggles, dev, tenant=args.tenant, warm_start=not args.no_warm_start, mode=mode
     )
@@ -197,9 +198,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             server.shutdown()
             tenants.close()
-            goggles.close()
-            if pool is not None:
-                pool.close()
+            if coordinator is not None:
+                coordinator.close()
         return 0
 
     correct = 0
@@ -232,9 +232,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"online session: {stats['step']} absorb steps, {stats['refits']} refit(s), "
             f"drift {stats['drift']:.4f} nats (threshold {stats['drift_threshold']:g})"
         )
-    goggles.close()
-    if pool is not None:
-        pool.close()
+    if coordinator is not None:
+        coordinator.close()
     return 0
 
 
@@ -250,8 +249,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
     dataset = make_dataset(args.dataset, n_per_class=args.n_per_class, seed=args.seed)
     dev = dataset.sample_dev_set(args.dev_per_class, seed=args.seed)
     # The explicit Coordinator below is the single source of truth for
-    # bind/worker settings; the engine config only selects the executor.
-    engine = replace(_settings(args).engine_config(), executor="distributed")
+    # bind/worker settings; Goggles runs every stage on it.
     coordinator = Coordinator(
         DistributedConfig(
             bind=args.bind,
@@ -264,11 +262,8 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
             lease_target_seconds=args.lease_target_seconds,
         )
     )
-    config = GogglesConfig(
-        n_classes=dataset.n_classes, seed=args.seed,
-        keep_corpus_state=False, engine=engine,
-    )
-    with Goggles(config, coordinator=coordinator) as goggles:
+    config = _goggles_config(args, dataset.n_classes, keep_corpus_state=False)
+    with coordinator, Goggles(config, coordinator=coordinator) as goggles:
         host, port = coordinator.address
         print(f"coordinator listening on {host}:{port} "
               f"({args.spawn_workers} local worker(s) spawned)")
@@ -531,7 +526,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--executor", choices=EXECUTORS, default="thread",
-        help="worker model for base-model fits (distributed = coordinator/worker cluster)",
+        help="where every stage runs: local threads, or a coordinator/worker session "
+        "the command opens and closes",
     )
     parser.add_argument(
         "--batch-size", type=int, default=32,

@@ -41,7 +41,10 @@ from repro.utils.validation import check_images
 if TYPE_CHECKING:  # runtime import would cycle (repro.online builds on the engines)
     from repro.online import OnlineConfig
 
-__all__ = ["GogglesConfig", "GogglesResult", "Goggles"]
+__all__ = ["EXECUTORS", "GogglesConfig", "GogglesResult", "Goggles"]
+
+#: Where the pipeline runs: local threads, or one coordinator/worker session.
+EXECUTORS = ("thread", "distributed")
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,12 @@ class GogglesConfig:
             Above 1 the engines' pools pin the process to one BLAS
             thread (see :class:`~repro.engine.engine.EngineConfig`).
             Results are identical at any width.
-        executor: worker model for the base-model fits — ``"serial"``,
-            ``"thread"`` (default; the EM loops release the GIL) or
-            ``"distributed"`` (feature extraction, affinity tiles
-            *and* base fits all sharded over a coordinator/worker
-            cluster, possibly spanning machines).  Results are
-            identical in every mode.
+        executor: ``"thread"`` (default; every stage on the local
+            ``n_jobs`` pool, ``n_jobs=1`` for serial fits) or
+            ``"distributed"`` (feature extraction, affinity tiles *and*
+            base fits sharded over a coordinator/worker session that
+            :class:`Goggles` opens and closes, possibly spanning
+            machines).  Results are identical in either mode.
         broker: ``host:port`` the distributed coordinator binds (only
             with ``executor="distributed"``; port 0 = ephemeral).
             ``None`` means a localhost cluster that auto-spawns
@@ -98,7 +101,9 @@ class GogglesConfig:
             seed fields here take precedence).
         engine: full engine override (tile sizes, precision).  When
             given, its ``n_jobs``/``batch_size``/``cache_dir`` win over
-            the top-level convenience fields.
+            the top-level convenience fields.  ``executor``, ``broker``
+            and ``n_workers`` are not engine fields, so an override
+            keeps them.
         online: knobs of the online serving loop
             (:class:`~repro.online.OnlineConfig` — step-size schedule,
             drift threshold, refit cadence) picked up by
@@ -126,6 +131,12 @@ class GogglesConfig:
     engine: EngineConfig | None = None
     online: OnlineConfig | None = None
 
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
+        if self.n_workers < 0:
+            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
+
     def hierarchical_config(self) -> HierarchicalConfig:
         """The inference config with n_classes/seed overridden."""
         return replace(self.inference, n_classes=self.n_classes, seed=self.seed)
@@ -138,14 +149,11 @@ class GogglesConfig:
         return EngineConfig(
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
-            executor=self.executor,
             # float32 end-to-end is the sparse-path default; dense keeps
             # the bit-compatible float64 discipline.
             precision="float32" if sparse else "float64",
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
-            broker=self.broker,
-            n_workers=self.n_workers,
             affinity_mode=self.affinity_mode,
             top_k=self.top_k,
             memmap=self.memmap,
@@ -190,17 +198,16 @@ class GogglesResult:
 class Goggles:
     """The GOGGLES automatic image-labeling system.
 
-    With ``executor="distributed"`` the pipeline owns one
-    coordinator/worker session (``self.coordinator``) shared by every
-    stage, so a worker connects once and serves extraction chunks,
-    affinity tiles, and base fits alike; :meth:`close` (or the
-    context-manager form) shuts
-    it down.  An externally managed session can be injected via the
-    ``coordinator`` argument (e.g. the CLI's ``coordinator`` verb,
-    which binds a fixed address for remote workers) — including a warm
-    :class:`repro.distributed.WorkerPool`, whose persistent coordinator
-    ignores the per-run :meth:`close` so consecutive ``Goggles`` runs
-    reuse the same spawned workers.
+    Every stage runs on one coordinator/worker session when there is
+    one, so a worker connects once and serves extraction chunks,
+    affinity tiles and base fits alike.  A ``coordinator`` passed in
+    runs every stage whatever ``config.executor`` says, and stays open:
+    the caller closes it, so one session kept open across consecutive
+    ``Goggles`` runs is a warm pool (e.g. the CLI's ``serve`` and
+    ``coordinator`` verbs).  Without one, ``executor="distributed"``
+    opens a session through
+    :meth:`repro.distributed.Coordinator.for_engine`, and :meth:`close`
+    (or the context-manager form) closes that session only.
     """
 
     def __init__(
@@ -216,36 +223,32 @@ class Goggles:
             PrototypeAffinitySource(self.model, top_z=self.config.top_z, layers=self.config.layers),
             engine_config,
         )
-        from repro.distributed import as_coordinator
-
-        self.coordinator = as_coordinator(coordinator)  # WorkerPool-aware unwrap
-        if engine_config.executor == "distributed" and self.coordinator is None:
+        self._opened = None
+        if coordinator is None and self.config.executor == "distributed":
             from repro.distributed import Coordinator
 
-            self.coordinator = Coordinator.for_engine(
-                broker=engine_config.broker,
-                n_workers=engine_config.n_workers,
+            coordinator = self._opened = Coordinator.for_engine(
+                broker=self.config.broker,
+                n_workers=self.config.n_workers,
                 n_jobs=engine_config.n_jobs,
                 cache=self.engine.cache,
             )
-        if self.coordinator is not None:
-            if getattr(self.coordinator, "cache", None) is None:
-                self.coordinator.cache = self.engine.cache
-            self.engine.use_coordinator(self.coordinator)
+        elif coordinator is not None and coordinator.cache is None:
+            coordinator.cache = self.engine.cache
+        self.coordinator = self.engine.coordinator = coordinator
         # Step 2 mirrors step 1: a staged engine sharing the same cache,
         # so fitted inference parameters persist next to the corpus state.
         self.inference = InferenceEngine(
             self.config.hierarchical_config(),
-            executor=engine_config.executor,
             n_jobs=engine_config.n_jobs,
             cache=self.engine.cache,
-            coordinator=self.coordinator,
+            coordinator=coordinator,
         )
 
     def close(self) -> None:
-        """Shut down the distributed session, if any. Idempotent."""
-        if self.coordinator is not None:
-            self.coordinator.close()
+        """Close the session this object opened, if any. Idempotent."""
+        if self._opened is not None:
+            self._opened.close()
 
     def __enter__(self) -> "Goggles":
         return self
@@ -278,10 +281,10 @@ class Goggles:
     ) -> GogglesResult:
         """Step 2 (Figure 3): class inference on a prebuilt matrix.
 
-        Runs through the staged inference engine (serial, thread or
-        distributed execution per ``config.executor`` — results are
-        identical in every mode).  ``warm_start`` resumes
-        EM from a previous fit's state instead of refitting cold.
+        Runs through the staged inference engine (on the local pool or
+        the distributed session — results are identical in either).
+        ``warm_start`` resumes EM from a previous fit's state instead of
+        refitting cold.
         """
         if dev_set.indices.size and dev_set.indices.max() >= affinity.n_examples:
             raise ValueError("dev-set indices exceed the number of instances")

@@ -15,11 +15,11 @@ than one giant pickle):
 * :mod:`repro.distributed.broker` — the authenticated TCP front door.
 * :mod:`repro.distributed.worker` — the pull/compute/report loop.
 * :mod:`repro.distributed.coordinator` — the session object the
-  engines drive (``executor="distributed"``).
+  engines drive when they are given one.  ``Goggles`` opens a session
+  for ``executor="distributed"``; a caller that opens one itself keeps
+  it warm across runs and closes it.
 * :mod:`repro.distributed.wire` — wire format v2, the only payload
   format: raw npy result buffers behind a framed header.
-* :mod:`repro.distributed.pool` — warm :class:`WorkerPool` shared
-  across runs in one process (zero re-spawns).
 """
 
 from repro.distributed import wire
@@ -32,7 +32,6 @@ from repro.distributed.coordinator import (
     parse_address,
     require_safe_authkey,
 )
-from repro.distributed.pool import WorkerPool, as_coordinator
 from repro.distributed.queue import PoisonShardError, ShardAutotuner, TaskQueue
 from repro.distributed.tasks import (
     ShardPlanner,
@@ -77,8 +76,6 @@ __all__ = [
     "TaskQueue",
     "WireFormatError",
     "Worker",
-    "WorkerPool",
-    "as_coordinator",
     "base_fit_task",
     "decode_arrays",
     "decode_telemetry",

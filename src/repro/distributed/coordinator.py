@@ -206,13 +206,12 @@ class DistributedConfig:
 class Coordinator:
     """Coordinator/worker session over the fault-tolerant task queue.
 
-    A ``persistent=True`` coordinator ignores plain :meth:`close` calls
-    (``close(force=True)`` still shuts it down) so it can be shared
-    across consecutive ``Goggles``/engine runs — the warm-pool shape
-    that :class:`repro.distributed.pool.WorkerPool` wraps.  Workers and
-    the broker socket survive between runs; spawned worker processes
-    keep their imported modules and memoised VGG backbone, which is
-    most of what a cold run pays for.
+    Whoever opens a session closes it.  A coordinator the caller keeps
+    open is a warm pool: pass it to consecutive ``Goggles`` runs (which
+    never close a session they did not open) and the workers and the
+    broker socket survive between them.  Spawned worker processes keep
+    their imported modules and memoised VGG backbone, which is most of
+    what a cold run pays for.
 
     ``registry`` (default: process-wide) is the session's one counter
     store: the coordinator, queue, broker, in-thread workers and merged
@@ -225,12 +224,10 @@ class Coordinator:
         config: DistributedConfig | None = None,
         *,
         cache: ArtifactCache | None = None,
-        persistent: bool = False,
         registry: MetricsRegistry | None = None,
     ):
         self.config = config or DistributedConfig()
         self.cache = cache
-        self.persistent = bool(persistent)
         self.registry = registry if registry is not None else default_registry()
         self.queue = TaskQueue(
             lease_timeout=self.config.lease_timeout,
@@ -271,7 +268,7 @@ class Coordinator:
         n_jobs: int = 1,
         cache: ArtifactCache | None = None,
     ) -> "Coordinator":
-        """The coordinator implied by engine-level knobs.
+        """The session implied by ``GogglesConfig``'s distributed knobs.
 
         An explicit ``broker`` address binds there and trusts
         ``n_workers`` as given (0 = all workers join externally).
@@ -280,7 +277,8 @@ class Coordinator:
         when that is 0, ``n_jobs``) local workers — a one-knob local
         cluster.  At the library default ``n_jobs`` that is one worker
         per usable core, each pinned to one BLAS thread
-        (:func:`~repro.distributed.worker.run_worker_process`).
+        (:func:`~repro.distributed.worker.run_worker_process`).  The
+        caller closes what this opens.
         """
         if broker is None and n_workers == 0:
             n_workers = max(1, n_jobs)
@@ -364,18 +362,8 @@ class Coordinator:
             process.start()
             self._processes.append(process)
 
-    def close(self, *, force: bool = False) -> None:
-        """Shut the session down: workers, broker, socket. Idempotent.
-
-        A ``persistent`` coordinator ignores plain ``close()`` — that is
-        the whole point of a warm pool: ``Goggles.close()`` and engine
-        teardown may fire between runs without tearing the workers
-        down.  The owning :class:`~repro.distributed.pool.WorkerPool`
-        (or anyone holding the coordinator directly) passes
-        ``force=True`` for the real shutdown.
-        """
-        if self.persistent and not force:
-            return
+    def close(self) -> None:
+        """Shut the session down: workers, broker, socket. Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -484,10 +472,6 @@ class Coordinator:
                 self._m_writebacks.inc()
         self.queue.forget(ids)
         return results
-
-    def as_coordinator(self) -> "Coordinator":
-        """Uniform unwrap: engines accept a Coordinator or a WorkerPool."""
-        return self
 
     def _wait(self, ids: list[str]) -> bool:
         """Wait for shards in slices, watching local-cluster liveness."""

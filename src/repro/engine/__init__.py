@@ -13,19 +13,14 @@ Splits the monolithic image→affinity-matrix path into reusable stages:
 * :mod:`repro.engine.engine` — the orchestrator, including the
   incremental corpus-extension path.
 * :mod:`repro.engine.inference` — the staged inference engine
-  (thread-parallel or distributed base fits, warm-started EM, cached
-  parameters).
+  (thread-parallel base fits, or shards on a given distributed
+  session; warm-started EM, cached parameters).
 """
 
 from repro.engine.cache import ArtifactCache, CacheStats, MemmapBlockStore, hash_arrays, hash_params
 from repro.engine.engine import AffinityEngine, EngineConfig
 from repro.engine.features import extract_pool_features, iter_batches
-from repro.engine.inference import (
-    EXECUTORS,
-    InferenceEngine,
-    InferenceState,
-    warm_start_responsibilities,
-)
+from repro.engine.inference import InferenceEngine, InferenceState, warm_start_responsibilities
 from repro.engine.source import (
     AffinitySource,
     CorpusState,
@@ -49,7 +44,6 @@ from repro.engine.tiling import (
 __all__ = [
     "AffinityEngine",
     "EngineConfig",
-    "EXECUTORS",
     "InferenceEngine",
     "InferenceState",
     "warm_start_responsibilities",

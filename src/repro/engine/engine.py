@@ -9,10 +9,12 @@ Stage graph (each stage's product is cacheable and reusable)::
 
 The engine owns the runtime knobs (``batch_size``, tile sizes,
 ``n_jobs``, precision, ``cache_dir``) and delegates the math to an
-:class:`~repro.engine.source.AffinitySource`.  Cache keys cover every
-value-affecting input — the image bytes, the source signature, and the
-compute precision — so a key hit is always safe to reuse and any other
-change is an automatic miss.
+:class:`~repro.engine.source.AffinitySource`.  Given a distributed
+``coordinator``, it sends stages 1 and 2 to that session's workers; it
+never opens or closes one.  Cache keys cover every value-affecting
+input — the image bytes, the source signature, and the compute
+precision — so a key hit is always safe to reuse and any other change
+is an automatic miss.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
 from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays
-from repro.engine.inference import EXECUTORS
 from repro.engine.source import AffinitySource, CorpusState, EngineRuntime
 from repro.engine.tiling import topk_block
 from repro.obs import span
@@ -52,13 +53,6 @@ class EngineConfig:
             (:func:`repro.utils.threads.pin_thread_budget`), so the
             pool, not OpenBLAS, owns the cores.  Values are identical
             at any width.
-        executor: worker model for the similarity stage and the
-            downstream base-model fits — ``"serial"``, ``"thread"``
-            (GIL-releasing EM loops on a thread pool) or
-            ``"distributed"`` (feature extraction, similarity tiles,
-            and base fits shipped as shard tasks leased to
-            coordinator/worker cluster processes, possibly on other
-            machines).  Value-neutral, like ``n_jobs``.
         precision: ``"float64"`` (default; within ``atol=1e-12`` of
             the direct per-image form of Eq. 2 kept in
             ``tests/reference_affinity.py``) or ``"float32"`` (≈2×
@@ -68,13 +62,6 @@ class EngineConfig:
         cache_max_bytes: size budget for the artifact cache; writes
             that push the directory above it evict least-recently-used
             entries.  ``None`` means unbounded.
-        broker: ``host:port`` the distributed coordinator binds (port 0
-            = ephemeral); ``None`` with ``executor="distributed"``
-            means a localhost cluster of ``n_workers or n_jobs``
-            auto-spawned workers.
-        n_workers: local worker processes the distributed session
-            spawns; 0 (with a ``broker``) means workers join externally
-            via ``goggles-repro worker``.
         affinity_mode: ``"dense"`` (the bit-identity path, default) or
             ``"sparse"`` — keep only the ``top_k`` largest affinities
             per row per function block (exact blocked top-k; accuracy
@@ -91,12 +78,9 @@ class EngineConfig:
     row_tile: int | None = 32
     col_tile: int | None = None
     n_jobs: int = field(default_factory=usable_cores)
-    executor: str = "thread"
     precision: str = "float64"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
-    broker: str | None = None
-    n_workers: int = 0
     affinity_mode: str = "dense"
     top_k: int | None = None
     memmap: bool = False
@@ -104,12 +88,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}, got {self.precision!r}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
         if self.affinity_mode not in ("dense", "sparse"):
             raise ValueError(f"affinity_mode must be 'dense' or 'sparse', got {self.affinity_mode!r}")
         if self.top_k is not None and self.top_k < 1:
@@ -131,19 +111,14 @@ class EngineConfig:
         )
 
 
-def _unwrap_coordinator(candidate: object) -> object:
-    """Coordinator-or-WorkerPool -> the Coordinator inside.
-
-    Duck-typed on ``as_coordinator()`` (the warm-pool unwrap protocol,
-    see :mod:`repro.distributed.pool`) so this module never imports the
-    distributed runtime just to accept one.
-    """
-    unwrap = getattr(candidate, "as_coordinator", None)
-    return unwrap() if callable(unwrap) else candidate
-
-
 class AffinityEngine:
-    """Builds, caches, and incrementally extends affinity matrices."""
+    """Builds, caches, and incrementally extends affinity matrices.
+
+    ``coordinator`` (a :class:`repro.distributed.Coordinator`, or
+    ``None``) is a plain attribute: with a session, extraction chunks
+    and similarity tiles run as shards on its workers; without one,
+    on the local ``n_jobs`` pool.  Whoever opened the session closes it.
+    """
 
     def __init__(
         self,
@@ -158,50 +133,12 @@ class AffinityEngine:
             if self.config.cache_dir
             else None
         )
-        self._coordinator = _unwrap_coordinator(coordinator)
-        self._owns_coordinator = False
+        self.coordinator = coordinator
         self._state: CorpusState | None = None
         self._state_key: str | None = None
 
-    # ------------------------------------------------------------------
-    # Distributed session plumbing
-    # ------------------------------------------------------------------
-    def use_coordinator(self, coordinator: object) -> None:
-        """Inject a shared distributed session (the caller owns it).
-
-        Accepts a bare ``Coordinator`` or anything exposing
-        ``as_coordinator()`` — notably a warm
-        :class:`repro.distributed.WorkerPool`.
-        """
-        self._coordinator = _unwrap_coordinator(coordinator)
-        self._owns_coordinator = False
-
-    def coordinator(self):
-        """The distributed session (lazily self-created when not injected)."""
-        if self._coordinator is None:
-            from repro.distributed import Coordinator
-
-            self._coordinator = Coordinator.for_engine(
-                broker=self.config.broker,
-                n_workers=self.config.n_workers,
-                n_jobs=self.config.n_jobs,
-                cache=self.cache,
-            )
-            self._owns_coordinator = True
-        return self._coordinator
-
-    def close(self) -> None:
-        """Shut down a self-created distributed session (no-op otherwise)."""
-        if self._owns_coordinator and self._coordinator is not None:
-            self._coordinator.close()
-            self._coordinator = None
-            self._owns_coordinator = False
-
     def _runtime(self) -> EngineRuntime:
-        runtime = self.config.runtime()
-        if self.config.executor == "distributed":
-            runtime = dataclasses.replace(runtime, coordinator=self.coordinator())
-        return runtime
+        return dataclasses.replace(self.config.runtime(), coordinator=self.coordinator)
 
     # ------------------------------------------------------------------
     # Keys

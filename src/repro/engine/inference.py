@@ -10,12 +10,13 @@ generative model of paper §4.1)::
 
 Stage 1 is embarrassingly parallel — "we can parallelize all of the
 base models using different slices of the affinity matrix" (§5.3).
-``executor="thread"`` fans the fits over a thread pool (the EM inner
-loops are BLAS-bound and release the GIL); ``executor="distributed"``
-leases one base-fit shard per affinity function to coordinator/worker
-cluster processes that may live on other machines
-(``repro.distributed``).  Every mode consumes the same ``derive_seed``
-streams, so posteriors are **bit-identical** regardless of executor.
+``n_jobs > 1`` fans the fits over a thread pool (the EM inner loops are
+BLAS-bound and release the GIL; ``n_jobs=1`` fits serially).  Given a
+distributed ``coordinator``, the engine instead leases one base-fit
+shard per affinity function to that session's workers, which may live
+on other machines (``repro.distributed``); it never opens or closes a
+session.  Every path consumes the same ``derive_seed`` streams, so
+posteriors are **bit-identical** however the fits ran.
 
 Stage 4 is the incremental-inference path: instead of refitting from
 scratch, the base GMMs resume from the previous run's posterior (old
@@ -50,9 +51,7 @@ from repro.core.inference.hierarchical import (
 from repro.engine.cache import ArtifactCache, hash_arrays
 from repro.obs import span
 
-__all__ = ["EXECUTORS", "InferenceState", "InferenceEngine", "warm_start_responsibilities"]
-
-EXECUTORS = ("serial", "thread", "distributed")
+__all__ = ["InferenceState", "InferenceEngine", "warm_start_responsibilities"]
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,9 @@ class InferenceEngine:
             the exact same seed streams as
             :class:`~repro.core.inference.hierarchical.HierarchicalModel`,
             so results match the monolithic path bit-for-bit).
-        executor: ``"serial"``, ``"thread"`` (GIL-releasing EM inner
-            loops fan out over a thread pool) or ``"distributed"``
-            (base-fit shards leased to coordinator/worker cluster
-            processes, possibly on other machines).  Value-neutral:
-            identical posteriors in every mode.
-        n_jobs: worker count for the thread executor (and the local
-            worker count a self-created distributed session defaults
-            to).  Above 1, the thread executor's pool pins the process
-            to one BLAS thread and one malloc arena
+        n_jobs: threads the base-model fits fan out over (1 = serial).
+            Above 1, the pool pins the process to one BLAS thread and
+            one malloc arena
             (:func:`repro.utils.threads.pin_thread_budget`): each fit
             is a loop of small GEMMs, which a multi-threaded OpenBLAS
             would split over the cores the pool already keeps busy.
@@ -140,68 +133,27 @@ class InferenceEngine:
             fresh process can restore the warm-start state from disk.
         coordinator: distributed session to run base-fit shards on
             (shared with the affinity engine when driven by
-            ``Goggles``).  When ``None`` and ``executor="distributed"``
-            a session is created lazily from ``broker``/``n_workers``.
-        broker / n_workers: the distributed knobs a self-created
-            session uses — broker address to bind and local workers to
-            spawn (see :meth:`repro.distributed.Coordinator.for_engine`).
+            ``Goggles``); ``None`` fits locally.  The caller that
+            opened the session closes it.
     """
 
     def __init__(
         self,
         config: HierarchicalConfig | None = None,
         *,
-        executor: str = "thread",
         n_jobs: int = 1,
         cache: ArtifactCache | None = None,
         coordinator: "object | None" = None,
-        broker: str | None = None,
-        n_workers: int = 0,
     ):
         self.config = config or HierarchicalConfig()
         if self.config.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2, got {self.config.n_classes}")
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-        self.executor = executor
         self.n_jobs = n_jobs
         self.cache = cache
-        self.broker = broker
-        self.n_workers = n_workers
-        # Duck-typed warm-pool unwrap: a WorkerPool exposes the shared
-        # persistent Coordinator through as_coordinator().
-        unwrap = getattr(coordinator, "as_coordinator", None)
-        self._coordinator = unwrap() if callable(unwrap) else coordinator
-        self._owns_coordinator = False
+        self.coordinator = coordinator
         self._state: InferenceState | None = None
-
-    # ------------------------------------------------------------------
-    # Distributed session plumbing
-    # ------------------------------------------------------------------
-    def _get_coordinator(self):
-        """The distributed session (lazily self-created when not injected)."""
-        if self._coordinator is None:
-            from repro.distributed import Coordinator
-
-            self._coordinator = Coordinator.for_engine(
-                broker=self.broker,
-                n_workers=self.n_workers,
-                n_jobs=self.n_jobs,
-                cache=self.cache,
-            )
-            self._owns_coordinator = True
-        return self._coordinator
-
-    def close(self) -> None:
-        """Shut down a self-created distributed session (no-op otherwise)."""
-        if self._owns_coordinator and self._coordinator is not None:
-            self._coordinator.close()
-            self._coordinator = None
-            self._owns_coordinator = False
 
     # ------------------------------------------------------------------
     # State & keys
@@ -215,8 +167,8 @@ class InferenceEngine:
         # Every value-affecting input: the full hyper-parameter set and,
         # for warm starts, the content of the initialisation (a warm fit
         # may settle in a slightly different optimum than a cold one, so
-        # the two must never share a key).  The executor is deliberately
-        # excluded: it cannot change values.
+        # the two must never share a key).  Where the fits run is
+        # deliberately excluded: it cannot change values.
         params: dict[str, object] = {"stage": "inference", **asdict(self.config)}
         if warm is not None:
             params["warm"] = hash_arrays(warm.label_predictions, warm.ensemble.weights, warm.ensemble.probs)
@@ -234,26 +186,25 @@ class InferenceEngine:
         return self.cache.key(data_hash, self._params(warm))
 
     # ------------------------------------------------------------------
-    # Stage 1: base-model fits (serial | thread | distributed)
+    # Stage 1: base-model fits (local pool | distributed session)
     # ------------------------------------------------------------------
     def _fit_base_models(
         self, affinity: AffinityMatrix | SparseAffinityMatrix, inits: list[np.ndarray] | None
     ) -> tuple[np.ndarray, tuple[GMMFitResult, ...]]:
-        """Stage 1 with executor dispatch; returns (LP, per-function fits).
+        """Stage 1; returns (LP, per-function fits).
 
-        Serial/thread delegate to the shared
+        Local fits delegate to the shared
         :func:`~repro.core.inference.hierarchical.fit_all_base_functions`;
-        only the distributed branch lives here.  Every branch consumes
-        the affinity through ``block(f)`` only, so a sparse matrix flows
-        through every executor unchanged.
+        only the distributed branch lives here.  Both consume the
+        affinity through ``block(f)`` only, so a sparse matrix flows
+        through either unchanged.
         """
-        if self.executor == "distributed":
-            results = self._get_coordinator().fit_base_models(affinity, self.config, inits)
+        if self.coordinator is not None:
+            results = self.coordinator.fit_base_models(affinity, self.config, inits)
             warn_if_reinitialized(results)
             label_predictions = np.concatenate([r.responsibilities for r in results], axis=1)
             return label_predictions, results
-        n_jobs = 1 if self.executor == "serial" else self.n_jobs
-        return fit_all_base_functions(affinity, self.config, n_jobs=n_jobs, initializers=inits)
+        return fit_all_base_functions(affinity, self.config, n_jobs=self.n_jobs, initializers=inits)
 
     # ------------------------------------------------------------------
     # Full fit

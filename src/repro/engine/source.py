@@ -65,9 +65,9 @@ class EngineRuntime:
     or extend opens for extraction chunks and similarity tiles (1 = no
     pool); opening it pins the process to one BLAS thread.
     ``coordinator`` (a :class:`repro.distributed.Coordinator`, when the
-    engine runs with ``executor="distributed"``) reroutes the feature
-    extraction and similarity stages to the shard cluster; it is
-    value-neutral because extraction shards are cut at the serial
+    engine was given one) reroutes the feature extraction and
+    similarity stages to the shard cluster; it is value-neutral
+    because extraction shards are cut at the serial
     chunked-batch boundaries, similarity shards at the serial tile
     boundaries, and both merge back bit-identically.
     """

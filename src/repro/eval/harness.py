@@ -17,14 +17,15 @@ module, so the exact experiment protocol lives in one place:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.clustering import FullCovarianceGMM, KMeans, SpectralCoclustering, optimal_mapping_accuracy
 from repro.core.affinity import AffinityMatrix, affinity_from_features
-from repro.core.goggles import Goggles, GogglesConfig
-from repro.engine import AffinityEngine, EngineConfig, InferenceEngine, PrototypeAffinitySource
+from repro.core.goggles import EXECUTORS, Goggles, GogglesConfig
+from repro.engine import EngineConfig, InferenceEngine
 from repro.core.inference.bernoulli import BernoulliMixture, one_hot_encode_lp
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
 from repro.core.inference.mapping import apply_mapping, map_clusters_to_classes
@@ -76,8 +77,9 @@ class ExperimentSettings:
             tiling and base-model fitting; defaults to the usable core
             count, like :class:`~repro.core.goggles.GogglesConfig`.
             Results are identical at any width.
-        executor: worker model for base-model fits (``"serial"`` /
-            ``"thread"`` / ``"distributed"``); value-neutral like n_jobs.
+        executor: ``"thread"`` or ``"distributed"`` (each run opens
+            and closes its own coordinator/worker session);
+            value-neutral like n_jobs.
         batch_size: images per backbone forward pass in the affinity
             engine (memory bound, value-neutral).
         precision: engine compute precision (``"float64"`` exact,
@@ -111,13 +113,16 @@ class ExperimentSettings:
     top_k: int | None = None
     memmap: bool = False
 
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
+
     def engine_config(self) -> EngineConfig:
         sparse = self.affinity_mode == "sparse"
         precision = self.precision or ("float32" if sparse else "float64")
         return EngineConfig(
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
-            executor=self.executor,
             precision=precision,
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
@@ -125,6 +130,10 @@ class ExperimentSettings:
             top_k=self.top_k,
             memmap=self.memmap,
         )
+
+    def goggles_config(self, **fields: object) -> GogglesConfig:
+        """The pipeline config of one run under these settings."""
+        return GogglesConfig(executor=self.executor, engine=self.engine_config(), **fields)
 
 
 _MODEL_CACHE: dict[tuple, VGG16] = {}
@@ -150,8 +159,8 @@ def build_affinity(
     is set) the content-addressed artifact cache, so sweep experiments
     that revisit the same corpus skip step 1 entirely.
     """
-    engine = AffinityEngine(PrototypeAffinitySource(model, top_z=top_z), settings.engine_config())
-    return engine.build(images, keep_state=False)
+    with Goggles(settings.goggles_config(top_z=top_z, keep_corpus_state=False), model=model) as goggles:
+        return goggles.build_affinity_matrix(images)
 
 
 def _infer_with_affinity(
@@ -163,10 +172,16 @@ def _infer_with_affinity(
     executor: str = "thread",
 ) -> np.ndarray:
     """Hierarchical inference + dev mapping on a prebuilt affinity matrix."""
-    engine = InferenceEngine(
-        HierarchicalConfig(n_classes=n_classes, seed=seed), executor=executor, n_jobs=n_jobs
-    )
-    result = engine.fit(affinity)
+    session = nullcontext()
+    if executor == "distributed":
+        from repro.distributed import Coordinator
+
+        session = Coordinator.for_engine(n_jobs=n_jobs)
+    with session as coordinator:
+        engine = InferenceEngine(
+            HierarchicalConfig(n_classes=n_classes, seed=seed), n_jobs=n_jobs, coordinator=coordinator
+        )
+        result = engine.fit(affinity)
     mapping = map_clusters_to_classes(result.posterior, dev, n_classes)
     return apply_mapping(result.posterior, mapping)
 
@@ -203,15 +218,9 @@ def run_table1_row(
 
     if "goggles" in methods:
         assert affinity is not None
-        goggles = Goggles(
-            GogglesConfig(
-                n_classes=k,
-                seed=derive_seed(settings.seed, "goggles", run_seed),
-                engine=settings.engine_config(),
-            ),
-            model=model,
-        )
-        result = goggles.infer_labels(affinity, dev)
+        config = settings.goggles_config(n_classes=k, seed=derive_seed(settings.seed, "goggles", run_seed))
+        with Goggles(config, model=model) as goggles:
+            result = goggles.infer_labels(affinity, dev)
         out["goggles"] = 100 * result.accuracy(dataset.labels, exclude=dev.indices)
 
     if "snorkel" in methods:
@@ -378,16 +387,13 @@ def run_table2_row(
         )
 
     if "goggles" in methods:
-        goggles = Goggles(
-            GogglesConfig(
-                n_classes=k,
-                seed=derive_seed(settings.seed, "goggles2", run_seed),
-                keep_corpus_state=False,  # one-shot label, no incremental
-                engine=settings.engine_config(),
-            ),
-            model=model,
+        config = settings.goggles_config(
+            n_classes=k,
+            seed=derive_seed(settings.seed, "goggles2", run_seed),
+            keep_corpus_state=False,  # one-shot label, no incremental
         )
-        goggles_result = goggles.label(train.images, dev)
+        with Goggles(config, model=model) as goggles:
+            goggles_result = goggles.label(train.images, dev)
         out["goggles"] = _train_and_score(
             features_train,
             goggles_result.probabilistic_labels,

@@ -294,9 +294,8 @@ def _distributed_summary(registry: MetricsRegistry) -> dict | None:
     """The ``/healthz`` section summarising merged distributed telemetry.
 
     Present only when the registry carries distributed series (a
-    coordinator or :class:`~repro.distributed.pool.WorkerPool` sharing
-    the server's registry); ``None`` keeps the section out of
-    single-process deployments' payloads.
+    coordinator sharing the server's registry); ``None`` keeps the
+    section out of single-process deployments' payloads.
     """
     workers = registry.get("goggles_worker_shards_completed_total")
     coordinator = registry.get("goggles_coordinator_shards_completed_total")

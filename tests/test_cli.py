@@ -43,7 +43,7 @@ class TestCli:
             "--dev-per-class",
             "2",
             "--executor",
-            "serial",
+            "thread",
             "--precision",
             "float32",
             "--cache-dir",
@@ -74,7 +74,7 @@ class TestCli:
         assert seen == [GogglesConfig().n_jobs, 1]
 
     def test_invalid_executor_rejected(self):
-        for executor in ("gpu", "process"):
+        for executor in ("gpu", "process", "serial"):
             with pytest.raises(SystemExit):
                 main(["--executor", executor, "label", "--dataset", "surface"])
 

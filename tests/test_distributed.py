@@ -8,7 +8,7 @@ Three contracts matter:
   hanging the cluster.
 * **Bit-identity** — the merged affinity matrix and posteriors equal
   the serial path exactly (atol=0), regardless of worker count (1, 2,
-  4) or executor mode, because shards are content-addressed pure tasks
+  4) or worker mode, because shards are content-addressed pure tasks
   cut at the serial tile boundaries with per-function seed streams.
 * **Cache short-circuiting** — with a shared artifact cache mounted, a
   rerun of known content never recomputes (or even enqueues) a shard.
@@ -16,8 +16,10 @@ Three contracts matter:
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 import time
+from dataclasses import replace
 from multiprocessing.connection import Client
 
 import numpy as np
@@ -27,6 +29,7 @@ from reference_affinity import compute_affinity_matrix
 from repro.core import Goggles, GogglesConfig
 from repro.core.affinity import AffinityMatrix
 from repro.core.inference.hierarchical import HierarchicalConfig, fit_all_base_functions
+from repro.datasets import make_dataset
 from repro.datasets.base import DevSet
 from repro.distributed import (
     Broker,
@@ -440,9 +443,9 @@ class TestCluster:
     def test_posterior_identical_any_worker_count(self, random_affinity, small_surface_affinity, n_workers):
         config = HierarchicalConfig(n_classes=2, seed=0)
         for affinity in (random_affinity, small_surface_affinity):
-            serial = InferenceEngine(config, executor="serial").fit(affinity)
+            serial = InferenceEngine(config).fit(affinity)
             with thread_cluster(n_workers) as coordinator:
-                engine = InferenceEngine(config, executor="distributed", coordinator=coordinator)
+                engine = InferenceEngine(config, coordinator=coordinator)
                 distributed = engine.fit(affinity)
             np.testing.assert_array_equal(distributed.posterior, serial.posterior)
             np.testing.assert_array_equal(distributed.label_predictions, serial.label_predictions)
@@ -736,28 +739,25 @@ def _prefix_dev(dataset, n_prefix: int, per_class: int, seed: int = 0) -> DevSet
 
 
 class TestEndToEnd:
-    def _config(self, executor: str) -> GogglesConfig:
-        # row_tile=8 forces a real multi-shard similarity grid and
-        # batch_size=8 a real multi-shard extraction on the 24-image
-        # corpus, so the distributed path exercises every stage.
-        return GogglesConfig(
-            n_classes=2,
-            seed=0,
-            top_z=3,
-            layers=(1, 2),
-            engine=EngineConfig(executor=executor, row_tile=8, batch_size=8),
-        )
+    # row_tile=8 forces a real multi-shard similarity grid and
+    # batch_size=8 a real multi-shard extraction on the 24-image corpus,
+    # so the distributed path exercises every stage.  A coordinator
+    # passed to Goggles runs every stage, whatever the executor says.
+    CONFIG = GogglesConfig(
+        n_classes=2, seed=0, top_z=3, layers=(1, 2), engine=EngineConfig(row_tile=8, batch_size=8)
+    )
 
     def test_goggles_distributed_bit_identical_to_serial(self, vgg, small_surface):
         images = small_surface.images
         n0 = images.shape[0] - 6
         dev = _prefix_dev(small_surface, n0, per_class=3)
 
-        serial = Goggles(self._config("serial"), model=vgg)
+        serial = Goggles(self.CONFIG, model=vgg)
         serial_full = serial.label(images[:n0], dev)
         serial_inc = serial.label_incremental(images[n0:], dev)
 
-        with Goggles(self._config("distributed"), model=vgg, coordinator=thread_cluster(2)) as distributed:
+        with thread_cluster(2) as coordinator:
+            distributed = Goggles(self.CONFIG, model=vgg, coordinator=coordinator)
             dist_full = distributed.label(images[:n0], dev)
             dist_inc = distributed.label_incremental(images[n0:], dev)
 
@@ -820,41 +820,61 @@ class TestEndToEnd:
         assert shard_spans
         assert all(r.name == "shard.base-fit" for r in shard_spans)
 
-    def test_affinity_engine_closes_own_coordinator(self, sim_data):
-        """A lazily self-created session is owned and closed by the engine."""
-        from repro.engine.engine import AffinityEngine
-        from repro.engine.source import FeatureCosineSource
+    def test_goggles_closes_only_the_session_it_opened(self, vgg, sim_data):
+        """Whoever opens a session closes it: Goggles closes the session
+        it opened for executor="distributed", and leaves a passed-in one
+        open and usable."""
+        protos, vectors = sim_data
+        config = GogglesConfig(executor="distributed", n_workers=1)
+        with thread_cluster(1) as coordinator:
+            with Goggles(config, model=vgg, coordinator=coordinator) as goggles:
+                assert goggles.coordinator is coordinator
+            out = coordinator.best_similarities(protos, vectors, row_tile=4)
+        np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4))
+        with Goggles(config, model=vgg) as goggles:
+            opened = goggles.coordinator
+            assert goggles.engine.coordinator is opened is goggles.inference.coordinator
+        with pytest.raises(RuntimeError, match="closed"):
+            opened.run([make_task()])
 
-        engine = AffinityEngine(
-            FeatureCosineSource(lambda images: images.reshape(len(images), -1), "flat"),
-            EngineConfig(executor="distributed", n_jobs=1),
+    def test_engine_override_keeps_the_distributed_executor(self, vgg):
+        """executor/n_workers live on GogglesConfig, so an engine override
+        cannot drop them: Goggles labels on a session of its own, one
+        spawned worker process, and closes it."""
+        dataset = make_dataset("surface", n_per_class=6, image_size=64, seed=1)
+        dev = dataset.sample_dev_set(2, seed=0)
+        config = GogglesConfig(
+            n_classes=2,
+            top_z=2,
+            layers=(1,),
+            executor="distributed",
+            n_workers=1,
+            engine=EngineConfig(row_tile=8),
         )
-        coordinator = engine.coordinator()
-        assert coordinator is engine.coordinator()  # memoised
-        engine.close()
-        with pytest.raises(RuntimeError):
-            coordinator.run([make_task()])
+        expected = Goggles(replace(config, executor="thread"), model=vgg).label(dataset.images, dev)
+        with Goggles(config, model=vgg) as goggles:
+            assert goggles.coordinator is not None
+            completed = goggles.coordinator.queue.stats()["completed"]
+            result = goggles.label(dataset.images, dev)
+            assert goggles.coordinator.queue.stats()["completed"] > completed
+        assert multiprocessing.active_children() == []
+        np.testing.assert_array_equal(result.affinity.values, expected.affinity.values)
+        np.testing.assert_array_equal(result.probabilistic_labels, expected.probabilistic_labels)
 
     def test_compute_affinity_matches_legacy_kernel(self, vgg, tiny_images):
         """Distributed similarity equals the legacy whole-corpus kernel
         through the engine path (same guarantee the tiled kernel has)."""
         legacy = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(1,))
-        config = GogglesConfig(
-            n_classes=2,
-            seed=0,
-            top_z=2,
-            layers=(1,),
-            engine=EngineConfig(executor="distributed", row_tile=2),
-        )
-        with Goggles(config, model=vgg, coordinator=thread_cluster(2)) as goggles:
-            built = goggles.build_affinity_matrix(tiny_images)
+        config = GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(1,), engine=EngineConfig(row_tile=2))
+        with thread_cluster(2) as coordinator:
+            built = Goggles(config, model=vgg, coordinator=coordinator).build_affinity_matrix(tiny_images)
         np.testing.assert_allclose(built.values, legacy.values, atol=1e-12)
 
     def test_out_of_range_layer_rejected_before_any_shard(self, vgg):
         """A bad layer fails where the source is built, with the local
         error, instead of as extraction shards failing on the workers
         until the build is poisoned."""
-        config = GogglesConfig(layers=(7,), engine=EngineConfig(executor="distributed"))
+        config = GogglesConfig(layers=(7,))
         with thread_cluster(2) as coordinator:
             with pytest.raises(ValueError, match=r"layer 7 out of range \[0, 5\)"):
                 Goggles(config, model=vgg, coordinator=coordinator)

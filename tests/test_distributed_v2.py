@@ -10,8 +10,9 @@ path (see ENGINE.md, "Distributed stages"):
 * the :class:`ShardAutotuner` — calibration grants, EWMA estimates,
   and the ~100ms-of-compute-per-lease plan;
 * idle polling backoff — exponential with jitter, reset on a grant;
-* :class:`WorkerPool` — a persistent cluster reused across consecutive
-  ``Goggles`` runs with zero new spawns and bit-identical output;
+* warm sessions — a caller-held :class:`Coordinator` reused across
+  consecutive ``Goggles`` runs with zero new spawns and bit-identical
+  output;
 * coordinator restart recovery — a half-finished plan resumes from
   content-addressed ``shard`` cache hits.
 """
@@ -33,8 +34,6 @@ from repro.distributed import (
     ShardAutotuner,
     TaskQueue,
     Worker,
-    WorkerPool,
-    as_coordinator,
     similarity_task,
     wire,
 )
@@ -426,83 +425,43 @@ class TestIdleBackoff:
 
 
 # ----------------------------------------------------------------------
-# Warm worker pools
+# Warm worker pools: a Coordinator the caller keeps open
 # ----------------------------------------------------------------------
+SPAWNED = "goggles_pool_workers_spawned_total"
+
+
 class TestWorkerPool:
-    def _pool(self, n_workers: int = 2) -> WorkerPool:
-        return WorkerPool(
-            DistributedConfig(
-                n_workers=n_workers,
-                worker_mode="thread",
-                lease_timeout=10.0,
-                run_timeout=120.0,
-            ),
-            registry=MetricsRegistry(),
-        )
-
-    def test_unwrap_protocol(self):
-        with self._pool() as pool:
-            assert as_coordinator(pool) is pool.as_coordinator()
-            assert isinstance(pool.as_coordinator(), Coordinator)
-            assert as_coordinator(None) is None
-            coordinator = pool.as_coordinator()
-            assert as_coordinator(coordinator) is coordinator
-
     def test_pool_survives_goggles_close_and_spawns_zero_new_workers(self, vgg, small_surface):
-        """Two consecutive Goggles runs on one pool: bit-identical
-        output, and the second run spawns zero new workers."""
+        """Two consecutive Goggles runs on one caller-held session:
+        bit-identical output, Goggles.close() leaves the session open,
+        and the second run spawns zero new workers."""
         images = small_surface.images
         dev = _prefix_dev(small_surface, images.shape[0], per_class=3)
         config = GogglesConfig(
-            n_classes=2, seed=0, top_z=3, layers=(1, 2),
-            engine=EngineConfig(executor="distributed", row_tile=8, batch_size=8),
+            n_classes=2, seed=0, top_z=3, layers=(1, 2), engine=EngineConfig(row_tile=8, batch_size=8)
         )
-        serial_config = GogglesConfig(
-            n_classes=2, seed=0, top_z=3, layers=(1, 2),
-            engine=EngineConfig(executor="serial", row_tile=8, batch_size=8),
-        )
-        expected = Goggles(serial_config, model=vgg).label(images, dev)
-        with self._pool() as pool:
+        expected = Goggles(config, model=vgg).label(images, dev)
+        with thread_cluster(2) as pool:
             with Goggles(config, model=vgg, coordinator=pool) as first:
                 out1 = first.label(images, dev)
-            spawned_after_first = pool.workers_spawned
+            spawned_after_first = counted(pool, SPAWNED)
             assert spawned_after_first == 2
-            assert pool.started  # Goggles.close() did not tear it down
+            assert pool.started and not pool._closed  # Goggles.close() left it open
             with Goggles(config, model=vgg, coordinator=pool) as second:
                 out2 = second.label(images, dev)
             # The reuse counter: a warm second run spawned nothing.
-            assert pool.workers_spawned == spawned_after_first
+            assert counted(pool, SPAWNED) == spawned_after_first
         np.testing.assert_array_equal(out1.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out2.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out1.affinity.values, expected.affinity.values)
         np.testing.assert_array_equal(out2.affinity.values, expected.affinity.values)
 
-    def test_plain_close_is_ignored_force_close_is_not(self, sim_data):
-        protos, vectors = sim_data
-        pool = self._pool(1)
-        coordinator = pool.as_coordinator()
-        out = coordinator.best_similarities(protos, vectors, row_tile=4)
-        np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4))
-        coordinator.close()  # what Goggles/engine teardown calls
-        assert coordinator.started
-        out2 = coordinator.best_similarities(protos, vectors, row_tile=4)
-        np.testing.assert_array_equal(out2, out)
-        pool.close()
-        assert not pool.started or coordinator._closed
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.as_coordinator()
-        pool.close()  # idempotent
-
-    def test_pool_refuses_zero_worker_config(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            WorkerPool(DistributedConfig(n_workers=0))
-
     def test_warm_up_spawns_before_first_run(self):
-        with self._pool(1) as pool:
+        with thread_cluster(1) as pool:
             assert not pool.started
-            pool.warm_up()
+            pool.start()
             assert pool.started
-            assert pool.workers_spawned == 1
+            assert counted(pool, SPAWNED) == 1
 
     def test_close_does_not_hang_on_stuck_worker_thread(self):
         """close() bounds every join: a thread that never exits is leaked
@@ -528,20 +487,18 @@ class TestWorkerPool:
         stuck.join(timeout=5.0)
 
     def test_pool_close_survives_dead_broker(self):
-        """Closing a pool whose broker already died returns promptly —
+        """Closing a session whose broker already died returns promptly —
         the workers' joins are bounded by close_join_timeout."""
-        pool = WorkerPool(
-            DistributedConfig(
-                n_workers=1, worker_mode="thread", close_join_timeout=1.0
-            ),
+        coordinator = Coordinator(
+            DistributedConfig(n_workers=1, worker_mode="thread", close_join_timeout=1.0),
             registry=MetricsRegistry(),
         )
-        pool.warm_up()
-        pool.as_coordinator()._broker.close()  # broker dies behind the pool's back
+        coordinator.start()
+        coordinator._broker.close()  # broker dies behind the session's back
         start = time.perf_counter()
-        pool.close()
+        coordinator.close()
         assert time.perf_counter() - start < 30.0
-        assert not pool.started or pool._coordinator._closed
+        assert coordinator._closed
 
 
 # ----------------------------------------------------------------------

@@ -270,17 +270,19 @@ class TestEngineConfigValidation:
             EngineConfig(n_jobs=0)
 
     def test_bad_executor(self):
-        for executor in ("gpu", "process"):
+        from repro.core import GogglesConfig
+
+        for executor in ("gpu", "process", "serial"):
             with pytest.raises(ValueError, match="executor"):
-                EngineConfig(executor=executor)
+                GogglesConfig(executor=executor)
 
     def test_executor_and_budget_flow_from_goggles_config(self):
         from repro.core import GogglesConfig
 
-        config = GogglesConfig(executor="serial", n_jobs=4, cache_max_bytes=1024)
+        config = GogglesConfig(executor="distributed", n_jobs=4, cache_max_bytes=1024)
         engine = config.engine_config()
-        assert engine.executor == "serial"
-        assert engine.cache_max_bytes == 1024
+        assert (engine.n_jobs, engine.cache_max_bytes) == (4, 1024)
+        assert not hasattr(engine, "executor")  # GogglesConfig holds the only copy
 
 
 class TestConcurrentWriteEvictionRaces:

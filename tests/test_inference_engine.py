@@ -1,8 +1,8 @@
 """Tests for the staged inference engine: executors, warm starts, caching.
 
 Executor equivalence and warm-start agreement are the two contracts of
-``repro.engine.inference``: any executor produces bit-identical
-posteriors, and a warm-started incremental fit agrees with a cold full
+``repro.engine.inference``: serial (``n_jobs=1``) and threaded fits
+produce bit-identical posteriors, and a warm-started incremental fit agrees with a cold full
 refit within the tolerance documented in ENGINE.md (atol=1e-3 on the
 class-aligned posterior; hard predictions identical).
 """
@@ -144,8 +144,8 @@ class TestDegenerateRetry:
 class TestExecutors:
     def test_thread_matches_serial_bitwise(self, small_affinity):
         cfg = HierarchicalConfig(n_classes=2, seed=0)
-        serial = InferenceEngine(cfg, executor="serial").fit(small_affinity)
-        thread = InferenceEngine(cfg, executor="thread", n_jobs=4).fit(small_affinity)
+        serial = InferenceEngine(cfg).fit(small_affinity)
+        thread = InferenceEngine(cfg, n_jobs=4).fit(small_affinity)
         np.testing.assert_array_equal(serial.posterior, thread.posterior)
         np.testing.assert_array_equal(serial.label_predictions, thread.label_predictions)
 
@@ -153,27 +153,22 @@ class TestExecutors:
         """The staged engine is a drop-in for the monolithic fit."""
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         legacy = HierarchicalModel(cfg).fit(small_affinity)
-        staged = InferenceEngine(cfg, executor="serial").fit(small_affinity)
+        staged = InferenceEngine(cfg).fit(small_affinity)
         np.testing.assert_array_equal(legacy.posterior, staged.posterior)
 
     def test_thread_executor_with_warm_start(self, small_affinity):
         """Warm starts fan out over the thread pool and stay bit-identical."""
         cfg = HierarchicalConfig(n_classes=2, seed=0)
-        seed_engine = InferenceEngine(cfg, executor="serial")
+        seed_engine = InferenceEngine(cfg)
         seed_engine.fit(small_affinity)
-        warm_serial = InferenceEngine(cfg, executor="serial").fit(
+        warm_serial = InferenceEngine(cfg).fit(
             small_affinity, warm_start=seed_engine.state
         )
-        warm_thread = InferenceEngine(cfg, executor="thread", n_jobs=2).fit(
+        warm_thread = InferenceEngine(cfg, n_jobs=2).fit(
             small_affinity, warm_start=seed_engine.state
         )
         np.testing.assert_array_equal(warm_serial.posterior, warm_thread.posterior)
         np.testing.assert_array_equal(warm_serial.label_predictions, warm_thread.label_predictions)
-
-    def test_invalid_executor_rejected(self):
-        for executor in ("gpu", "process"):
-            with pytest.raises(ValueError, match="executor"):
-                InferenceEngine(HierarchicalConfig(n_classes=2), executor=executor)
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +222,8 @@ class TestWarmStartCorrectness:
             n_examples=3,
             n_classes=2,
         )
-        cold = InferenceEngine(cfg, executor="serial").fit(small_affinity)
-        attempted = InferenceEngine(cfg, executor="serial").fit(small_affinity, warm_start=bogus)
+        cold = InferenceEngine(cfg).fit(small_affinity)
+        attempted = InferenceEngine(cfg).fit(small_affinity, warm_start=bogus)
         np.testing.assert_array_equal(cold.posterior, attempted.posterior)
 
 
@@ -239,10 +234,10 @@ class TestInferenceCache:
     def test_refit_is_a_disk_load(self, tmp_path, small_affinity):
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
-        first_engine = InferenceEngine(cfg, executor="serial", cache=cache)
+        first_engine = InferenceEngine(cfg, cache=cache)
         first = first_engine.fit(small_affinity)
         assert cache.stats.misses.get("inference") == 1
-        second_engine = InferenceEngine(cfg, executor="serial", cache=cache)
+        second_engine = InferenceEngine(cfg, cache=cache)
         second = second_engine.fit(small_affinity)
         assert cache.stats.hits.get("inference") == 1
         np.testing.assert_array_equal(first.posterior, second.posterior)
@@ -252,8 +247,8 @@ class TestInferenceCache:
         """A fresh engine's cache hit leaves it warm-startable."""
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
-        InferenceEngine(cfg, executor="serial", cache=cache).fit(small_affinity)
-        fresh = InferenceEngine(cfg, executor="serial", cache=cache)
+        InferenceEngine(cfg, cache=cache).fit(small_affinity)
+        fresh = InferenceEngine(cfg, cache=cache)
         fresh.fit(small_affinity)
         assert fresh.state is not None
         assert fresh.state.n_examples == small_affinity.n_examples
@@ -262,9 +257,9 @@ class TestInferenceCache:
     def test_warm_and_cold_fits_never_share_a_key(self, tmp_path, small_affinity):
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
-        engine = InferenceEngine(cfg, executor="serial", cache=cache)
+        engine = InferenceEngine(cfg, cache=cache)
         engine.fit(small_affinity)
-        warm_engine = InferenceEngine(cfg, executor="serial", cache=cache)
+        warm_engine = InferenceEngine(cfg, cache=cache)
         warm_engine.fit(small_affinity, warm_start=engine.state)
         assert cache.stats.misses.get("inference") == 2  # distinct keys
 
@@ -273,11 +268,11 @@ class TestInferenceCache:
 
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
-        engine = InferenceEngine(cfg, executor="serial", cache=cache)
+        engine = InferenceEngine(cfg, cache=cache)
         first = engine.fit(small_affinity)
         (entry,) = [p for p in os.listdir(tmp_path) if p.startswith("inference-")]
         np.savez_compressed(os.path.join(str(tmp_path), entry), bogus=np.arange(3))
-        fresh = InferenceEngine(cfg, executor="serial", cache=cache)
+        fresh = InferenceEngine(cfg, cache=cache)
         rebuilt = fresh.fit(small_affinity)
         np.testing.assert_array_equal(rebuilt.posterior, first.posterior)
 
@@ -291,9 +286,9 @@ class TestInferenceCache:
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
         with pytest.warns(RuntimeWarning, match="collapsed"):
-            first = InferenceEngine(cfg, executor="serial", cache=cache).fit(matrix)
+            first = InferenceEngine(cfg, cache=cache).fit(matrix)
         with pytest.warns(RuntimeWarning, match="collapsed"):
-            replay = InferenceEngine(cfg, executor="serial", cache=cache).fit(matrix)
+            replay = InferenceEngine(cfg, cache=cache).fit(matrix)
         assert cache.stats.hits.get("inference") == 1
         assert replay.reinitialized_functions == first.reinitialized_functions == (1,)
         assert [r.degenerate for r in replay.base_results] == [r.degenerate for r in first.base_results]

@@ -305,11 +305,11 @@ class TestMemmapBlocks:
 
 
 class TestExecutorsOnSparse:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_bit_identical_to_serial(self, sparse_matrix, executor):
+    @pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "thread"])
+    def test_bit_identical_to_serial(self, sparse_matrix, n_jobs):
         config = HierarchicalConfig(n_classes=2, seed=0)
-        reference = InferenceEngine(config, executor="serial").fit(sparse_matrix)
-        result = InferenceEngine(config, executor=executor, n_jobs=2).fit(sparse_matrix)
+        reference = InferenceEngine(config).fit(sparse_matrix)
+        result = InferenceEngine(config, n_jobs=n_jobs).fit(sparse_matrix)
         np.testing.assert_array_equal(result.posterior, reference.posterior)
 
     def test_dense_and_sparse_agree_at_full_k(self):
@@ -317,8 +317,8 @@ class TestExecutorsOnSparse:
         dense = AffinityMatrix(values=rng.random((16, 2 * 16)))
         sparse = sparsify_affinity(dense, 16)
         config = HierarchicalConfig(n_classes=2, seed=0)
-        dense_fit = InferenceEngine(config, executor="serial").fit(dense)
-        sparse_fit = InferenceEngine(config, executor="serial").fit(sparse)
+        dense_fit = InferenceEngine(config).fit(dense)
+        sparse_fit = InferenceEngine(config).fit(sparse)
         np.testing.assert_array_equal(sparse_fit.posterior, dense_fit.posterior)
 
 
