@@ -44,13 +44,13 @@ import numpy as np
 import pytest
 from bench_distributed import update_trajectory
 
-from repro.core import Goggles, GogglesConfig
+from repro.core import GogglesConfig
 from repro.datasets import make_dataset
 from repro.datasets.base import DevSet
 from repro.eval.harness import shared_model
 from repro.obs import MetricsRegistry
 from repro.online import OnlineConfig
-from repro.serving import LabelingService, TenantRegistry, serve_http
+from repro.serving import TenantConfig, TenantRegistry, serve_http
 from repro.utils.rng import derive_seed
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
@@ -260,7 +260,7 @@ def _serving_corpus(settings):
 
 
 def _start_cell(cell: dict, serving_corpus, tmp_path) -> tuple:
-    """Fresh service + HTTP server + isolated registry for one cell."""
+    """Fresh tenant ``default`` + HTTP server + isolated registry for one cell."""
     model, dataset, n0, dev = serving_corpus
     registry = MetricsRegistry()
     config = GogglesConfig(
@@ -273,14 +273,16 @@ def _start_cell(cell: dict, serving_corpus, tmp_path) -> tuple:
             cache_dir=str(tmp_path / "cache"),
             online=OnlineConfig(drift_threshold=100.0, refit_every=0),
         )
-    goggles = Goggles(config, model=model)
-    service = LabelingService(goggles, dev, mode=cell["mode"], registry=registry)
-    service.start(dataset.images[:n0])
     pixel_cost = int(np.prod(dataset.images[:1].shape)) * cell["batch_rows"]
     bound = None if cell["bound_batches"] is None else cell["bound_batches"] * pixel_cost
     cell = dict(cell, _bound=bound)
-    server = serve_http(service, max_queued_pixels=bound, registry=registry)
-    return cell, service, server, registry
+    tenants = TenantRegistry(base_config=config, model=model, metrics=registry)
+    tenants.register(
+        "default", dataset.images[:n0], dev,
+        TenantConfig(mode=cell["mode"], max_queued_pixels=bound),
+    )
+    server = serve_http(tenants)
+    return cell, tenants, server, registry
 
 
 @pytest.mark.benchmark(group="serving")
@@ -290,7 +292,7 @@ def test_serving_load_sweep(settings, record_result, tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("serving-load")
     rows: list[dict] = []
     for index, cell in enumerate(SWEEP):
-        cell, service, server, registry = _start_cell(cell, corpus, tmp_path)
+        cell, tenants, server, registry = _start_cell(cell, corpus, tmp_path)
         try:
             sessions = _drive_cell(
                 server.url, corpus[1].images[corpus[2]:], cell["batch_rows"],
@@ -299,7 +301,7 @@ def test_serving_load_sweep(settings, record_result, tmp_path_factory):
             rows.append(_cell_row(cell, sessions, registry, server.url))
         finally:
             server.shutdown()
-            service.stop()
+            tenants.close()
     assert rows, "sweep produced no cells"
     # Every accepted submission resolved and every counter reconciled.
     assert all(row["errors"] == 0 for row in rows), rows
@@ -405,7 +407,7 @@ def test_serving_load_smoke(settings, record_result, tmp_path_factory):
     and dumps the scraped metrics for artifact upload."""
     corpus = _serving_corpus(settings)
     tmp_path = tmp_path_factory.mktemp("serving-smoke")
-    cell, service, server, registry = _start_cell(
+    cell, tenants, server, registry = _start_cell(
         {"mode": "batch", "bound_batches": None, "batch_rows": 1}, corpus, tmp_path
     )
     try:
@@ -418,7 +420,7 @@ def test_serving_load_smoke(settings, record_result, tmp_path_factory):
             METRICS_DUMP_PATH.write_text(response.read().decode("utf-8"))
     finally:
         server.shutdown()
-        service.stop()
+        tenants.close()
     assert row["errors"] == 0, row
     assert row["shed"] == 0, row
     assert row["reconciled"], row

@@ -9,11 +9,11 @@ Examples::
     goggles-repro serve --http-port 8080 --max-queued-pixels 2000000
 
 ``--executor distributed`` runs every stage on one coordinator/worker
-session that the command opens and closes (``serve`` keeps it warm for
-the seed labeling and every streamed batch).  A local two-command
-cluster (terminal 1 runs the coordinator, which shards affinity tiles
-and base fits over the task queue; terminal 2+ run workers — on this
-machine or any other that can reach the broker)::
+session that the command opens and closes (``serve``'s tenant keeps its
+session warm for the seed labeling and every streamed batch).  A local
+two-command cluster (terminal 1 runs the coordinator, which shards
+affinity tiles and base fits over the task queue; terminal 2+ run
+workers — on this machine or any other that can reach the broker)::
 
     goggles-repro coordinator --dataset surface --bind 127.0.0.1:41817
     goggles-repro worker --connect 127.0.0.1:41817
@@ -44,7 +44,8 @@ from repro.eval.harness import (
 )
 from repro.eval.paper import TABLE1_METHODS, TABLE1_PAPER, TABLE2_METHODS, TABLE2_PAPER
 from repro.eval.tables import format_comparison_table, format_curve
-from repro.serving import LabelingService
+from repro.nn import VGG16
+from repro.serving import TenantConfig, TenantRegistry, serve_http
 from repro.utils.rng import derive_seed
 from repro.utils.threads import usable_cores
 
@@ -102,12 +103,16 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Streaming demo: seed corpus → LabelingService → batched arrivals.
+    """Streaming demo: register the seed corpus as one tenant, then stream.
 
     Simulates a live deployment: the initial fraction of the dataset is
-    labeled up front, then the rest arrives in ``--stream-batch``-sized
-    batches through ``submit``/``result``, each an incremental
-    (warm-started by default) run instead of a rebuild.
+    labeled up front as the seed corpus of tenant ``--tenant``, then the
+    rest arrives in ``--stream-batch``-sized batches through
+    ``submit``/``result``, each an incremental (warm-started by default)
+    run instead of a rebuild.  With ``--http-port`` the tenant is served
+    over the ``/v1`` API until Ctrl-C instead; it can be evicted and
+    transparently reloaded like any tenant that joins over
+    ``POST /v1/tenants``.
     """
     dataset = make_dataset(args.dataset, n_per_class=args.n_per_class, seed=args.seed)
     n = dataset.n_examples
@@ -142,75 +147,51 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 refit_every=args.refit_every,
             ),
         )
-    coordinator = None
-    if config.executor == "distributed":
-        # A long-lived service wants a *warm* cluster: one session of
-        # spawned workers, held open here, serves the seed labeling and
-        # every streamed batch after it, instead of re-paying spawn +
-        # import per run.
-        from repro.distributed import Coordinator, DistributedConfig
-
-        coordinator = Coordinator(DistributedConfig(n_workers=max(1, config.engine.n_jobs)))
-    goggles = Goggles(config, coordinator=coordinator)
-    service = LabelingService(
-        goggles, dev, tenant=args.tenant, warm_start=not args.no_warm_start, mode=mode
+    # Further tenants joining over POST /v1/tenants inherit the CLI's
+    # engine flags through base_config.  The tenant's one Goggles lives
+    # for the whole command: under --executor distributed the session it
+    # opens stays warm for the seed fit and every streamed batch.
+    tenants = TenantRegistry(base_config=config, model=VGG16(config.vgg))
+    tenant_config = TenantConfig(
+        mode=mode,
+        max_queued_pixels=args.max_queued_pixels,
+        warm_start=not args.no_warm_start,
+        online=config.online,
     )
-    start = time.perf_counter()
-    service.start(dataset.images[:n0])
-    print(f"seed corpus: {n0} images labeled in {time.perf_counter() - start:.2f}s")
-    if service.online_stats is not None:
-        resumed = "resumed from cached online state" if service.session.resumed else "fresh online state"
-        print(f"online mode: {resumed} (step {service.online_stats['step']})")
+    with tenants:
+        start = time.perf_counter()
+        service = tenants.register(args.tenant, dataset.images[:n0], dev, tenant_config).service
+        print(f"seed corpus: {n0} images labeled in {time.perf_counter() - start:.2f}s")
+        if service.online_stats is not None:
+            resumed = "resumed from cached online state" if service.session.resumed else "fresh online state"
+            print(f"online mode: {resumed} (step {service.online_stats['step']})")
 
-    if args.http_port is not None:
-        # Network mode: host the service as one tenant of a registry so
-        # further tenants can join over POST /v1/tenants (they inherit
-        # the CLI's engine flags through base_config); the seed recipe
-        # makes this tenant evictable + transparently reloadable.
-        from repro.serving import TenantConfig, TenantRegistry, serve_http
+        if args.http_port is not None:
+            server = serve_http(tenants, host=args.http_host, port=args.http_port)
+            print(
+                f"HTTP front-end on {server.url} serving tenant {args.tenant!r}  "
+                "(POST /v1/tenants, POST /v1/tenants/<id>/submit, "
+                "GET /v1/tenants/<id>/poll/<ticket>, GET /healthz, GET /metrics)"
+            )
+            print("Ctrl-C to stop")
+            try:
+                while True:
+                    time.sleep(3600)
+            except KeyboardInterrupt:
+                pass
+            finally:
+                server.shutdown()
+                server.server_close()
+            return 0
 
-        tenants = TenantRegistry(base_config=config, model=goggles.model)
-        tenants.adopt(
-            args.tenant,
-            service,
-            config=TenantConfig(
-                mode=mode,
-                max_queued_pixels=args.max_queued_pixels,
-                online=config.online,
-            ),
-            seed_images=dataset.images[:n0],
-            dev_set=dev,
-        )
-        server = serve_http(
-            tenants, host=args.http_host, port=args.http_port, default_tenant=args.tenant
-        )
-        print(
-            f"HTTP front-end on {server.url} serving tenant {args.tenant!r}  "
-            "(POST /v1/tenants, POST /v1/tenants/<id>/submit, "
-            "GET /v1/tenants/<id>/poll/<ticket>, GET /healthz, GET /metrics)"
-        )
-        print("Ctrl-C to stop")
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.shutdown()
-            tenants.close()
-            if coordinator is not None:
-                coordinator.close()
-        return 0
-
-    correct = 0
-    streamed = 0
-    with service:
+        correct = 0
+        streamed = 0
         position = n0
         while position < n:
             end = min(position + args.stream_batch, n)
             batch_start = time.perf_counter()
-            ticket = service.submit(dataset.images[position:end])
-            status = service.result(ticket, timeout=600.0)
+            ticket = tenants.submit(args.tenant, dataset.images[position:end])
+            status = tenants.result(args.tenant, ticket, timeout=600.0)
             latency = time.perf_counter() - batch_start
             if status.state != "done":
                 raise SystemExit(f"ticket {ticket} failed: {status.error}")
@@ -223,17 +204,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"({hits}/{end - position} correct)"
             )
             position = end
-    accuracy = 100 * correct / max(streamed, 1)
-    print(f"streamed: {streamed} images in {service.n_batches} incremental runs")
-    print(f"streaming accuracy: {accuracy:.2f}%  (corpus now {service.corpus_size} images)")
-    stats = service.online_stats
-    if stats is not None:
-        print(
-            f"online session: {stats['step']} absorb steps, {stats['refits']} refit(s), "
-            f"drift {stats['drift']:.4f} nats (threshold {stats['drift_threshold']:g})"
-        )
-    if coordinator is not None:
-        coordinator.close()
+        accuracy = 100 * correct / max(streamed, 1)
+        print(f"streamed: {streamed} images in {service.n_batches} incremental runs")
+        print(f"streaming accuracy: {accuracy:.2f}%  (corpus now {service.corpus_size} images)")
+        stats = service.online_stats
+        if stats is not None:
+            print(
+                f"online session: {stats['step']} absorb steps, {stats['refits']} refit(s), "
+                f"drift {stats['drift']:.4f} nats (threshold {stats['drift_threshold']:g})"
+            )
     return 0
 
 
@@ -432,8 +411,8 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
 
     ``goggles-repro tenants --url http://host:port`` prints one row per
     tenant from ``GET /v1/tenants``; ``--evict ID`` drains it via
-    ``DELETE /v1/tenants/ID`` (add ``--forget`` to drop the
-    registration too, instead of leaving it evicted-but-reloadable).
+    ``DELETE /v1/tenants/ID`` (its next submit reloads it; add
+    ``--forget`` to drop the registration too).
     """
     import urllib.parse
     import urllib.request
@@ -455,11 +434,10 @@ def _cmd_tenants(args: argparse.Namespace) -> int:
     if not rows:
         print("no tenants registered")
         return 0
-    print(f"{'tenant':<20} {'state':<8} {'mode':<7} {'reload':<7} {'queued_px':>10} {'resident_mb':>12}")
+    print(f"{'tenant':<20} {'state':<8} {'mode':<7} {'queued_px':>10} {'resident_mb':>12}")
     for row in rows:
         print(
             f"{row['id']:<20} {row['state']:<8} {row['mode']:<7} "
-            f"{'yes' if row['reloadable'] else 'no':<7} "
             f"{row.get('queued_pixels', '-'):>10} "
             f"{row['resident_bytes'] / 1e6:>12.1f}"
         )
@@ -597,19 +575,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--http-port", type=int, default=None,
-        help="expose the service over HTTP on this port instead of streaming locally "
+        help="serve the tenant over HTTP on this port instead of streaming locally "
         "(POST /v1/tenants/<id>/submit, GET /v1/tenants/<id>/poll/<ticket>, GET /healthz)",
     )
     serve.add_argument("--http-host", default="127.0.0.1", help="HTTP bind host")
     serve.add_argument(
         "--max-queued-pixels", type=int, default=None,
-        help="back-pressure bound: submissions pushing queued pixels above this "
-        "get 429 + Retry-After (default unbounded)",
+        help="the tenant's back-pressure bound: submissions pushing its queued pixels "
+        "above this are shed (429 + Retry-After over HTTP; default unbounded)",
     )
     serve.add_argument(
         "--tenant", default="default",
-        help="tenant id this service registers under; with --http-port /healthz "
-        "reports it and more tenants can join via POST /v1/tenants",
+        help="tenant id the seed corpus registers under (tickets read <id>-t...); with "
+        "--http-port its routes are /v1/tenants/<id>/... and more tenants can join via "
+        "POST /v1/tenants",
     )
     serve.set_defaults(fn=_cmd_serve)
 

@@ -4,25 +4,23 @@ Wraps :class:`~repro.core.goggles.Goggles` behind a long-lived
 ``submit(images) -> ticket`` / ``poll(ticket)`` interface whose
 background worker batches arrivals through warm-started incremental
 inference.  The :class:`TenantRegistry` hosts many such services —
-one fitted hierarchy per tenant — behind the versioned ``/v1``
+one fitted hierarchy per tenant, each entered through
+:meth:`TenantRegistry.register` — behind the versioned ``/v1``
 tenant-scoped HTTP API (see ENGINE.md, "Multi-tenant serving").
 """
 
 from repro.serving.http import ROUTES, LabelingHTTPServer, Route, serve_http
 from repro.serving.registry import (
-    DEFAULT_TENANT,
     TenantConfig,
     TenantExistsError,
     TenantHandle,
     TenantRegistry,
-    TenantUnavailableError,
     UnknownTenantError,
 )
 from repro.serving.service import SERVICE_MODES, BackPressureError, LabelingService, TicketStatus
 
 __all__ = [
     "BackPressureError",
-    "DEFAULT_TENANT",
     "LabelingHTTPServer",
     "LabelingService",
     "ROUTES",
@@ -32,7 +30,6 @@ __all__ = [
     "TenantExistsError",
     "TenantHandle",
     "TenantRegistry",
-    "TenantUnavailableError",
     "TicketStatus",
     "UnknownTenantError",
     "serve_http",

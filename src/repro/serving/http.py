@@ -1,12 +1,12 @@
 """Versioned, tenant-scoped HTTP front-end for the labeling service.
 
-Stdlib-only (``http.server``): a :class:`LabelingHTTPServer` exposes a
-:class:`~repro.serving.registry.TenantRegistry` — or a single started
-:class:`~repro.serving.service.LabelingService`, adopted as its default
-tenant — through one declarative **route table** (method, pattern,
-handler).  Dispatch, the bounded Prometheus ``route`` label, and the
-404 fall-through all derive from the same table, so there is exactly
-one place a route exists.
+Stdlib-only (``http.server``): a :class:`LabelingHTTPServer` exposes the
+tenants of a :class:`~repro.serving.registry.TenantRegistry` (each one
+entered through :meth:`~repro.serving.registry.TenantRegistry.register`)
+through one declarative **route table** (method, pattern, handler).
+Dispatch, the bounded Prometheus ``route`` label, and the 404
+fall-through all derive from the same table, so there is exactly one
+place a route exists.
 
 The ``/v1`` API:
 
@@ -26,9 +26,9 @@ The ``/v1`` API:
 * ``DELETE /v1/tenants/<id>`` — evict (drain + drop the fitted state,
   keep the registration; the next submit transparently reloads it
   bit-identically).  ``?forget=true`` removes the registration too.
-* ``GET /healthz`` — per-tenant queue/drift sections plus the
-  top-level default-tenant fields; ``?tenant=<id>`` narrows to one
-  tenant's section.  When the registry carries distributed telemetry
+* ``GET /healthz`` — liveness plus one queue/drift section per tenant
+  under ``"tenants"``; ``?tenant=<id>`` narrows to one tenant's
+  section.  When the registry carries distributed telemetry
   (merged worker counters, shard timelines) a ``distributed`` section
   summarises it.
 * ``GET /metrics`` — Prometheus text exposition; ``?tenant=<id>``
@@ -44,7 +44,8 @@ trace id echoed in the ``X-Trace-Id`` header — codes are
 ``unknown_route``, ``unknown_tenant``, ``unknown_ticket``,
 ``bad_request``, ``payload_too_large`` (413, bodies above
 ``max_body_bytes``), ``backpressure`` (429), ``tenant_exists`` (409),
-``tenant_unavailable`` / ``service_unavailable`` (503).
+``service_unavailable`` (503), and ``internal_error`` (500, an
+exception no handler maps, answered when no reply was sent yet).
 
 Each request is handled on its own thread (``ThreadingHTTPServer``);
 all actual labeling still funnels through each tenant service's single
@@ -68,14 +69,12 @@ import numpy as np
 from repro.datasets.base import DevSet
 from repro.obs import MetricsRegistry, filter_exposition, new_trace_id, recent_spans
 from repro.serving.registry import (
-    DEFAULT_TENANT,
     TenantConfig,
     TenantExistsError,
     TenantRegistry,
-    TenantUnavailableError,
     UnknownTenantError,
 )
-from repro.serving.service import BackPressureError, LabelingService, TicketStatus
+from repro.serving.service import BackPressureError, TicketStatus
 
 __all__ = ["LabelingHTTPServer", "ROUTES", "Route", "serve_http"]
 
@@ -144,75 +143,35 @@ def _route_of(method: str, path: str) -> str:
 
 
 class LabelingHTTPServer(ThreadingHTTPServer):
-    """HTTP front-end over a tenant registry (or one adopted service).
+    """HTTP front-end over a tenant registry.
 
     Parameters:
-        service: either a :class:`TenantRegistry` (serves every
-            registered tenant) or a started :class:`LabelingService` —
-            which is adopted as the ``default`` tenant of an internal
-            registry, preserving the original single-tenant contract.
+        tenants: the :class:`TenantRegistry` whose tenants the ``/v1``
+            routes serve; each tenant's queue bound and 429
+            ``Retry-After`` live in its :class:`TenantConfig`.
         address: ``(host, port)`` to bind; port 0 picks an ephemeral
             port (read it back from :attr:`port` / :attr:`url`).
-        max_queued_pixels: back-pressure bound for the *adopted* default
-            tenant (ignored when a registry is passed — each tenant's
-            bound lives in its :class:`TenantConfig`); ``None`` disables
-            shedding.
-        retry_after: 429 ``Retry-After`` header for the adopted default
-            tenant (per-tenant via :class:`TenantConfig` otherwise).
         registry: metrics registry backing ``/metrics`` and the HTTP
-            request counters; defaults to the service's / tenant
-            registry's.
+            request counters; defaults to ``tenants.metrics``.
         max_body_bytes: request bodies above this answer ``413
             payload_too_large`` without being read.
-        default_tenant: the tenant whose queue fields ``/healthz``
-            reports at the top level (registry form only; an adopted
-            service is always its own default).  Defaults to
-            ``"default"``.
     """
 
     daemon_threads = True
 
     def __init__(
         self,
-        service: LabelingService | TenantRegistry,
+        tenants: TenantRegistry,
         address: tuple[str, int] = ("127.0.0.1", 0),
         *,
-        max_queued_pixels: int | None = None,
-        retry_after: float = 1.0,
         registry: MetricsRegistry | None = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        default_tenant: str | None = None,
     ):
-        if max_queued_pixels is not None and max_queued_pixels < 1:
-            raise ValueError(f"max_queued_pixels must be >= 1, got {max_queued_pixels}")
-        if retry_after <= 0:
-            raise ValueError(f"retry_after must be > 0, got {retry_after}")
         if max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
-        self.max_queued_pixels = max_queued_pixels
-        self.retry_after = retry_after
+        self.tenants = tenants
+        self.registry = registry or tenants.metrics
         self.max_body_bytes = max_body_bytes
-        if isinstance(service, TenantRegistry):
-            self.tenants = service
-            self.service = None
-            self.default_tenant = default_tenant or DEFAULT_TENANT
-            self.registry = registry or service.metrics
-        else:
-            # Single-service form: adopt it as the default tenant, so
-            # /v1/tenants/<its id>/... and /healthz serve its state.
-            self.service = service
-            self.registry = registry or service.registry
-            self.tenants = TenantRegistry(metrics=self.registry)
-            self.default_tenant = service.tenant
-            self.tenants.adopt(
-                service.tenant,
-                service,
-                config=TenantConfig(
-                    mode=service.mode,
-                    max_queued_pixels=max_queued_pixels,
-                    retry_after=retry_after,
-                ),
-            )
         self.m_requests = self.registry.counter(
             "goggles_http_requests_total",
             "HTTP requests handled, by normalised route, status code, and tenant.",
@@ -247,13 +206,13 @@ class LabelingHTTPServer(ThreadingHTTPServer):
 
 
 def serve_http(
-    service: LabelingService | TenantRegistry,
+    tenants: TenantRegistry,
     host: str = "127.0.0.1",
     port: int = 0,
     **kwargs: object,
 ) -> LabelingHTTPServer:
     """Build a :class:`LabelingHTTPServer` and start it in the background."""
-    server = LabelingHTTPServer(service, (host, port), **kwargs)
+    server = LabelingHTTPServer(tenants, (host, port), **kwargs)
     server.serve_in_background()
     return server
 
@@ -363,6 +322,10 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 query = parse_qs(split.query)
                 getattr(self, route.handler)(match, query)
+        except Exception as error:  # noqa: BLE001 - an unmapped failure still gets a reply
+            if self._status_code:  # a reply already went out; nothing left to tell
+                raise
+            self._error(500, "internal_error", f"{type(error).__name__}: {error}")
         finally:
             self.server.m_request_seconds.observe(
                 time.monotonic() - started, route=self._route_label, tenant=self._tenant_label
@@ -439,15 +402,7 @@ class _Handler(BaseHTTPRequestHandler):
                               "tenant": wanted, **row})
             return
         stopped = any(row["state"] == "active" and not row.get("running") for row in rows.values())
-        payload: dict = {"status": "stopped" if stopped else "ok"}
-        # Back-compat: the default tenant's queue-depth fields stay at
-        # the top level, exactly where single-tenant clients read them.
-        default = rows.get(self.server.default_tenant)
-        if default is not None and default["state"] == "active":
-            for key in ("mode", "corpus_size", "queued_pixels", "max_queued_pixels",
-                        "queue_fill", "tickets_outstanding", "n_batches", "n_labeled", "online"):
-                payload[key] = default.get(key)
-        payload["tenants"] = rows
+        payload: dict = {"status": "stopped" if stopped else "ok", "tenants": rows}
         payload["registry"] = {
             "registered": len(rows),
             "active": sum(1 for row in rows.values() if row["state"] == "active"),
@@ -527,7 +482,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as error:
             self._error(400, "bad_request", str(error))
             return
-        self._reply(201, {"tenant": handle.describe(), "trace_id": self._trace_id})
+        self._reply(201, {"tenant": self.server.tenants.row(handle), "trace_id": self._trace_id})
 
     def _handle_tenants_evict(self, match: re.Match | None, query: dict[str, list[str]]) -> None:
         tenant_id = self._match_tenant(match)
@@ -574,9 +529,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         except UnknownTenantError:  # raced a concurrent remove
             self._error(404, "unknown_tenant", f"unknown tenant {tenant_id!r}")
-            return
-        except TenantUnavailableError as error:
-            self._error(503, "tenant_unavailable", str(error))
             return
         except RuntimeError as error:  # not started / stopping
             self._error(503, "service_unavailable", str(error))

@@ -1,21 +1,20 @@
 """Multi-tenant model registry: one process, many labeling tasks.
 
 GOGGLES' premise is that affinity coding generalises across domains,
-yet one ``serve`` process historically hosted exactly one fitted
-hierarchy.  The :class:`TenantRegistry` lifts that restriction: it maps
-``tenant_id -> TenantHandle`` where each handle owns a fitted corpus
-(its own :class:`~repro.core.goggles.Goggles`), a running
-:class:`~repro.serving.service.LabelingService` (and, in online mode,
-that service's :class:`~repro.online.OnlineSession`), and a per-tenant
-:class:`TenantConfig` — queue bound, 429 ``Retry-After``, serving mode.
+so one ``serve`` process hosts many fitted hierarchies.  The
+:class:`TenantRegistry` maps ``tenant_id -> TenantHandle``; each handle
+holds its tenant's reload recipe (seed corpus, dev set, pipeline
+config) and, while active, a running
+:class:`~repro.serving.service.LabelingService` over the tenant's own
+fitted :class:`~repro.core.goggles.Goggles` (and, in online mode, its
+:class:`~repro.online.OnlineSession`).  A per-tenant
+:class:`TenantConfig` holds the queue bound, 429 ``Retry-After`` and
+serving mode.
 
 Lifecycle verbs:
 
-* :meth:`TenantRegistry.register` — fit a new tenant from its seed
-  corpus + dev set and start serving it;
-* :meth:`TenantRegistry.adopt` — wrap an externally built, already
-  *started* service (the single-service HTTP form and the CLI both
-  adopt);
+* :meth:`TenantRegistry.register` — the only way a tenant enters
+  serving: fit it from its seed corpus + dev set and start serving it;
 * :meth:`TenantRegistry.activate` — transparent reload of an evicted
   tenant.  The rebuild goes through ``goggles.label`` on the retained
   seed corpus: with a cache directory every stage is a content-addressed
@@ -23,15 +22,16 @@ Lifecycle verbs:
   state), and without one the pipeline is still fully seeded — either
   way the reloaded tenant's posteriors are **bit-identical** to the
   pre-eviction ones (tests prove this);
-* :meth:`TenantRegistry.evict` — drain and drop the service + corpus
-  state while keeping the registration (the reload recipe);
+* :meth:`TenantRegistry.evict` — drain the service, close its
+  ``Goggles`` (and any distributed session that ``Goggles`` opened) and
+  drop the corpus state, keeping the registration (the reload recipe);
 * :meth:`TenantRegistry.remove` — evict and forget.
 
 Idle tenants are lazily evicted under a global ``memory_budget_bytes``:
 whenever the resident corpus bytes of all active tenants exceed the
-budget, the least-recently-requested reloadable tenants are evicted
-until it fits (the tenant that triggered enforcement is exempt).  The
-next request to an evicted tenant reloads it transparently.
+budget, the least-recently-requested tenants are evicted until it fits
+(the tenant that triggered enforcement is exempt).  The next request to
+an evicted tenant reloads it transparently.
 
 Isolation contract: every tenant has its own ``LabelingService`` (own
 queue, own worker thread, own ticket table) and its own queue-depth
@@ -47,6 +47,7 @@ label (the registry stamps each tenant's cache instance).
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import threading
 import time
@@ -62,18 +63,13 @@ from repro.serving.service import SERVICE_MODES, LabelingService, TicketStatus
 from repro.utils.threads import blas_threads
 
 __all__ = [
-    "DEFAULT_TENANT",
     "TENANT_ID_RE",
     "TenantConfig",
     "TenantExistsError",
     "TenantHandle",
     "TenantRegistry",
-    "TenantUnavailableError",
     "UnknownTenantError",
 ]
-
-#: The tenant single-service setups register under and ``/healthz`` reports first.
-DEFAULT_TENANT = "default"
 
 #: URL-safe tenant ids: they appear verbatim in ``/v1/tenants/<id>/...``
 #: paths and as Prometheus label values.
@@ -94,17 +90,6 @@ class TenantExistsError(ValueError):
     def __init__(self, tenant_id: str):
         self.tenant_id = tenant_id
         super().__init__(f"tenant {tenant_id!r} is already registered")
-
-
-class TenantUnavailableError(RuntimeError):
-    """The tenant is evicted and holds no reload recipe (adopted without
-    seed images), so it cannot be transparently reloaded."""
-
-    def __init__(self, tenant_id: str):
-        self.tenant_id = tenant_id
-        super().__init__(
-            f"tenant {tenant_id!r} is evicted and not reloadable (adopted without a seed recipe)"
-        )
 
 
 @dataclass(frozen=True)
@@ -136,6 +121,12 @@ class TenantConfig:
     online: OnlineConfig | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_classes", "max_queued_pixels", "ticket_retention", "max_batch"):
+            value = getattr(self, name)
+            # A JSON body decodes 2.5 and 2.0 as floats and true as a bool;
+            # none of them may reach the service as a count.
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mode not in SERVICE_MODES:
             raise ValueError(f"mode must be one of {SERVICE_MODES}, got {self.mode!r}")
         if self.n_classes is not None and self.n_classes < 2:
@@ -152,37 +143,26 @@ class TenantConfig:
 
 @dataclass
 class TenantHandle:
-    """One tenant's registration: live state plus the reload recipe.
+    """One tenant's registration: the reload recipe plus live state.
 
-    ``service``/``goggles`` are ``None`` while evicted; ``seed_images``
-    + ``dev_set`` + ``goggles_config`` are the recipe :meth:`TenantRegistry.
-    activate` rebuilds from (``None`` for adopted tenants without one).
+    ``seed_images`` + ``dev_set`` + ``goggles_config`` are the recipe
+    :meth:`TenantRegistry.activate` rebuilds from; ``service`` is the
+    running :class:`LabelingService` over the tenant's own ``Goggles``
+    (``service.goggles``), or ``None`` while evicted.
     """
 
     tenant_id: str
     config: TenantConfig
+    goggles_config: GogglesConfig
+    seed_images: np.ndarray
+    dev_set: DevSet
     service: LabelingService | None = None
-    goggles: Goggles | None = None
-    goggles_config: GogglesConfig | None = None
-    seed_images: np.ndarray | None = None
-    dev_set: DevSet | None = None
-    owns_goggles: bool = True
     last_request: float = field(default_factory=time.monotonic)
-    n_reloads: int = 0
-    n_evictions: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     @property
     def active(self) -> bool:
         return self.service is not None
-
-    @property
-    def reloadable(self) -> bool:
-        return (
-            self.seed_images is not None
-            and self.dev_set is not None
-            and self.goggles_config is not None
-        )
 
     def touch(self) -> None:
         self.last_request = time.monotonic()
@@ -190,10 +170,8 @@ class TenantHandle:
     def resident_bytes(self) -> int:
         """Estimated bytes of this tenant's resident corpus state
         (affinity values + retained per-layer arrays); 0 while evicted."""
-        goggles = self.goggles or (self.service.goggles if self.service is not None else None)
-        if goggles is None:
-            return 0
-        state = goggles.engine.state
+        service = self.service
+        state = None if service is None else service.goggles.engine.state
         if state is None:
             return 0
         total = sum(int(array.nbytes) for array in state.arrays.values())
@@ -203,17 +181,15 @@ class TenantHandle:
         return total
 
     def describe(self) -> dict:
-        """JSON-serialisable snapshot for ``GET /v1/tenants`` / healthz."""
+        """JSON-serialisable snapshot of the handle itself;
+        :meth:`TenantRegistry.row` adds the counts the registry keeps."""
         service = self.service
         row: dict = {
             "id": self.tenant_id,
             "state": "active" if service is not None else "evicted",
-            "mode": self.config.mode if service is None else service.mode,
-            "reloadable": self.reloadable,
+            "mode": self.config.mode,
             "max_queued_pixels": self.config.max_queued_pixels,
             "retry_after": self.config.retry_after,
-            "reloads": self.n_reloads,
-            "evictions": self.n_evictions,
             "resident_bytes": self.resident_bytes(),
             "last_request_age_seconds": round(time.monotonic() - self.last_request, 3),
         }
@@ -253,8 +229,8 @@ class TenantRegistry:
             one backbone per tenant.  ``None`` lets each tenant build
             its own from ``base_config.vgg``.
         memory_budget_bytes: global bound on the summed resident corpus
-            bytes of *active* tenants; exceeded -> LRU-idle reloadable
-            tenants are evicted (see :meth:`_enforce_budget`).
+            bytes of *active* tenants; exceeded -> LRU-idle tenants are
+            evicted (see :meth:`_enforce_budget`).
         metrics: registry for the ``goggles_tenant_*`` families and
             every tenant service's instruments; defaults process-wide.
 
@@ -324,10 +300,22 @@ class TenantRegistry:
             return sorted(self._handles)
 
     def describe(self) -> list[dict]:
-        """One :meth:`TenantHandle.describe` row per tenant, sorted."""
+        """One :meth:`row` per tenant, sorted by id."""
         with self._lock:
             handles = [self._handles[tid] for tid in sorted(self._handles)]
-        return [handle.describe() for handle in handles]
+        return [self.row(handle) for handle in handles]
+
+    def row(self, handle: TenantHandle) -> dict:
+        """``handle.describe()`` plus the tenant's ``reloads`` and
+        ``evictions``, read from the metrics registry that counts them
+        (so two registries sharing one metrics registry and one tenant
+        id read each other's events)."""
+        tenant = handle.tenant_id
+        return {
+            **handle.describe(),
+            "reloads": int(self._m_reloads.value(tenant=tenant)),
+            "evictions": int(self._m_evictions.value(tenant=tenant)),
+        }
 
     def resident_bytes(self) -> int:
         with self._lock:
@@ -337,16 +325,6 @@ class TenantRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def _reserve(self, tenant_id: str) -> None:
-        if not TENANT_ID_RE.match(tenant_id):
-            raise ValueError(
-                f"invalid tenant id {tenant_id!r}: must match {TENANT_ID_RE.pattern}"
-            )
-        with self._lock:
-            if tenant_id in self._handles or tenant_id in self._registering:
-                raise TenantExistsError(tenant_id)
-            self._registering.add(tenant_id)
-
     def _tenant_goggles_config(self, config: TenantConfig) -> GogglesConfig:
         base = self.base_config or GogglesConfig()
         return replace(
@@ -356,32 +334,31 @@ class TenantRegistry:
             keep_corpus_state=True,  # incremental serving extends the retained state
         )
 
-    def _build_service(
-        self,
-        tenant_id: str,
-        goggles_config: GogglesConfig,
-        seed_images: np.ndarray,
-        dev_set: DevSet,
-        config: TenantConfig,
-    ) -> tuple[Goggles, LabelingService]:
-        goggles = Goggles(goggles_config, model=self.model)
-        if goggles.engine.cache is not None:
-            # The cache directory is shared (content addressing keeps
-            # tenants from colliding); the metric label is per-tenant.
-            goggles.engine.cache.tenant = tenant_id
-        service = LabelingService(
-            goggles,
-            dev_set,
-            tenant=tenant_id,
-            mode=config.mode,
-            warm_start=config.warm_start,
-            ticket_retention=config.ticket_retention,
-            max_batch=config.max_batch,
-            online=config.online,
-            registry=self.metrics,
-        )
-        service.start(seed_images)
-        return goggles, service
+    def _start(self, handle: TenantHandle) -> LabelingService:
+        """Fit the handle's recipe on a fresh ``Goggles`` and start serving it."""
+        goggles = Goggles(handle.goggles_config, model=self.model)
+        try:
+            if goggles.engine.cache is not None:
+                # The cache directory is shared (content addressing keeps
+                # tenants from colliding); the metric label is per-tenant.
+                goggles.engine.cache.tenant = handle.tenant_id
+            config = handle.config
+            service = LabelingService(
+                goggles,
+                handle.dev_set,
+                tenant=handle.tenant_id,
+                mode=config.mode,
+                warm_start=config.warm_start,
+                ticket_retention=config.ticket_retention,
+                max_batch=config.max_batch,
+                online=config.online,
+                registry=self.metrics,
+            )
+            service.start(handle.seed_images)
+        except BaseException:
+            goggles.close()  # a failed fit must not leak a distributed session
+            raise
+        return service
 
     def register(
         self,
@@ -392,73 +369,39 @@ class TenantRegistry:
     ) -> TenantHandle:
         """Fit a new tenant on its seed corpus and start serving it.
 
+        The only way a tenant enters serving: the seed corpus, dev set
+        and pipeline config stay on the handle as its reload recipe.
         The fit runs outside the registry lock (only the id is reserved
         under it), so registering one tenant never blocks traffic to the
         others.  Raises :class:`TenantExistsError` on a duplicate id and
         ``ValueError`` on an invalid one.
         """
         config = config or TenantConfig()
-        self._reserve(tenant_id)
-        try:
-            seed_images = np.asarray(images)
-            goggles_config = self._tenant_goggles_config(config)
-            goggles, service = self._build_service(
-                tenant_id, goggles_config, seed_images, dev_set, config
+        if not TENANT_ID_RE.match(tenant_id):
+            raise ValueError(
+                f"invalid tenant id {tenant_id!r}: must match {TENANT_ID_RE.pattern}"
             )
+        with self._lock:
+            if tenant_id in self._handles or tenant_id in self._registering:
+                raise TenantExistsError(tenant_id)
+            self._registering.add(tenant_id)
+        try:
+            handle = TenantHandle(
+                tenant_id=tenant_id,
+                config=config,
+                goggles_config=self._tenant_goggles_config(config),
+                seed_images=np.asarray(images),
+                dev_set=dev_set,
+            )
+            handle.service = self._start(handle)
         except BaseException:
             with self._lock:
                 self._registering.discard(tenant_id)
             raise
-        handle = TenantHandle(
-            tenant_id=tenant_id,
-            config=config,
-            service=service,
-            goggles=goggles,
-            goggles_config=goggles_config,
-            seed_images=seed_images,
-            dev_set=dev_set,
-        )
         with self._lock:
             self._registering.discard(tenant_id)
             self._handles[tenant_id] = handle
         self._enforce_budget(keep=tenant_id)
-        return handle
-
-    def adopt(
-        self,
-        tenant_id: str,
-        service: LabelingService,
-        *,
-        config: TenantConfig | None = None,
-        seed_images: np.ndarray | None = None,
-        dev_set: DevSet | None = None,
-    ) -> TenantHandle:
-        """Wrap an externally built, already *started* service.
-
-        Supplying ``seed_images`` (+ optionally ``dev_set``, defaulting
-        to the service's) makes the tenant reloadable after eviction;
-        without them eviction is permanent for this tenant
-        (:class:`TenantUnavailableError` on the next request).  The
-        adopted ``Goggles`` stays caller-owned: the registry never
-        closes it.
-        """
-        config = config or TenantConfig(mode=service.mode)
-        self._reserve(tenant_id)
-        if service.goggles.engine.cache is not None:
-            service.goggles.engine.cache.tenant = tenant_id
-        handle = TenantHandle(
-            tenant_id=tenant_id,
-            config=config,
-            service=service,
-            goggles=service.goggles,
-            goggles_config=service.goggles.config if seed_images is not None else None,
-            seed_images=None if seed_images is None else np.asarray(seed_images),
-            dev_set=dev_set if dev_set is not None else service.dev_set,
-            owns_goggles=False,
-        )
-        with self._lock:
-            self._registering.discard(tenant_id)
-            self._handles[tenant_id] = handle
         return handle
 
     # ------------------------------------------------------------------
@@ -478,37 +421,23 @@ class TenantRegistry:
         with handle.lock:
             if handle.service is not None:
                 return handle
-            if not handle.reloadable:
-                raise TenantUnavailableError(tenant_id)
-            assert handle.goggles_config is not None
-            assert handle.seed_images is not None and handle.dev_set is not None
-            goggles, service = self._build_service(
-                tenant_id, handle.goggles_config, handle.seed_images, handle.dev_set, handle.config
-            )
-            handle.goggles = goggles
-            handle.service = service
-            handle.owns_goggles = True
-            handle.n_reloads += 1
+            handle.service = self._start(handle)
         self._m_reloads.inc(tenant=tenant_id)
         return handle
 
     def evict(self, tenant_id: str, *, wait: bool = True) -> bool:
-        """Drain and drop the tenant's service + corpus state, keeping
-        the registration.  Returns whether anything was evicted.
+        """Drain and drop the tenant's service, closing its ``Goggles``
+        (and any distributed session that ``Goggles`` opened), while
+        keeping the registration.  Returns whether anything was evicted.
         Outstanding tickets are dropped with the service — post-eviction
         polls answer 404, as after ticket expiry."""
         handle = self.get(tenant_id)
         with handle.lock:
-            service, goggles = handle.service, handle.goggles
-            handle.service = None
-            handle.goggles = None
+            service, handle.service = handle.service, None
             if service is None:
                 return False
-            owns = handle.owns_goggles
-            handle.n_evictions += 1
             service.stop(wait=wait)
-            if owns and goggles is not None:
-                goggles.close()
+            service.goggles.close()
         self._m_evictions.inc(tenant=tenant_id)
         return True
 
@@ -527,10 +456,8 @@ class TenantRegistry:
     def _enforce_budget(self, keep: str | None = None) -> None:
         """Evict least-recently-requested tenants past the memory budget.
 
-        Only *reloadable* tenants are candidates (evicting one without a
-        recipe would permanently kill it to save memory), and ``keep`` —
-        the tenant that triggered enforcement — is exempt so serving one
-        request can never evict its own tenant.
+        ``keep`` — the tenant that triggered enforcement — is exempt so
+        serving one request can never evict its own tenant.
         """
         budget = self.memory_budget_bytes
         if budget is None:
@@ -542,7 +469,7 @@ class TenantRegistry:
         for handle in sorted(active, key=lambda h: h.last_request):
             if total <= budget:
                 break
-            if handle.tenant_id == keep or not handle.reloadable:
+            if handle.tenant_id == keep:
                 continue
             size = handle.resident_bytes()
             if self.evict(handle.tenant_id):
@@ -589,7 +516,7 @@ class TenantRegistry:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
-        """Stop every tenant's service (drain) and release owned state.
+        """Evict every tenant: drain its service and close its ``Goggles``.
 
         Registrations survive (a closed registry could activate again),
         but normal callers simply drop the registry afterwards."""

@@ -170,8 +170,6 @@ class LabelingService:
         self._counter = 0
         self._worker: threading.Thread | None = None
         self._stopping = False
-        self._n_batches = 0
-        self._n_labeled = 0
         self._inflight_pixels = 0
         self.registry = registry or default_registry()
         self._init_metrics()
@@ -286,13 +284,17 @@ class LabelingService:
 
     @property
     def n_batches(self) -> int:
-        """Incremental runs executed so far (arrivals coalesce)."""
-        return self._n_batches
+        """Coalesced batches executed so far, failed ones included.
+
+        Like :attr:`n_labeled`, read from :attr:`registry`: the total of
+        every service counting into it under this tenant id (and mode).
+        """
+        return int(self._m_batches.value(mode=self.mode, tenant=self.tenant))
 
     @property
     def n_labeled(self) -> int:
         """Streamed instances labeled so far (excludes the seed corpus)."""
-        return self._n_labeled
+        return int(self._m_labeled.value(tenant=self.tenant))
 
     @property
     def tickets_outstanding(self) -> int:
@@ -453,11 +455,11 @@ class LabelingService:
                 )
             )
             offset += rows
-        self._resolve(batch, statuses)
-        self._n_batches += 1
-        self._n_labeled += int(labels.shape[0])
+        # Count before resolving, so a caller woken by its ticket reads
+        # n_batches and n_labeled that already include its batch.
         self._m_batches.inc(mode=self.mode, tenant=self.tenant)
         self._m_labeled.inc(int(labels.shape[0]), tenant=self.tenant)
+        self._resolve(batch, statuses)
 
     def _resolve(self, batch: list[_Submission], statuses: list[TicketStatus]) -> None:
         """Publish statuses, release the submitted pixels, expire old tickets."""

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import re
+import time
+import urllib.request
+
 import pytest
 
 from repro import cli
@@ -160,6 +166,36 @@ class TestCli:
         out = capsys.readouterr().out
         assert "acme-t" in out  # streamed tickets carry the tenant namespace
 
+    def test_serve_over_http_registers_its_tenant(self, capsys, monkeypatch):
+        """``serve --http-port`` registers its tenant and serves it until Ctrl-C."""
+        rows: list[dict] = []
+        sleep = time.sleep
+
+        def interrupt(seconds: float) -> None:
+            if seconds != 3600:  # only the serve loop's wait is the operator's Ctrl-C
+                return sleep(seconds)
+            url = re.search(r"HTTP front-end on (\S+)", capsys.readouterr().out).group(1)
+            with urllib.request.urlopen(f"{url}/v1/tenants", timeout=30.0) as response:
+                rows.extend(json.loads(response.read())["tenants"])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.time, "sleep", interrupt)
+        code = main([
+            "--n-per-class",
+            "8",
+            "--dev-per-class",
+            "2",
+            "serve",
+            "--dataset",
+            "surface",
+            "--http-port",
+            "0",
+            "--tenant",
+            "acme",
+        ])
+        assert code == 0
+        assert [(row["id"], row["state"]) for row in rows] == [("acme", "active")]
+
     def test_metrics_tenant_filter(self, capsys):
         from repro.obs import default_registry
 
@@ -247,6 +283,29 @@ class TestDistributedCli:
         assert "coordinator listening on" in out
         assert "labeling accuracy" in out
         assert "shards:" in out and "completed" in out
+
+    def test_serve_streams_on_its_tenants_session_and_closes_it(self, capsys):
+        """Under ``--executor distributed`` the tenant's Goggles opens the
+        session, and closing the registry closes it: no worker outlives
+        the command."""
+        code = main([
+            "--n-per-class",
+            "8",
+            "--dev-per-class",
+            "2",
+            "--executor",
+            "distributed",
+            "--n-jobs",
+            "1",
+            "serve",
+            "--dataset",
+            "surface",
+            "--stream-batch",
+            "4",
+        ])
+        assert code == 0
+        assert "streaming accuracy" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
 
     def test_worker_requires_valid_address(self):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import Goggles, GogglesConfig
+from repro.obs import MetricsRegistry
 from repro.serving import LabelingService
 
 TIMEOUT = 120.0  # generous per-ticket wait; CI boxes can be slow
@@ -22,7 +23,8 @@ def service_setup(vgg, small_surface):
     assert dev.indices.max() < n0  # dev must live in the seed corpus
     config = GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), n_jobs=2)
     goggles = Goggles(config, model=vgg)
-    service = LabelingService(goggles, dev)
+    # n_labeled reads the metrics registry: a fresh one counts this service only.
+    service = LabelingService(goggles, dev, registry=MetricsRegistry())
     yield service, images, n0, dev, config
     service.stop()
 
@@ -188,7 +190,10 @@ class TestConcurrentSubmitters:
         n0 = images.shape[0] - 6
         dev = small_surface.sample_dev_set(per_class=3, seed=0)
         config = GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2))
-        service = LabelingService(Goggles(config, model=vgg), dev, ticket_retention=ticket_retention)
+        service = LabelingService(
+            Goggles(config, model=vgg), dev, ticket_retention=ticket_retention,
+            registry=MetricsRegistry(),  # n_labeled counts this service only
+        )
         service.start(images[:n0])
         return service, images, n0
 

@@ -18,12 +18,14 @@ import numpy as np
 import pytest
 
 from repro.core import Goggles, GogglesConfig
-from repro.serving import LabelingHTTPServer, LabelingService, serve_http
+from repro.obs import MetricsRegistry
+from repro.serving import LabelingHTTPServer, LabelingService, TenantConfig, TenantRegistry, serve_http
 
 TIMEOUT = 120.0
-# A started service is adopted as tenant "default" of the server's registry.
+CONFIG = GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), n_jobs=2)
 SUBMIT = "/v1/tenants/default/submit"
 POLL = "/v1/tenants/default/poll"
+BOUNDED_SUBMIT = "/v1/tenants/bounded/submit"
 SUBMIT_ROUTE = "/v1/tenants/{id}/submit"  # the bounded route label
 
 
@@ -49,18 +51,24 @@ def _npy_bytes(images: np.ndarray) -> bytes:
 
 @pytest.fixture(scope="module")
 def http_setup(vgg, small_surface):
-    """One started service + HTTP server shared by the module's tests."""
+    """One tenant registry + HTTP server shared by the module's tests.
+
+    Tenant ``default`` is unbounded; ``bounded`` has a 1-pixel queue
+    bound, so every submission to it sheds deterministically (the check
+    runs before the queue is touched).  Yields the server, the
+    ``default`` tenant's service, the images and the seed size.
+    """
     images = small_surface.images
     n0 = images.shape[0] - 6
     dev = small_surface.sample_dev_set(per_class=3, seed=0)
     assert dev.indices.max() < n0
-    goggles = Goggles(GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), n_jobs=2), model=vgg)
-    service = LabelingService(goggles, dev)
-    service.start(images[:n0])
-    server = serve_http(service)
+    tenants = TenantRegistry(base_config=CONFIG, model=vgg, metrics=MetricsRegistry())
+    service = tenants.register("default", images[:n0], dev).service
+    tenants.register("bounded", images[:n0], dev, TenantConfig(max_queued_pixels=1, retry_after=7.0))
+    server = serve_http(tenants)
     yield server, service, images, n0
     server.shutdown()
-    service.stop()
+    tenants.close()
 
 
 class TestRoutes:
@@ -101,9 +109,10 @@ class TestRoutes:
 
     def test_healthz_reports_load(self, http_setup):
         server, service, _, n0 = http_setup
-        code, health = _get(f"{server.url}/healthz")
+        code, payload = _get(f"{server.url}/healthz")
         assert code == 200
-        assert health["status"] == "ok"
+        assert payload["status"] == "ok"
+        health = payload["tenants"]["default"]
         assert health["mode"] == "batch"
         assert health["corpus_size"] >= n0
         assert health["queued_pixels"] == 0
@@ -114,16 +123,11 @@ class TestRoutes:
         assert health["online"] is None  # batch mode carries no online stats
 
     def test_healthz_queue_fill_against_bound(self, http_setup):
-        _, service, *_ = http_setup
-        server = LabelingHTTPServer(service, max_queued_pixels=10_000)
-        server.serve_in_background()
-        try:
-            _, health = _get(f"{server.url}/healthz")
-            assert health["max_queued_pixels"] == 10_000
-            # The shed-before-429 signal a load balancer watches.
-            assert health["queue_fill"] == pytest.approx(health["queued_pixels"] / 10_000)
-        finally:
-            server.shutdown()
+        server, *_ = http_setup
+        _, health = _get(f"{server.url}/healthz?tenant=bounded")
+        assert health["max_queued_pixels"] == 1
+        # The shed-before-429 signal a load balancer watches.
+        assert health["queue_fill"] == pytest.approx(health["queued_pixels"] / 1)
 
     def test_healthz_reports_online_session(self, vgg, small_surface):
         """An online-mode service surfaces the session's step/drift
@@ -133,23 +137,20 @@ class TestRoutes:
         images = small_surface.images
         n0 = images.shape[0] - 6
         dev = small_surface.sample_dev_set(per_class=3, seed=0)
-        config = GogglesConfig(
-            n_classes=2,
-            seed=0,
-            top_z=3,
-            layers=(1, 2),
-            online=OnlineConfig(drift_threshold=100.0),
-        )
-        service = LabelingService(Goggles(config, model=vgg), dev, mode="online")
-        service.start(images[:n0])
-        server = serve_http(service)
+        config = GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2))
+        tenants = TenantRegistry(base_config=config, model=vgg, metrics=MetricsRegistry())
+        online = OnlineConfig(drift_threshold=100.0)
+        service = tenants.register(
+            "default", images[:n0], dev, TenantConfig(mode="online", online=online)
+        ).service
+        server = serve_http(tenants)
         try:
             code, payload, _ = _post(
                 f"{server.url}{SUBMIT}", _npy_bytes(images[n0:]), "application/octet-stream"
             )
             assert code == 202
             assert service.result(payload["ticket"], timeout=TIMEOUT).done
-            _, health = _get(f"{server.url}/healthz")
+            _, health = _get(f"{server.url}/healthz?tenant=default")
             assert health["mode"] == "online"
             online = health["online"]
             assert online is not None
@@ -160,7 +161,7 @@ class TestRoutes:
             assert "ewma_log_likelihood" in online
         finally:
             server.shutdown()
-            service.stop()
+            tenants.close()
 
     def test_unknown_ticket_404(self, http_setup):
         server, *_ = http_setup
@@ -190,25 +191,18 @@ class TestRoutes:
 
 class TestBackPressure:
     def test_429_with_retry_after_when_over_bound(self, http_setup):
-        _, service, images, n0 = http_setup
-        # A bound of 1 pixel sheds any real submission deterministically
-        # (the check runs before the queue is touched).
-        server = LabelingHTTPServer(service, max_queued_pixels=1, retry_after=7.0)
-        server.serve_in_background()
-        try:
-            code, payload, headers = _post(
-                f"{server.url}{SUBMIT}",
-                _npy_bytes(images[n0 : n0 + 1]),
-                "application/octet-stream",
-            )
-            assert code == 429
-            assert headers["Retry-After"] == "7"
-            assert payload["error"]["max_queued_pixels"] == 1
-            # healthz still serves; the bound is reported.
-            _, health = _get(f"{server.url}/healthz")
-            assert health["max_queued_pixels"] == 1
-        finally:
-            server.shutdown()
+        server, _, images, n0 = http_setup
+        code, payload, headers = _post(
+            f"{server.url}{BOUNDED_SUBMIT}",
+            _npy_bytes(images[n0 : n0 + 1]),
+            "application/octet-stream",
+        )
+        assert code == 429
+        assert headers["Retry-After"] == "7"
+        assert payload["error"]["max_queued_pixels"] == 1
+        # healthz still serves; the bound is reported.
+        _, health = _get(f"{server.url}/healthz?tenant=bounded")
+        assert health["max_queued_pixels"] == 1
 
     def test_submit_bound_is_atomic(self, http_setup):
         """The bound check lives inside submit, under the service lock,
@@ -281,11 +275,9 @@ class TestObservability:
             assert line.startswith("#") or " " in line, f"malformed line {line!r}"
 
     def test_http_request_counters_reconcile(self, http_setup):
-        from repro.obs import MetricsRegistry
-
-        _, service, images, n0 = http_setup
+        shared, service, images, n0 = http_setup
         registry = MetricsRegistry()
-        server = LabelingHTTPServer(service, registry=registry)
+        server = LabelingHTTPServer(shared.tenants, registry=registry)
         server.serve_in_background()
         try:
             code, payload, _ = _post(
@@ -309,10 +301,8 @@ class TestObservability:
             server.shutdown()
 
     def test_healthz_http_section(self, http_setup):
-        _, service, *_ = http_setup
-        from repro.obs import MetricsRegistry
-
-        server = LabelingHTTPServer(service, registry=MetricsRegistry())
+        shared, *_ = http_setup
+        server = LabelingHTTPServer(shared.tenants, registry=MetricsRegistry())
         server.serve_in_background()
         try:
             _, first = _get(f"{server.url}/healthz")
@@ -330,22 +320,22 @@ class TestObservability:
             server.shutdown()
 
     def test_shed_counter_tracks_429s(self, http_setup):
-        from repro.obs import MetricsRegistry
-
-        _, service, images, n0 = http_setup
+        shared, _, images, n0 = http_setup
         registry = MetricsRegistry()
-        server = LabelingHTTPServer(service, max_queued_pixels=1, registry=registry)
+        server = LabelingHTTPServer(shared.tenants, registry=registry)
         server.serve_in_background()
         try:
             for _ in range(3):
                 code, *_ = _post(
-                    f"{server.url}{SUBMIT}", _npy_bytes(images[n0 : n0 + 1]), "application/octet-stream"
+                    f"{server.url}{BOUNDED_SUBMIT}",
+                    _npy_bytes(images[n0 : n0 + 1]),
+                    "application/octet-stream",
                 )
                 assert code == 429
             assert registry.get("goggles_http_shed_total").total() == 3
             counter = registry.get("goggles_http_requests_total")
             deadline = time.monotonic() + 5.0
-            while counter.value(route=SUBMIT_ROUTE, status="429", tenant="default") < 3:
+            while counter.value(route=SUBMIT_ROUTE, status="429", tenant="bounded") < 3:
                 assert time.monotonic() < deadline, "429s never counted"
                 time.sleep(0.01)
             _, health = _get(f"{server.url}/healthz")
@@ -406,11 +396,9 @@ class TestObservability:
             assert json.loads(error.read())["error"]["code"] == "unknown_trace"
 
     def test_healthz_distributed_section(self, http_setup):
-        from repro.obs import MetricsRegistry
-
-        _, service, *_ = http_setup
+        shared, *_ = http_setup
         registry = MetricsRegistry()
-        server = LabelingHTTPServer(service, registry=registry)
+        server = LabelingHTTPServer(shared.tenants, registry=registry)
         server.serve_in_background()
         try:
             # No distributed series: the section stays out entirely.
@@ -448,10 +436,3 @@ class TestObservability:
         assert headers["X-Trace-Id"] == payload["trace_id"]
         assert service.result(payload["ticket"], timeout=TIMEOUT).done
 
-
-def test_validation():
-    service = object.__new__(LabelingService)  # bound checks need no service
-    with pytest.raises(ValueError, match="max_queued_pixels"):
-        LabelingHTTPServer(service, max_queued_pixels=0)
-    with pytest.raises(ValueError, match="retry_after"):
-        LabelingHTTPServer(service, retry_after=0.0)

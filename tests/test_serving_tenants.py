@@ -31,7 +31,6 @@ from repro.serving import (
     TenantConfig,
     TenantExistsError,
     TenantRegistry,
-    TenantUnavailableError,
     UnknownTenantError,
     serve_http,
 )
@@ -232,7 +231,9 @@ class TestEvictReload:
                 after.probabilistic_labels, before.probabilistic_labels
             )
             assert after.predictions.tolist() == before.predictions.tolist()
-            assert handle.n_reloads == 1
+            # The row reads both counts from the metrics registry.
+            (row,) = [row for row in registry.describe() if row["id"] == "cycle"]
+            assert (row["reloads"], row["evictions"]) == (1, 1)
             metrics = registry.metrics
             assert metrics.get("goggles_tenant_evictions_total").value(tenant="cycle") == 1
             assert metrics.get("goggles_tenant_reloads_total").value(tenant="cycle") == 1
@@ -269,25 +270,9 @@ class TestEvictReload:
             )
             assert hits.total() > baseline  # the reload actually hit the cache
 
-    def test_adopted_without_recipe_is_not_reloadable(self, stack, vgg, small_surface):
-        registry, _, _ = stack
-        seed, _, dev = _split(small_surface)
-        goggles = Goggles(CONFIG, model=vgg)
-        service = LabelingService(goggles, dev, tenant="adopted", registry=registry.metrics)
-        service.start(seed)
-        try:
-            handle = registry.adopt("adopted", service)
-            assert not handle.reloadable
-            assert registry.evict("adopted")
-            with pytest.raises(TenantUnavailableError):
-                registry.activate("adopted")
-        finally:
-            registry.remove("adopted")
-            goggles.close()  # adopted goggles stay caller-owned
-
     def test_memory_budget_evicts_lru_idle(self, vgg, small_surface, small_cub):
-        """Past the budget the least-recently-requested reloadable tenant
-        is evicted; the requesting tenant itself is exempt."""
+        """Past the budget the least-recently-requested tenant is
+        evicted; the requesting tenant itself is exempt."""
         surface_seed, surface_queries, surface_dev = _split(small_surface)
         cub_seed, _, cub_dev = _split(small_cub)
         with TenantRegistry(
@@ -408,6 +393,74 @@ class TestHTTPTenantAPI:
         )
         assert code == 404
         assert gone["error"]["code"] == "unknown_tenant"
+
+    @pytest.mark.parametrize(
+        "field", ["n_classes", "max_queued_pixels", "ticket_retention", "max_batch"]
+    )
+    def test_register_rejects_non_integer_counts(self, stack, field):
+        """A count that is not an integer answers 400 and registers nothing.
+
+        JSON decodes 2.5 and 2.0 as floats and ``true`` as a bool; a
+        float ``max_batch`` used to kill the tenant's worker on its first
+        batch, and a float ``n_classes`` dropped the connection mid-fit.
+        """
+        registry, server, data = stack
+        seed, _, dev = data["alpha"]
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                TenantConfig(**{field: bad})
+        assert getattr(TenantConfig(**{field: np.int64(4)}), field) == 4
+        tenant_id = "bad-" + field.replace("_", "-")
+        body = json.dumps(
+            {
+                "tenant_id": tenant_id,
+                "images": seed.tolist(),
+                "dev_indices": dev.indices.tolist(),
+                "dev_labels": dev.labels.tolist(),
+                field: 2.5,
+            }
+        ).encode()
+        code, payload, _ = _request(
+            "POST", f"{server.url}/v1/tenants", body, {"Content-Type": "application/json"}
+        )
+        assert code == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert field in payload["error"]["message"]
+        assert tenant_id not in registry
+
+    def test_unmapped_exception_answers_500(self, stack, monkeypatch):
+        """An exception no handler maps still gets the error envelope,
+        and the request counter counts the 500 that was sent."""
+        registry, server, data = stack
+        seed, _, dev = data["alpha"]
+
+        def boom(*args: object, **kwargs: object) -> None:
+            raise RuntimeError("simulated registry failure")
+
+        monkeypatch.setattr(registry, "register", boom)
+        body = json.dumps(
+            {
+                "tenant_id": "boom",
+                "images": seed[:2].tolist(),
+                "dev_indices": dev.indices[:1].tolist(),
+                "dev_labels": dev.labels[:1].tolist(),
+            }
+        ).encode()
+        code, payload, headers = _request(
+            "POST", f"{server.url}/v1/tenants", body,
+            {"Content-Type": "application/json", "X-Trace-Id": "trace-boom-500"},
+        )
+        assert code == 500
+        assert payload["error"]["code"] == "internal_error"
+        assert payload["error"]["trace_id"] == "trace-boom-500"
+        assert headers["X-Trace-Id"] == "trace-boom-500"
+        # Request counters land after the reply bytes; wait for it.
+        counter = registry.metrics.get("goggles_http_requests_total")
+        deadline = time.monotonic() + 5.0
+        while counter.value(route="/v1/tenants", status="500", tenant="boom") < 1:
+            assert time.monotonic() < deadline, "the 500 was never counted"
+            time.sleep(0.01)
+        assert counter.value(route="/v1/tenants", status="500", tenant="boom") == 1
 
     def test_register_missing_field_400(self, stack):
         _, server, _ = stack
