@@ -45,6 +45,7 @@ from repro.eval.harness import (
 from repro.eval.paper import TABLE1_METHODS, TABLE1_PAPER, TABLE2_METHODS, TABLE2_PAPER
 from repro.eval.tables import format_comparison_table, format_curve
 from repro.nn import VGG16
+from repro.obs import default_registry, filter_exposition
 from repro.serving import TenantConfig, TenantRegistry, serve_http
 from repro.utils.rng import derive_seed
 from repro.utils.threads import usable_cores
@@ -88,18 +89,23 @@ def _cmd_label(args: argparse.Namespace) -> int:
     # cache directory persists it for a later incremental/serve run.
     keep_state = args.cache_dir is not None and not args.no_keep_corpus_state
     with Goggles(_goggles_config(args, dataset.n_classes, keep_corpus_state=keep_state)) as goggles:
+        before = None if goggles.engine.cache is None else _cache_counts()
         result = goggles.label(dataset.images, dev)
     accuracy = result.accuracy(dataset.labels, exclude=dev.indices)
     print(f"dataset: {dataset.name}")
     print(f"instances: {dataset.n_examples} (dev {dev.size})")
     print(f"labeling accuracy (dev excluded): {100 * accuracy:.2f}%")
-    if goggles.engine.cache is not None:
-        stats = goggles.engine.cache.stats
-        print(
-            f"engine cache: {stats.total_hits} hits, {stats.total_misses} misses, "
-            f"{stats.evictions} evictions"
-        )
+    if before is not None:
+        hits, misses, evictions = (now - then for now, then in zip(_cache_counts(), before))
+        print(f"engine cache: {hits} hits, {misses} misses, {evictions} evictions")
     return 0
+
+
+def _cache_counts() -> list[int]:
+    """The artifact-cache hits, misses and evictions this process has counted."""
+    registry = default_registry()
+    names = ("hits", "misses", "evictions")
+    return [int(registry.get(f"goggles_cache_{name}_total").total()) for name in names]
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -307,11 +313,6 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
         print(f"  {kind:>10}: {count} entries, {total} bytes")
     print(f"total: {sum(c for c, _ in kinds.values())} entries, {cache.total_bytes()} bytes"
           + (f" (budget {cache.max_bytes})" if cache.max_bytes is not None else " (unbounded)"))
-    stats = cache.stats
-    print(
-        f"this process: {stats.total_hits} hits, {stats.total_misses} misses, "
-        f"{stats.evictions} evictions"
-    )
     return 0
 
 
@@ -337,8 +338,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             print(f"error: cannot scrape {url}: {error}", file=sys.stderr)
             return 1
         return 0
-    from repro.obs import default_registry, filter_exposition
-
     text = default_registry().render()
     if args.tenant:
         text = filter_exposition(text, tenant=args.tenant)
@@ -662,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
     worker.set_defaults(fn=_cmd_worker)
 
     cache_info = sub.add_parser(
-        "cache-info", help="inspect the shared artifact cache (entries, bytes, stats)"
+        "cache-info", help="inspect the shared artifact cache (entries, bytes, budget)"
     )
     cache_info.set_defaults(fn=_cmd_cache_info)
 

@@ -15,13 +15,16 @@ the paper's exact column layout: ``A[i, j] = f_{j // N}(x_i, x_{j % N})``
 prototype matrix is built by
 :class:`repro.engine.source.PrototypeAffinitySource` through
 :class:`repro.engine.AffinityEngine`.
+
+Both containers turn into flat array bundles and back
+(``arrays``/``from_arrays``); :class:`repro.engine.ArtifactCache` is the
+only code that writes those bundles to disk or reads them back.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO
 
 import numpy as np
 
@@ -104,70 +107,75 @@ class AffinityMatrix:
         blocks = [self.block(f)[np.ix_(indices, indices)] for f in range(self.n_functions)]
         return AffinityMatrix(values=np.concatenate(blocks, axis=1), function_ids=self.function_ids)
 
-    def save(self, path: "str | BinaryIO") -> None:
-        """Persist to an ``.npz`` file (affinity matrices are the
-        expensive artifact of step 1, worth caching across experiments;
-        the original GOGGLES release caches them the same way).
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays that store this matrix (see :meth:`from_arrays`).
 
-        Alongside the values the file records the block count and
-        whether the matrix carried function ids, so :meth:`load` can
-        distinguish "built without ids" from "ids were lost".
+        Affinity matrices are the expensive artifact of step 1, worth
+        caching across experiments (the original GOGGLES release caches
+        them the same way).  Alongside the values the arrays record the
+        block count and whether the matrix carried function ids.
         """
-        layers = np.array([fid.layer for fid in self.function_ids], dtype=np.int64)
-        zs = np.array([fid.z for fid in self.function_ids], dtype=np.int64)
-        np.savez_compressed(
-            path,
-            values=self.values,
-            layers=layers,
-            zs=zs,
-            n_functions=np.int64(self.n_functions),
-            has_function_ids=np.bool_(bool(self.function_ids)),
-        )
+        return {
+            "values": self.values,
+            **_encode_function_ids(self.function_ids),
+            "n_functions": np.int64(self.n_functions),
+        }
 
     @classmethod
-    def load(cls, path: "str | BinaryIO") -> "AffinityMatrix":
-        """Load a matrix previously stored with :meth:`save`.
-
-        Accepts a path or an open binary file object, mirroring
-        :meth:`save` — streamed and cache-backed consumers hold file
-        handles, not names.
+    def from_arrays(cls, stored: dict[str, np.ndarray]) -> "AffinityMatrix":
+        """The matrix :meth:`arrays` stored.
 
         Raises:
-            ValueError: if the stored function ids disagree with the
-                matrix's column-block count — a truncated or manually
-                edited file — instead of silently dropping the ids.
+            KeyError: if an array is missing.
+            ValueError: if the values are not ``(N, α·N)``, or the
+                recorded block count or function ids disagree with
+                them, instead of silently dropping the ids.
         """
-        label = path if isinstance(path, str) else getattr(path, "name", "<binary file>")
-        with np.load(path) as data:
-            values = data["values"]
-            ids = tuple(
-                AffinityFunctionId(layer=int(layer), z=int(z))
-                for layer, z in zip(data["layers"], data["zs"])
-            )
-            stored_alpha = int(data["n_functions"]) if "n_functions" in data else None
-            had_ids = bool(data["has_function_ids"]) if "has_function_ids" in data else None
+        values = stored["values"]
         if values.ndim != 2 or values.shape[0] == 0 or values.shape[1] % values.shape[0]:
-            raise ValueError(f"{label!r} does not hold a valid (N, alpha*N) affinity matrix")
+            raise ValueError(f"values shaped {values.shape} are not a valid (N, alpha*N) affinity matrix")
         alpha = values.shape[1] // values.shape[0]
-        if stored_alpha is not None and stored_alpha != alpha:
+        if "n_functions" in stored and int(stored["n_functions"]) != alpha:
             raise ValueError(
-                f"{label!r} records {stored_alpha} affinity functions but its values "
-                f"form {alpha} column blocks; the file is corrupt or truncated"
+                f"{int(stored['n_functions'])} affinity functions recorded but the values "
+                f"form {alpha} column blocks; the arrays are corrupt or truncated"
             )
-        if ids and len(ids) != alpha:
-            raise ValueError(
-                f"{label!r} stores {len(ids)} function ids for {alpha} column blocks; "
-                "the file is corrupt or was saved from an inconsistent matrix"
-            )
-        if not ids and alpha > 0 and had_ids is not False:
-            # Legacy files carry no marker; an α>0 matrix without ids is
-            # only legitimate when it was explicitly saved without them.
-            raise ValueError(
-                f"{label!r} holds {alpha} affinity-function blocks but no function ids; "
-                "re-save it with AffinityMatrix.save (or construct the matrix without "
-                "ids explicitly) instead of relying on the silent legacy round-trip"
-            )
-        return cls(values=values, function_ids=ids)
+        return cls(values=values, function_ids=_decode_function_ids(stored, alpha))
+
+
+def _encode_function_ids(ids: tuple[AffinityFunctionId, ...]) -> dict[str, np.ndarray]:
+    """The stored form of a matrix's function ids, shared by both containers.
+
+    ``has_function_ids`` lets a reader tell "built without ids" from
+    "ids were lost".
+    """
+    return {
+        "layers": np.array([fid.layer for fid in ids], dtype=np.int64),
+        "zs": np.array([fid.z for fid in ids], dtype=np.int64),
+        "has_function_ids": np.bool_(bool(ids)),
+    }
+
+
+def _decode_function_ids(stored: dict[str, np.ndarray], alpha: int) -> tuple[AffinityFunctionId, ...]:
+    """The ids :func:`_encode_function_ids` stored for ``alpha`` blocks.
+
+    Raises:
+        ValueError: if the ids disagree with the block count, or are
+            absent while the marker does not say the matrix had none.
+    """
+    ids = tuple(
+        AffinityFunctionId(layer=int(layer), z=int(z)) for layer, z in zip(stored["layers"], stored["zs"])
+    )
+    if ids and len(ids) != alpha:
+        raise ValueError(
+            f"{len(ids)} function ids stored for {alpha} blocks; the arrays are corrupt "
+            "or came from an inconsistent matrix"
+        )
+    if not ids and alpha > 0 and stored.get("has_function_ids", True):
+        # Legacy entries carry no marker; α>0 blocks without ids are
+        # only legitimate when the matrix was explicitly built without them.
+        raise ValueError(f"{alpha} affinity-function blocks but no function ids (a legacy entry)")
+    return ids
 
 
 def densify_topk_rows(
@@ -270,11 +278,6 @@ class SparseAffinityMatrix:
         """The (implicit) CSR row pointer: rows are uniformly k wide."""
         return np.arange(self.n_examples + 1, dtype=np.int64) * self.top_k
 
-    def csr_block(self, f: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(data, indices, fill)`` of one function block, un-densified."""
-        self._check_function(f)
-        return self.data[f], self.indices[f], self.fill[f]
-
     def _check_function(self, f: int) -> None:
         if not 0 <= f < self.n_functions:
             raise ValueError(f"function index {f} out of range [0, {self.n_functions})")
@@ -313,51 +316,30 @@ class SparseAffinityMatrix:
             digest.update(contiguous.tobytes())
         return digest.hexdigest()
 
-    def save(self, path: "str | BinaryIO") -> None:
-        """Persist to an ``.npz`` file (same marker discipline as
-        :meth:`AffinityMatrix.save`)."""
-        layers = np.array([fid.layer for fid in self.function_ids], dtype=np.int64)
-        zs = np.array([fid.z for fid in self.function_ids], dtype=np.int64)
-        np.savez_compressed(
-            path,
-            data=self.data,
-            indices=self.indices,
-            fill=self.fill,
-            layers=layers,
-            zs=zs,
-            has_function_ids=np.bool_(bool(self.function_ids)),
-        )
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays that store this matrix (the function-id encoding
+        of :meth:`AffinityMatrix.arrays`; the store is not stored)."""
+        return {
+            "data": self.data,
+            "indices": self.indices,
+            "fill": self.fill,
+            **_encode_function_ids(self.function_ids),
+        }
 
     @classmethod
-    def load(cls, path: "str | BinaryIO") -> "SparseAffinityMatrix":
-        """Load a matrix previously stored with :meth:`save` (path or
-        open binary file object)."""
-        label = path if isinstance(path, str) else getattr(path, "name", "<binary file>")
-        with np.load(path) as stored:
-            try:
-                data = stored["data"]
-                indices = stored["indices"]
-                fill = stored["fill"]
-            except KeyError as error:
-                raise ValueError(f"{label!r} is not a sparse affinity file: missing {error}") from None
-            ids = tuple(
-                AffinityFunctionId(layer=int(layer), z=int(z))
-                for layer, z in zip(stored["layers"], stored["zs"])
-            )
-            had_ids = bool(stored["has_function_ids"]) if "has_function_ids" in stored else None
+    def from_arrays(cls, stored: dict[str, np.ndarray]) -> "SparseAffinityMatrix":
+        """The matrix :meth:`arrays` stored.
+
+        Raises:
+            KeyError: if an array is missing.
+            ValueError: if the arrays are not consistent ``(α, N, k)``
+                blocks with matching function ids.
+        """
+        data = stored["data"]
         if data.ndim != 3:
-            raise ValueError(f"{label!r} does not hold (alpha, N, k) sparse affinity blocks")
-        if ids and len(ids) != data.shape[0]:
-            raise ValueError(
-                f"{label!r} stores {len(ids)} function ids for {data.shape[0]} blocks; "
-                "the file is corrupt or was saved from an inconsistent matrix"
-            )
-        if not ids and had_ids is not False:
-            raise ValueError(
-                f"{label!r} holds {data.shape[0]} sparse blocks but no function ids; "
-                "re-save it with SparseAffinityMatrix.save"
-            )
-        return cls(data=data, indices=indices, fill=fill, function_ids=ids)
+            raise ValueError(f"data shaped {data.shape} are not (alpha, N, k) sparse affinity blocks")
+        ids = _decode_function_ids(stored, data.shape[0])
+        return cls(data=data, indices=stored["indices"], fill=stored["fill"], function_ids=ids)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:

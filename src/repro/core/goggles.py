@@ -203,11 +203,10 @@ class Goggles:
     affinity tiles and base fits alike.  A ``coordinator`` passed in
     runs every stage whatever ``config.executor`` says, and stays open:
     the caller closes it, so one session kept open across consecutive
-    ``Goggles`` runs is a warm pool (e.g. the CLI's ``serve`` and
-    ``coordinator`` verbs).  Without one, ``executor="distributed"``
-    opens a session through
-    :meth:`repro.distributed.Coordinator.for_engine`, and :meth:`close`
-    (or the context-manager form) closes that session only.
+    ``Goggles`` runs is a warm pool (e.g. the CLI's ``coordinator``
+    verb).  Without one, ``executor="distributed"`` opens a session
+    through :meth:`repro.distributed.Coordinator.for_engine`, and
+    :meth:`close` (or the context-manager form) closes that session only.
     """
 
     def __init__(

@@ -48,10 +48,6 @@ def _glyph_cross(canvas, cy, cx, r, colour):
     draw_line(canvas, cy, cx - 0.5 * r, cy, cx + 0.5 * r, 0.2 * r, colour)
 
 
-def _glyph_dot(canvas, cy, cx, r, colour):
-    fill_disk(canvas, cy, cx, 0.35 * r, colour)
-
-
 def _glyph_hbar(canvas, cy, cx, r, colour):
     draw_line(canvas, cy, cx - 0.55 * r, cy, cx + 0.55 * r, 0.24 * r, colour)
 

@@ -308,14 +308,15 @@ def required_result_keys(task: ShardTask) -> tuple[str, ...]:
 
 
 def load_shard_result(cache: ArtifactCache, task: ShardTask) -> dict[str, np.ndarray] | None:
-    """A cached shard result, or ``None`` (schema drift evicts+misses)."""
-    arrays = cache.load_arrays("shard", task.task_id)
-    if arrays is None:
-        return None
-    if any(name not in arrays for name in required_result_keys(task)):
-        cache.evict("shard", task.task_id)
-        return None
-    return arrays
+    """A cached shard result, or ``None`` (a result missing a key is a miss)."""
+
+    def parse(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        missing = set(required_result_keys(task)) - arrays.keys()
+        if missing:
+            raise KeyError(f"shard result lacks {sorted(missing)}")
+        return arrays
+
+    return cache.load_arrays("shard", task.task_id, parse)
 
 
 def execute_shard(task: ShardTask, cache: ArtifactCache | None = None) -> dict[str, np.ndarray]:

@@ -17,7 +17,7 @@ Splits the monolithic image→affinity-matrix path into reusable stages:
   session; warm-started EM, cached parameters).
 """
 
-from repro.engine.cache import ArtifactCache, CacheStats, MemmapBlockStore, hash_arrays, hash_params
+from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays, hash_params
 from repro.engine.engine import AffinityEngine, EngineConfig
 from repro.engine.features import extract_pool_features, iter_batches
 from repro.engine.inference import InferenceEngine, InferenceState, warm_start_responsibilities
@@ -48,7 +48,6 @@ __all__ = [
     "InferenceState",
     "warm_start_responsibilities",
     "ArtifactCache",
-    "CacheStats",
     "MemmapBlockStore",
     "hash_arrays",
     "hash_params",

@@ -8,11 +8,14 @@ keys every artifact by a SHA-256 over exactly those inputs, so
 * changing *any* input (one pixel, ``top_z``, the VGG seed) changes the
   key and misses — no invalidation logic, no stale reads.
 
-Artifacts are ``.npz`` files.  Affinity matrices reuse the
-:meth:`repro.core.affinity.AffinityMatrix.save` format, so a cached
-entry is also directly loadable by user code; auxiliary artifacts
-(pool features, prototype tables, incremental corpus state) are plain
-array bundles.
+Every entry is one ``.npz`` bundle of named arrays, and
+:class:`ArtifactCache` is the only code that writes, reads, evicts or
+counts one.  Callers hand it arrays (affinity matrices through
+:meth:`repro.core.affinity.AffinityMatrix.arrays`) and read back through
+a ``parse`` function that rebuilds their value; an entry that cannot be
+read, or whose arrays the parse rejects, is evicted and counted as a
+miss.  Hits, misses and evictions are counted only in the metrics
+registry (``goggles_cache_*``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import tempfile
 import threading
 import weakref
 import zipfile
-from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -36,7 +39,9 @@ from repro.obs import default_registry
 # evicted so the entry is rebuilt.
 _CORRUPT_ERRORS = (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError)
 
-__all__ = ["CacheStats", "ArtifactCache", "MemmapBlockStore", "hash_arrays", "hash_params"]
+T = TypeVar("T")
+
+__all__ = ["ArtifactCache", "MemmapBlockStore", "hash_arrays", "hash_params"]
 
 
 def hash_arrays(*arrays: np.ndarray) -> str:
@@ -54,27 +59,6 @@ def hash_params(params: dict[str, object]) -> str:
     """Stable hash of a flat parameter mapping (sorted key=value reprs)."""
     material = ";".join(f"{key}={params[key]!r}" for key in sorted(params))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters, one pair per artifact kind, plus evictions."""
-
-    hits: dict[str, int] = field(default_factory=dict)
-    misses: dict[str, int] = field(default_factory=dict)
-    evictions: int = 0
-
-    def record(self, kind: str, hit: bool) -> None:
-        bucket = self.hits if hit else self.misses
-        bucket[kind] = bucket.get(kind, 0) + 1
-
-    @property
-    def total_hits(self) -> int:
-        return sum(self.hits.values())
-
-    @property
-    def total_misses(self) -> int:
-        return sum(self.misses.values())
 
 
 class ArtifactCache:
@@ -99,8 +83,12 @@ class ArtifactCache:
     eviction, and ``total_bytes``) and atomically ``os.replace``-s it
     into place, so a reader — or the eviction scan racing a concurrent
     shard write — can only ever observe a complete entry or a miss,
-    never a half-written one.  In-process counters and the eviction
-    walk are additionally serialised by a lock.
+    never a half-written one.  Pin counts and the eviction walk are
+    additionally serialised by a lock.
+
+    Hits and misses (by kind) and evictions are counted in the
+    process-wide metrics registry under this instance's ``tenant``
+    label, and nowhere else.
     """
 
     def __init__(self, cache_dir: str, max_bytes: int | None = None):
@@ -109,15 +97,13 @@ class ArtifactCache:
         self.cache_dir = str(cache_dir)
         self.max_bytes = max_bytes
         os.makedirs(self.cache_dir, exist_ok=True)
-        self.stats = CacheStats()
         # The directory may be shared across tenants (content addressing
         # prevents collisions); the metric label attributes traffic to
         # whichever tenant this *instance* serves.  Mutable: the tenant
         # registry stamps it right after the owning engine is built.
         self.tenant = "default"
-        # Process-wide mirrors of the per-instance stats: get-or-create
-        # is idempotent, so every cache in the process feeds the same
-        # Prometheus families (totals across instances).
+        # Get-or-create is idempotent, so every cache in the process
+        # feeds the same Prometheus families (totals across instances).
         registry = default_registry()
         self._m_hits = registry.counter(
             "goggles_cache_hits_total", "Artifact cache hits, by artifact kind and tenant.",
@@ -148,8 +134,6 @@ class ArtifactCache:
         self._deferred: set[str] = set()
 
     def _record(self, kind: str, hit: bool) -> None:
-        with self._lock:
-            self.stats.record(kind, hit=hit)
         (self._m_hits if hit else self._m_misses).inc(kind=kind, tenant=self.tenant)
 
     def key(self, data_hash: str, params: dict[str, object]) -> str:
@@ -163,108 +147,73 @@ class ArtifactCache:
         return os.path.exists(self.path(kind, key))
 
     # ------------------------------------------------------------------
-    # Generic array bundles
+    # Entries.  Each public method is one call of _read or _write, so a
+    # traced read or write is one span.
     # ------------------------------------------------------------------
-    def load_arrays(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
+    def load_arrays(self, kind: str, key: str, parse: Callable[[dict[str, np.ndarray]], T]) -> T | None:
+        """``parse`` of the arrays stored under (kind, key), or ``None``.
+
+        ``parse`` raises ``KeyError`` or ``ValueError`` on arrays it
+        cannot use (schema drift, a foreign file); the entry is then
+        evicted and the read is a miss.
+        """
+        return self._read(kind, key, parse)
+
+    def save_arrays(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
+        return self._write(kind, key, arrays)
+
+    def load_affinity(self, key: str) -> AffinityMatrix | None:
+        return self._read("affinity", key, AffinityMatrix.from_arrays)
+
+    def save_affinity(self, key: str, matrix: AffinityMatrix) -> str:
+        return self._write("affinity", key, matrix.arrays())
+
+    def load_affinity_csr(self, key: str) -> SparseAffinityMatrix | None:
+        return self._read("affinity-csr", key, SparseAffinityMatrix.from_arrays)
+
+    def save_affinity_csr(self, key: str, sparse: SparseAffinityMatrix) -> str:
+        return self._write("affinity-csr", key, sparse.arrays())
+
+    def _read(self, kind: str, key: str, parse: Callable[[dict[str, np.ndarray]], T]) -> T | None:
+        """Load every array of one entry and return ``parse`` of them.
+
+        A missing entry is a miss.  An unreadable one, or one whose
+        arrays ``parse`` rejects, is evicted and is a miss too, so the
+        caller rebuilds it.
+        """
         path = self.path(kind, key)
         if not os.path.exists(path):
             self._record(kind, hit=False)
             return None
         try:
             with np.load(path) as data:
-                arrays = {name: data[name] for name in data.files}
+                stored = {name: data[name] for name in data.files}
+            value = parse(stored)
         except _CORRUPT_ERRORS:
             self._evict_corrupt(path)
             self._record(kind, hit=False)
             return None
         self._record(kind, hit=True)
         self._touch(path)
-        return arrays
+        return value
 
-    def _scratch(self, kind: str) -> tuple[int, str]:
-        """A unique scratch file for one writer.
+    def _write(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
+        """Publish one entry; returns its path.
 
-        Unique per call (``mkstemp``), so concurrent writers of the
-        *same* key — two workers racing on a deduplicated shard — never
-        interleave bytes in a shared temp file; and suffixed ``.tmp``,
-        not ``.npz``, so in-progress writes are invisible to
-        :meth:`_entries` and can never be evicted mid-write or counted
-        against the budget.
+        The arrays go into a scratch file unique to this call
+        (``mkstemp``), so concurrent writers of the *same* key — two
+        workers racing on a deduplicated shard — never interleave bytes.
+        It is suffixed ``.tmp``, not ``.npz``, so an in-progress write is
+        invisible to :meth:`_entries`: never evicted mid-write, never
+        counted against the budget.  Writing through the open handle
+        keeps numpy from appending ``.npz`` to that name.  The rename
+        into place is atomic: readers never see a partial file.
         """
-        return tempfile.mkstemp(prefix=f"{kind}-", suffix=".tmp", dir=self.cache_dir)
-
-    def save_arrays(self, kind: str, key: str, arrays: dict[str, np.ndarray]) -> str:
         path = self.path(kind, key)
-        fd, tmp = self._scratch(kind)
+        fd, tmp = tempfile.mkstemp(prefix=f"{kind}-", suffix=".tmp", dir=self.cache_dir)
         try:
             with os.fdopen(fd, "wb") as handle:
                 np.savez_compressed(handle, **arrays)
-            os.replace(tmp, path)  # atomic: readers never see partial files
-        except BaseException:
-            self._evict_corrupt(tmp)
-            raise
-        self._enforce_budget(keep=path)
-        return path
-
-    # ------------------------------------------------------------------
-    # Affinity matrices (AffinityMatrix.save/load format)
-    # ------------------------------------------------------------------
-    def load_affinity(self, key: str) -> AffinityMatrix | None:
-        path = self.path("affinity", key)
-        if not os.path.exists(path):
-            self._record("affinity", hit=False)
-            return None
-        try:
-            matrix = AffinityMatrix.load(path)
-        except _CORRUPT_ERRORS:
-            self._evict_corrupt(path)
-            self._record("affinity", hit=False)
-            return None
-        self._record("affinity", hit=True)
-        self._touch(path)
-        return matrix
-
-    def save_affinity(self, key: str, matrix: AffinityMatrix) -> str:
-        path = self.path("affinity", key)
-        # Write through an open handle: a bare ``.tmp`` name would have
-        # numpy append ``.npz`` — and a ``.tmp.npz`` scratch file is a
-        # half-written entry that the eviction scan could list, evict
-        # mid-write (breaking the rename), or count against the budget.
-        fd, tmp = self._scratch("affinity")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                matrix.save(handle)
-            os.replace(tmp, path)
-        except BaseException:
-            self._evict_corrupt(tmp)
-            raise
-        self._enforce_budget(keep=path)
-        return path
-
-    # ------------------------------------------------------------------
-    # Sparse affinity matrices (CSR tiles, SparseAffinityMatrix format)
-    # ------------------------------------------------------------------
-    def load_affinity_csr(self, key: str) -> SparseAffinityMatrix | None:
-        path = self.path("affinity-csr", key)
-        if not os.path.exists(path):
-            self._record("affinity-csr", hit=False)
-            return None
-        try:
-            sparse = SparseAffinityMatrix.load(path)
-        except _CORRUPT_ERRORS:
-            self._evict_corrupt(path)
-            self._record("affinity-csr", hit=False)
-            return None
-        self._record("affinity-csr", hit=True)
-        self._touch(path)
-        return sparse
-
-    def save_affinity_csr(self, key: str, sparse: SparseAffinityMatrix) -> str:
-        path = self.path("affinity-csr", key)
-        fd, tmp = self._scratch("affinity-csr")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                sparse.save(handle)
             os.replace(tmp, path)
         except BaseException:
             self._evict_corrupt(tmp)
@@ -293,16 +242,11 @@ class ArtifactCache:
             if path in self._deferred:
                 self._deferred.discard(path)
                 self._evict_corrupt(path)
-                self.stats.evictions += 1
                 self._m_evictions.inc(tenant=self.tenant)
 
     def pinned(self, path: str) -> bool:
         with self._lock:
             return self._pins.get(path, 0) > 0
-
-    def evict(self, kind: str, key: str) -> None:
-        """Drop one entry (used for unreadable or schema-drifted files)."""
-        self._evict_corrupt(self.path(kind, key))
 
     def _evict_corrupt(self, path: str) -> None:
         try:
@@ -374,7 +318,6 @@ class ArtifactCache:
                 except OSError:  # pragma: no cover - racing eviction is fine
                     continue
                 total -= size
-                self.stats.evictions += 1
                 self._m_evictions.inc(tenant=self.tenant)
 
     def clear(self) -> int:
@@ -425,20 +368,12 @@ class MemmapBlockStore:
 
     _ROW_TILE = 1024
 
-    def __init__(
-        self,
-        cache: ArtifactCache | None = None,
-        base_key: str = "",
-        directory: str | None = None,
-    ):
+    def __init__(self, cache: ArtifactCache | None = None, base_key: str = ""):
         self.cache = cache
         self.base_key = base_key
         self._tmpdir: tempfile.TemporaryDirectory | None = None
         if cache is not None:
             self.directory = cache.cache_dir
-        elif directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            self.directory = directory
         else:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="affinity-blocks-")
             self.directory = self._tmpdir.name

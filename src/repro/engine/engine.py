@@ -318,16 +318,14 @@ class AffinityEngine:
         if not need_state:
             self._forget()
             return matrix
-        stored = self.cache.load_arrays("state", key)
-        if stored is None:
+        state = self.cache.load_arrays(
+            "state",
+            key,
+            lambda stored: CorpusState(affinity=matrix, n_images=int(stored.pop("n_images")), arrays=stored),
+        )
+        if state is None:
             return None  # affinity alone is not enough; rebuild with state
-        if "n_images" not in stored:
-            # Readable zip, wrong schema (drift or a foreign file in a
-            # shared cache dir): evict and rebuild rather than crash.
-            self.cache.evict("state", key)
-            return None
-        n_images = int(stored.pop("n_images"))
-        self._remember(CorpusState(affinity=matrix, n_images=n_images, arrays=stored), key)
+        self._remember(state, key)
         return matrix
 
     def _save_state(self, key: str, state: CorpusState) -> None:

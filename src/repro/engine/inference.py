@@ -260,22 +260,6 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Cache plumbing
     # ------------------------------------------------------------------
-    _SCHEMA = (
-        "posterior",
-        "label_predictions",
-        "ens_weights",
-        "ens_probs",
-        "base_ll",
-        "base_iters",
-        "base_converged",
-        "base_reinit",
-        "base_degenerate",
-        "ens_ll",
-        "ens_iters",
-        "ens_converged",
-        "n_classes",
-    )
-
     def _save_cached(self, key: str, result: HierarchicalResult) -> None:
         assert self.cache is not None
         base = result.base_results
@@ -298,54 +282,48 @@ class InferenceEngine:
 
     def _load_cached(self, key: str, affinity: AffinityMatrix) -> HierarchicalResult | None:
         assert self.cache is not None
-        stored = self.cache.load_arrays("inference", key)
-        if stored is None:
-            return None
-        if any(name not in stored for name in self._SCHEMA):
-            # Readable zip, wrong schema (drift or a foreign file in a
-            # shared cache dir): evict and refit rather than crash.
-            self.cache.evict("inference", key)
-            return None
-        k = int(stored["n_classes"])
-        label_predictions = stored["label_predictions"]
-        if k != self.config.n_classes or label_predictions.shape != (
-            affinity.n_examples,
-            affinity.n_functions * k,
-        ):
-            self.cache.evict("inference", key)
-            return None
-        base_results = tuple(
-            GMMFitResult(
-                responsibilities=label_predictions[:, f * k : (f + 1) * k],
-                log_likelihood=float(stored["base_ll"][f]),
-                n_iterations=int(stored["base_iters"][f]),
-                converged=bool(stored["base_converged"][f]),
-                degenerate=bool(stored["base_degenerate"][f]),
-                reinitialized=bool(stored["base_reinit"][f]),
+        n, alpha, k = affinity.n_examples, affinity.n_functions, self.config.n_classes
+
+        def parse(stored: dict[str, np.ndarray]) -> HierarchicalResult:
+            label_predictions = stored["label_predictions"]
+            if int(stored["n_classes"]) != k or label_predictions.shape != (n, alpha * k):
+                raise ValueError("cached fit is for another K or affinity shape")
+            base_results = tuple(
+                GMMFitResult(
+                    responsibilities=label_predictions[:, f * k : (f + 1) * k],
+                    log_likelihood=float(stored["base_ll"][f]),
+                    n_iterations=int(stored["base_iters"][f]),
+                    converged=bool(stored["base_converged"][f]),
+                    degenerate=bool(stored["base_degenerate"][f]),
+                    reinitialized=bool(stored["base_reinit"][f]),
+                )
+                for f in range(alpha)
             )
-            for f in range(affinity.n_functions)
-        )
+            ensemble_result = BernoulliFitResult(
+                responsibilities=stored["posterior"],
+                log_likelihood=float(stored["ens_ll"]),
+                n_iterations=int(stored["ens_iters"]),
+                converged=bool(stored["ens_converged"]),
+                params=BernoulliParams(weights=stored["ens_weights"], probs=stored["ens_probs"]),
+            )
+            return HierarchicalResult(
+                posterior=stored["posterior"],
+                label_predictions=label_predictions,
+                one_hot=one_hot_encode_lp(label_predictions, k),
+                base_results=base_results,
+                ensemble_result=ensemble_result,
+            )
+
+        result = self.cache.load_arrays("inference", key, parse)
+        if result is None:
+            return None
         # A cached replay keeps its diagnostics: collapsed base fits
         # warn exactly as the original fit did.
-        warn_if_reinitialized(base_results)
-        ensemble_params = BernoulliParams(weights=stored["ens_weights"], probs=stored["ens_probs"])
-        ensemble_result = BernoulliFitResult(
-            responsibilities=stored["posterior"],
-            log_likelihood=float(stored["ens_ll"]),
-            n_iterations=int(stored["ens_iters"]),
-            converged=bool(stored["ens_converged"]),
-            params=ensemble_params,
-        )
+        warn_if_reinitialized(result.base_results)
         self._state = InferenceState(
-            label_predictions=label_predictions,
-            ensemble=ensemble_params,
-            n_examples=affinity.n_examples,
+            label_predictions=result.label_predictions,
+            ensemble=result.ensemble_result.params,
+            n_examples=n,
             n_classes=k,
         )
-        return HierarchicalResult(
-            posterior=stored["posterior"],
-            label_predictions=label_predictions,
-            one_hot=one_hot_encode_lp(label_predictions, k),
-            base_results=base_results,
-            ensemble_result=ensemble_result,
-        )
+        return result

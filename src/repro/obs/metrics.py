@@ -1,14 +1,12 @@
 """A dependency-free metrics registry: counters, gauges, histograms.
 
-GOGGLES grew counters organically — ``CacheStats`` dicts, attribute
-counters, ``OnlineSession.stats()`` snapshots — each readable only by
-code that holds the owning object.  This module gives every layer one
-export path: a process-wide :class:`MetricsRegistry` of named metrics
-that renders as `Prometheus text exposition format`_ (scraped by ``GET
-/metrics`` on the HTTP front-end, dumped by ``goggles-repro metrics``).
-In the distributed runtime the registry is the *only* store: a
-coordinator session counts into one registry, and a count read through
-one of its objects is that registry's total.
+Every layer counts through one export path: a process-wide
+:class:`MetricsRegistry` of named metrics that renders as `Prometheus
+text exposition format`_ (scraped by ``GET /metrics`` on the HTTP
+front-end, dumped by ``goggles-repro metrics``).  In the distributed
+runtime, in serving and in the artifact cache the registry is the
+*only* store: no object keeps an attribute copy of a count, so a count
+read through one of its objects is that registry's total.
 
 Design constraints, in order:
 

@@ -36,9 +36,6 @@ from __future__ import annotations
 import threading
 
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     RegistrySnapshot,
     capture_registry,
@@ -186,10 +183,6 @@ class TelemetryMerger:
             "Telemetry families skipped because they clash with a local registration.",
             labelnames=("metric",),
         )
-
-    def last_seq(self, source: str) -> int:
-        with self._lock:
-            return self._last_seq.get(source, 0)
 
     def merge(self, payload: object) -> bool:
         """Apply one telemetry payload; returns True if it was applied.

@@ -566,19 +566,14 @@ class OnlineSession:
             return
         cache = self.goggles.engine.cache
         assert cache is not None
-        stored = cache.load_arrays("online-replay", self._session_key)
-        if stored is None:
-            return
-        if "n_entries" not in stored:
-            cache.evict("online-replay", self._session_key)
-            return
-        batches: list[np.ndarray] = []
-        for i in range(int(stored["n_entries"])):
-            batch = stored.get(f"entry_{i:03d}")
-            if batch is None or batch.ndim != 4:
-                cache.evict("online-replay", self._session_key)
-                return
-            batches.append(batch)
+
+        def parse(stored: dict[str, np.ndarray]) -> list[np.ndarray]:
+            batches = [stored[f"entry_{i:03d}"] for i in range(int(stored["n_entries"]))]
+            if any(batch.ndim != 4 for batch in batches):
+                raise ValueError("a logged refit batch is not a 4-D image batch")
+            return batches
+
+        batches = cache.load_arrays("online-replay", self._session_key, parse)
         if not batches:
             return
         engine = self.goggles.engine
@@ -611,43 +606,49 @@ class OnlineSession:
             return
         cache = self.goggles.engine.cache
         assert cache is not None
-        stored = cache.load_arrays("online", self._session_key)
-        if stored is None:
+
+        def parse(stored: dict[str, np.ndarray]) -> dict:
+            # Every value a resume installs: a missing array is a miss.
+            counts = ("n_refits", "n_absorbed", "n_batches", "n_buffer_dropped")
+            return {
+                "n_seed": int(stored["n_seed"]),
+                "mapping": stored["mapping"],
+                "base_stats": [GMMStats.from_arrays(stored, f"f{f:03d}") for f in range(self.alpha)],
+                "ensemble_stats": BernoulliStats.from_arrays(stored, "ens"),
+                "step": int(stored["step"]),
+                "ewma_ll": float(stored["ewma_ll"]),
+                "baseline_ll": float(stored["baseline_ll"]),
+                **{name: int(stored.get(name, 0)) for name in counts},
+            }
+
+        saved = cache.load_arrays("online", self._session_key, parse)
+        if saved is None:
             return
-        required = {"step", "ewma_ll", "baseline_ll", "n_seed", "mapping", "ens_nk", "ens_sx", "ens_n"}
-        if not required.issubset(stored):
-            cache.evict("online", self._session_key)
-            return
-        if int(stored["n_seed"]) != self.n_seed:
+        if saved["n_seed"] != self.n_seed:
             # The previous session refit onto a corpus this one does not
             # hold — normally prevented by the refit-buffer replay in
             # _try_replay (resume=False, a failed replay, or an evicted
             # replay log land here).
             return
-        if not np.array_equal(stored["mapping"], self.mapping.cluster_to_class):
-            return
-        try:
-            base_stats = [GMMStats.from_arrays(stored, f"f{f:03d}") for f in range(self.alpha)]
-        except KeyError:
-            cache.evict("online", self._session_key)
+        if not np.array_equal(saved["mapping"], self.mapping.cluster_to_class):
             return
         k = self.n_classes
+        base_stats, ensemble_stats = saved["base_stats"], saved["ensemble_stats"]
         if any(s.sx.shape != (k, self.n_seed) or s.nk.shape != (k,) for s in base_stats):
             return
-        ensemble_stats = BernoulliStats.from_arrays(stored, "ens")
         if ensemble_stats.sx.shape != (k, self.alpha * k):
             return
         self._base_stats = base_stats
         self._base_params = [s.params(self._variance_floor) for s in base_stats]
         self._ensemble_stats = ensemble_stats
         self._ensemble_params = ensemble_stats.params(_ENSEMBLE_PARAM_FLOOR)
-        self._step = int(stored["step"])
-        self._ewma_ll = float(stored["ewma_ll"])
-        self._baseline_ll = float(stored["baseline_ll"])
-        self.n_refits = int(stored.get("n_refits", 0))
-        self.n_absorbed = int(stored.get("n_absorbed", 0))
-        self.n_batches = int(stored.get("n_batches", 0))
-        self.n_buffer_dropped = int(stored.get("n_buffer_dropped", 0))
+        self._step = saved["step"]
+        self._ewma_ll = saved["ewma_ll"]
+        self._baseline_ll = saved["baseline_ll"]
+        self.n_refits = saved["n_refits"]
+        self.n_absorbed = saved["n_absorbed"]
+        self.n_batches = saved["n_batches"]
+        self.n_buffer_dropped = saved["n_buffer_dropped"]
         self.resumed = True
 
     # ------------------------------------------------------------------

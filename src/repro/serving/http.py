@@ -136,12 +136,6 @@ def match_route(method: str, path: str) -> tuple[Route | None, re.Match | None]:
     return None, None
 
 
-def _route_of(method: str, path: str) -> str:
-    """Normalise a request path to the table's bounded route-label set."""
-    route, _ = match_route(method, path.partition("?")[0])
-    return route.label if route is not None else "other"
-
-
 class LabelingHTTPServer(ThreadingHTTPServer):
     """HTTP front-end over a tenant registry.
 

@@ -7,6 +7,9 @@ sharing is safe.
 
 from __future__ import annotations
 
+import itertools
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from repro.core import Goggles, GogglesConfig
 from repro.core.affinity import AffinityMatrix
 from repro.datasets import make_dataset
 from repro.nn import VGG16, VGGConfig
+from repro.obs import default_registry
+
+_cache_labels = itertools.count()
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +56,41 @@ def small_surface_affinity(vgg, small_surface) -> AffinityMatrix:
     matrix does not exercise either.
     """
     return Goggles(GogglesConfig(), model=vgg).build_affinity_matrix(small_surface.images)
+
+
+class CacheCounts(NamedTuple):
+    hits: dict[str, int]
+    misses: dict[str, int]
+    evictions: int
+
+
+@pytest.fixture
+def cache_label() -> str:
+    """A ``tenant`` label no other test stamps on a cache.
+
+    Set ``cache.tenant = cache_label`` before the traffic a test counts:
+    the cache counts only into the process-wide metrics registry, so
+    its label is what separates this test's counts from the rest.
+    """
+    return f"cache-test-{next(_cache_labels)}"
+
+
+@pytest.fixture
+def cache_counts():
+    """``cache_counts(cache)``: the hits and misses by kind, and the
+    evictions, that the process registry holds under ``cache.tenant``."""
+    registry = default_registry()
+
+    def counts(cache) -> CacheCounts:
+        assert cache.tenant != "default", "stamp cache.tenant = cache_label first"
+
+        def by_kind(name: str) -> dict[str, int]:
+            series = registry.get(name).series()
+            return {kind: int(value) for (kind, tenant), value in series.items() if tenant == cache.tenant}
+
+        evictions = registry.get("goggles_cache_evictions_total").value(tenant=cache.tenant)
+        return CacheCounts(
+            by_kind("goggles_cache_hits_total"), by_kind("goggles_cache_misses_total"), int(evictions)
+        )
+
+    return counts

@@ -326,7 +326,7 @@ class TestDistributedCli:
         out = capsys.readouterr().out
         assert "shard" in out and "affinity" in out
         assert "2 entries" in out  # the total line
-        assert "evictions" in out
+        assert "(unbounded)" in out  # the budget line
 
     def test_cache_info_requires_cache_dir(self):
         with pytest.raises(SystemExit, match="cache-dir"):

@@ -202,38 +202,23 @@ class TestSaveLoadFileObject:
             function_ids=(AffinityFunctionId(layer=1, z=0), AffinityFunctionId(layer=1, z=1)),
         )
 
-    def test_path_round_trip(self, matrix, tmp_path):
-        path = tmp_path / "affinity.npz"
-        matrix.save(str(path))
-        loaded = AffinityMatrix.load(str(path))
-        np.testing.assert_array_equal(loaded.values, matrix.values)
-        assert loaded.function_ids == matrix.function_ids
-
-    def test_binary_file_object_round_trip(self, matrix, tmp_path):
-        path = tmp_path / "affinity.npz"
-        with open(path, "wb") as handle:
-            matrix.save(handle)
-        with open(path, "rb") as handle:
-            loaded = AffinityMatrix.load(handle)
-        np.testing.assert_array_equal(loaded.values, matrix.values)
-        assert loaded.function_ids == matrix.function_ids
-
     def test_in_memory_buffer_round_trip(self, matrix):
+        arrays = matrix.arrays()
+        # The layout of the entries already on disk: every name stays.
+        assert set(arrays) == {"values", "layers", "zs", "n_functions", "has_function_ids"}
         buffer = io.BytesIO()
-        matrix.save(buffer)
+        np.savez_compressed(buffer, **arrays)
         buffer.seek(0)
-        loaded = AffinityMatrix.load(buffer)
+        with np.load(buffer) as data:
+            loaded = AffinityMatrix.from_arrays(dict(data))
         np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.function_ids == matrix.function_ids
 
-    def test_corrupt_file_object_error_names_the_handle(self, matrix, tmp_path):
-        path = tmp_path / "broken.npz"
-        truncated = AffinityMatrix(values=matrix.values[:, :5], function_ids=matrix.function_ids[:1])
-        values = np.vstack([truncated.values, truncated.values[:1]])  # 6 rows, 5 cols: invalid
-        np.savez_compressed(
-            str(path), values=values, layers=np.array([1]), zs=np.array([0]),
-            n_functions=np.int64(1), has_function_ids=np.bool_(True),
-        )
-        with open(path, "rb") as handle:
-            with pytest.raises(ValueError, match="broken.npz"):
-                AffinityMatrix.load(handle)
+    def test_inconsistent_arrays_rejected(self, matrix):
+        arrays = matrix.arrays()
+        with pytest.raises(ValueError, match="not a valid"):
+            AffinityMatrix.from_arrays({**arrays, "values": np.vstack([matrix.values, matrix.values[:1]])})
+        with pytest.raises(ValueError, match="function ids"):
+            AffinityMatrix.from_arrays({**arrays, "zs": arrays["zs"][:1], "layers": arrays["layers"][:1]})
+        with pytest.raises(KeyError):
+            AffinityMatrix.from_arrays({name: a for name, a in arrays.items() if name != "values"})

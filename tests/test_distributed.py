@@ -338,15 +338,16 @@ class TestPlannerAndTasks:
         warm = base_fit_task(random_affinity.block(0), config, 0, init=init)
         assert cold.task_id != warm.task_id
 
-    def test_shard_results_cache_roundtrip(self, sim_data, tmp_path):
+    def test_shard_results_cache_roundtrip(self, sim_data, tmp_path, cache_label, cache_counts):
         protos, vectors = sim_data
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         task = similarity_task(protos, vectors)
         first = execute_shard(task, cache=cache)
         assert cache.has("shard", task.task_id)
         again = execute_shard(task, cache=cache)
         np.testing.assert_array_equal(first["best"], again["best"])
-        assert cache.stats.hits.get("shard") == 1
+        assert cache_counts(cache).hits.get("shard") == 1
 
     def test_extraction_shards_cut_at_serial_chunk_boundaries(self, vgg, tiny_images):
         planner = ShardPlanner()

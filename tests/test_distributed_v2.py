@@ -34,7 +34,6 @@ from repro.distributed import (
     ShardAutotuner,
     TaskQueue,
     Worker,
-    similarity_task,
     wire,
 )
 from repro.engine import ArtifactCache, EngineConfig

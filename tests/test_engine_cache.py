@@ -39,23 +39,38 @@ class TestHashing:
 
 
 class TestArtifactCache:
-    def test_array_roundtrip(self, tmp_path):
+    def test_array_roundtrip(self, tmp_path, cache_label, cache_counts):
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         key = cache.key("datahash", {"p": 1})
-        assert cache.load_arrays("state", key) is None
+        assert cache.load_arrays("state", key, dict) is None
         cache.save_arrays("state", key, {"x": np.arange(5), "y": np.eye(2)})
-        loaded = cache.load_arrays("state", key)
+        loaded = cache.load_arrays("state", key, dict)
         np.testing.assert_array_equal(loaded["x"], np.arange(5))
         np.testing.assert_array_equal(loaded["y"], np.eye(2))
-        assert cache.stats.misses == {"state": 1}
-        assert cache.stats.hits == {"state": 1}
+        assert cache_counts(cache)[:2] == ({"state": 1}, {"state": 1})
+
+    def test_rejected_arrays_are_a_miss_and_evicted(self, tmp_path, cache_label, cache_counts):
+        """A readable entry whose arrays the reader rejects is evicted and
+        counted as one miss, never as a hit."""
+        cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
+        key = cache.key("datahash", {"p": 1})
+        path = cache.save_arrays("state", key, {"bogus": np.arange(3)})
+
+        def parse(stored):
+            return int(stored["n_images"])
+
+        assert cache.load_arrays("state", key, parse) is None
+        assert cache_counts(cache)[:2] == ({}, {"state": 1})
+        assert not os.path.exists(path)
 
     def test_clear(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         cache.save_arrays("a", "0" * 64, {"x": np.arange(3)})
         cache.save_arrays("b", "1" * 64, {"x": np.arange(3)})
         assert cache.clear() == 2
-        assert cache.load_arrays("a", "0" * 64) is None
+        assert cache.load_arrays("a", "0" * 64, dict) is None
 
     def test_keys_differ_by_kind_inputs(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
@@ -64,50 +79,53 @@ class TestArtifactCache:
 
 
 class TestEngineCaching:
-    def test_cold_miss_then_warm_hit(self, tmp_path, vgg, tiny_images):
+    def test_cold_miss_then_warm_hit(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0, 1))
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
+        engine.cache.tenant = cache_label
         first = engine.build(tiny_images, keep_state=False)
-        assert engine.cache.stats.misses.get("affinity") == 1
+        assert cache_counts(engine.cache).misses.get("affinity") == 1
         second = engine.build(tiny_images, keep_state=False)
-        assert engine.cache.stats.hits.get("affinity") == 1
+        assert cache_counts(engine.cache).hits.get("affinity") == 1
         np.testing.assert_array_equal(first.values, second.values)
         assert first.function_ids == second.function_ids
 
-    def test_cache_shared_across_engines(self, tmp_path, vgg, tiny_images):
+    def test_cache_shared_across_engines(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         config = EngineConfig(cache_dir=str(tmp_path))
         AffinityEngine(source, config).build(tiny_images, keep_state=False)
         other = AffinityEngine(source, config)
+        other.cache.tenant = cache_label
         other.build(tiny_images, keep_state=False)
-        assert other.cache.stats.total_hits == 1
-        assert other.cache.stats.total_misses == 0
+        assert cache_counts(other.cache)[:2] == ({"affinity": 1}, {})
 
-    def test_different_images_miss(self, tmp_path, vgg, tiny_images):
+    def test_different_images_miss(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
+        engine.cache.tenant = cache_label
         engine.build(tiny_images, keep_state=False)
         engine.build(tiny_images + 1e-6, keep_state=False)
-        assert engine.cache.stats.total_hits == 0
-        assert engine.cache.stats.misses.get("affinity") == 2
+        assert cache_counts(engine.cache)[:2] == ({}, {"affinity": 2})
 
-    def test_different_source_params_miss(self, tmp_path, vgg, tiny_images):
+    def test_different_source_params_miss(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         config = EngineConfig(cache_dir=str(tmp_path))
         AffinityEngine(PrototypeAffinitySource(vgg, top_z=2, layers=(0,)), config).build(
             tiny_images, keep_state=False
         )
         engine = AffinityEngine(PrototypeAffinitySource(vgg, top_z=3, layers=(0,)), config)
+        engine.cache.tenant = cache_label
         engine.build(tiny_images, keep_state=False)
-        assert engine.cache.stats.total_hits == 0
+        assert cache_counts(engine.cache).hits == {}
 
-    def test_precision_changes_key(self, tmp_path, vgg, tiny_images):
+    def test_precision_changes_key(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path))).build(tiny_images, keep_state=False)
         engine32 = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path), precision="float32"))
+        engine32.cache.tenant = cache_label
         engine32.build(tiny_images, keep_state=False)
-        assert engine32.cache.stats.total_hits == 0
+        assert cache_counts(engine32.cache).hits == {}
 
-    def test_runtime_knobs_do_not_change_key(self, tmp_path, vgg, tiny_images):
+    def test_runtime_knobs_do_not_change_key(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         AffinityEngine(
             source, EngineConfig(cache_dir=str(tmp_path), batch_size=2, n_jobs=1)
@@ -115,8 +133,9 @@ class TestEngineCaching:
         engine = AffinityEngine(
             source, EngineConfig(cache_dir=str(tmp_path), batch_size=None, n_jobs=3, row_tile=2)
         )
+        engine.cache.tenant = cache_label
         engine.build(tiny_images, keep_state=False)
-        assert engine.cache.stats.total_hits == 1
+        assert cache_counts(engine.cache).hits == {"affinity": 1}
 
     def test_state_cached_for_incremental(self, tmp_path, vgg, tiny_images):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
@@ -129,12 +148,11 @@ class TestEngineCaching:
         extended = engine.extend(tiny_images[:2])
         assert extended.n_examples == tiny_images.shape[0] + 2
 
-    def test_corrupt_entry_is_miss_and_evicted(self, tmp_path, vgg, tiny_images):
+    def test_corrupt_entry_is_miss_and_evicted(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         """A truncated/garbage artifact must never crash a run."""
-        import os
-
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
+        engine.cache.tenant = cache_label
         first = engine.build(tiny_images, keep_state=False)
         (entry,) = [p for p in os.listdir(tmp_path) if p.startswith("affinity-")]
         path = os.path.join(str(tmp_path), entry)
@@ -142,13 +160,13 @@ class TestEngineCaching:
             handle.write(b"not a zip file")
         rebuilt = engine.build(tiny_images, keep_state=False)
         np.testing.assert_array_equal(rebuilt.values, first.values)
-        assert engine.cache.stats.misses.get("affinity") == 2
+        assert cache_counts(engine.cache).misses.get("affinity") == 2
         # ... and the bad entry was replaced by a good one.
         third = engine.build(tiny_images, keep_state=False)
-        assert engine.cache.stats.hits.get("affinity") == 1
+        assert cache_counts(engine.cache).hits.get("affinity") == 1
         np.testing.assert_array_equal(third.values, first.values)
 
-    def test_extend_is_a_cache_hit_on_rerun(self, tmp_path, vgg, tiny_images):
+    def test_extend_is_a_cache_hit_on_rerun(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         """The chained extension artifact is read back, not just written."""
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         config = EngineConfig(cache_dir=str(tmp_path))
@@ -157,16 +175,16 @@ class TestEngineCaching:
         extended = first.extend(tiny_images[3:])
         # Fresh process: corpus build is a hit, and so is the extension.
         second = AffinityEngine(source, config)
+        second.cache.tenant = cache_label
         second.build(tiny_images[:3])
         replay = second.extend(tiny_images[3:])
         np.testing.assert_array_equal(replay.values, extended.values)
-        assert second.cache.stats.total_misses == 0
-        assert second.cache.stats.hits.get("affinity") == 2  # corpus + extension
+        assert cache_counts(second.cache).misses == {}
+        assert cache_counts(second.cache).hits.get("affinity") == 2  # corpus + extension
 
-    def test_state_schema_drift_is_miss(self, tmp_path, vgg, tiny_images):
-        """A readable state npz without n_images is evicted, not a crash."""
-        import os
-
+    def test_state_schema_drift_is_miss(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
+        """A readable state npz without n_images is evicted, not a crash,
+        and counts as a miss: the affinity entry hits, the state misses."""
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
         first = engine.build(tiny_images)
@@ -174,8 +192,10 @@ class TestEngineCaching:
         key = entry[len("state-"):-len(".npz")]
         np.savez_compressed(os.path.join(str(tmp_path), entry), bogus=np.arange(3))
         fresh = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
+        fresh.cache.tenant = cache_label
         rebuilt = fresh.build(tiny_images)  # rebuilds state instead of crashing
         np.testing.assert_array_equal(rebuilt.values, first.values)
+        assert cache_counts(fresh.cache)[:2] == ({"affinity": 1}, {"state": 1})
         assert fresh.state is not None
         assert fresh.extend(tiny_images[:1]).n_examples == tiny_images.shape[0] + 1
 
@@ -184,12 +204,13 @@ class TestEngineCaching:
         assert engine.cache is None
         engine.build(tiny_images)  # still works, just uncached
 
-    def test_feature_source_cacheable(self, tmp_path, tiny_images):
+    def test_feature_source_cacheable(self, tmp_path, tiny_images, cache_label, cache_counts):
         source = FeatureCosineSource(lambda imgs: imgs.reshape(imgs.shape[0], -1), "flat")
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path)))
+        engine.cache.tenant = cache_label
         first = engine.build(tiny_images)
         second = engine.build(tiny_images)
-        assert engine.cache.stats.total_hits >= 1
+        assert cache_counts(engine.cache).hits.get("affinity", 0) >= 1
         np.testing.assert_array_equal(first.values, second.values)
 
 
@@ -211,49 +232,52 @@ class TestSizeBudget:
             keys.append(key)
         return keys
 
-    def test_write_evicts_oldest_first(self, tmp_path):
+    def test_write_evicts_oldest_first(self, tmp_path, cache_label, cache_counts):
         cache = ArtifactCache(str(tmp_path), max_bytes=1)  # every write over budget
+        cache.tenant = cache_label
         keys = self._fill(cache, 3)
         # Only the most recent write survives a 1-byte budget.
         newest = cache.key("fresh", {})
         cache.save_arrays("state", newest, {"x": np.arange(512)})
-        assert cache.load_arrays("state", newest) is not None
-        assert all(cache.load_arrays("state", key) is None for key in keys)
-        assert cache.stats.evictions == 3
+        assert cache.load_arrays("state", newest, dict) is not None
+        assert all(cache.load_arrays("state", key, dict) is None for key in keys)
+        assert cache_counts(cache).evictions == 3
 
-    def test_budget_large_enough_keeps_everything(self, tmp_path):
+    def test_budget_large_enough_keeps_everything(self, tmp_path, cache_label, cache_counts):
         cache = ArtifactCache(str(tmp_path), max_bytes=10**9)
+        cache.tenant = cache_label
         keys = self._fill(cache, 4)
-        assert all(cache.load_arrays("state", key) is not None for key in keys)
-        assert cache.stats.evictions == 0
+        assert all(cache.load_arrays("state", key, dict) is not None for key in keys)
+        assert cache_counts(cache).evictions == 0
 
     def test_read_refreshes_recency(self, tmp_path):
         """A hit refreshes mtime, so hot entries survive eviction."""
         cache = ArtifactCache(str(tmp_path), max_bytes=None)
         old, hot = self._fill(cache, 2)  # `old` is older than `hot`
-        assert cache.load_arrays("state", old) is not None  # touch: now newest
+        assert cache.load_arrays("state", old, dict) is not None  # touch: now newest
         cache.max_bytes = cache.total_bytes() - 1  # force one eviction
         fresh = cache.key("fresh", {})
         cache.save_arrays("state", fresh, {"x": np.arange(4)})
-        assert cache.load_arrays("state", old) is not None  # survived (hot)
-        assert cache.load_arrays("state", hot) is None  # evicted (LRU)
+        assert cache.load_arrays("state", old, dict) is not None  # survived (hot)
+        assert cache.load_arrays("state", hot, dict) is None  # evicted (LRU)
 
     def test_just_written_entry_never_evicted(self, tmp_path):
         cache = ArtifactCache(str(tmp_path), max_bytes=1)
         key = cache.key("solo", {})
         cache.save_arrays("state", key, {"x": np.arange(2048)})
-        assert cache.load_arrays("state", key) is not None
+        assert cache.load_arrays("state", key, dict) is not None
 
-    def test_affinity_writes_respect_budget(self, tmp_path, vgg, tiny_images):
+    def test_affinity_writes_respect_budget(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
         engine = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path), cache_max_bytes=1))
+        engine.cache.tenant = cache_label
         engine.build(tiny_images, keep_state=False)
         engine.build(tiny_images + 1e-6, keep_state=False)  # different key
         import os
 
         entries = [p for p in os.listdir(tmp_path) if p.endswith(".npz")]
         assert len(entries) == 1  # first entry evicted by the second write
-        assert engine.cache.stats.evictions >= 1
+        assert cache_counts(engine.cache).evictions >= 1
 
     def test_invalid_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
@@ -325,7 +349,7 @@ class TestConcurrentWriteEvictionRaces:
         monkeypatch.undo()
         assert list(tmp_path.glob("*.npz")) == []
         assert list(tmp_path.glob("*.tmp")) == []
-        assert cache.load_arrays("shard", key) is None
+        assert cache.load_arrays("shard", key, dict) is None
 
     def test_eviction_never_breaks_an_in_flight_affinity_write(self, tmp_path, vgg, tiny_images):
         """Regression: the affinity scratch file used to be named
@@ -376,7 +400,7 @@ class TestConcurrentWriteEvictionRaces:
         def reader():
             try:
                 while not stop.is_set():
-                    loaded = cache.load_arrays("shard", key)
+                    loaded = cache.load_arrays("shard", key, dict)
                     if loaded is not None:
                         assert set(loaded) == {"best"}
                         np.testing.assert_array_equal(loaded["best"], expected["best"])
@@ -395,6 +419,6 @@ class TestConcurrentWriteEvictionRaces:
         for thread in threads[3:]:
             thread.join(timeout=30.0)
         assert not errors, errors
-        loaded = cache.load_arrays("shard", key)
+        loaded = cache.load_arrays("shard", key, dict)
         assert loaded is not None
         np.testing.assert_array_equal(loaded["best"], expected["best"])

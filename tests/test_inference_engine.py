@@ -231,15 +231,16 @@ class TestWarmStartCorrectness:
 # Inference artifact caching
 # ----------------------------------------------------------------------
 class TestInferenceCache:
-    def test_refit_is_a_disk_load(self, tmp_path, small_affinity):
+    def test_refit_is_a_disk_load(self, tmp_path, small_affinity, cache_label, cache_counts):
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         first_engine = InferenceEngine(cfg, cache=cache)
         first = first_engine.fit(small_affinity)
-        assert cache.stats.misses.get("inference") == 1
+        assert cache_counts(cache).misses.get("inference") == 1
         second_engine = InferenceEngine(cfg, cache=cache)
         second = second_engine.fit(small_affinity)
-        assert cache.stats.hits.get("inference") == 1
+        assert cache_counts(cache).hits.get("inference") == 1
         np.testing.assert_array_equal(first.posterior, second.posterior)
         np.testing.assert_array_equal(first.label_predictions, second.label_predictions)
 
@@ -254,16 +255,17 @@ class TestInferenceCache:
         assert fresh.state.n_examples == small_affinity.n_examples
         assert fresh.state.compatible_with(small_affinity, 2)
 
-    def test_warm_and_cold_fits_never_share_a_key(self, tmp_path, small_affinity):
+    def test_warm_and_cold_fits_never_share_a_key(self, tmp_path, small_affinity, cache_label, cache_counts):
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         engine = InferenceEngine(cfg, cache=cache)
         engine.fit(small_affinity)
         warm_engine = InferenceEngine(cfg, cache=cache)
         warm_engine.fit(small_affinity, warm_start=engine.state)
-        assert cache.stats.misses.get("inference") == 2  # distinct keys
+        assert cache_counts(cache).misses.get("inference") == 2  # distinct keys
 
-    def test_schema_drift_is_miss_not_crash(self, tmp_path, small_affinity):
+    def test_schema_drift_is_miss_not_crash(self, tmp_path, small_affinity, cache_label, cache_counts):
         import os
 
         cfg = HierarchicalConfig(n_classes=2, seed=0)
@@ -272,11 +274,14 @@ class TestInferenceCache:
         first = engine.fit(small_affinity)
         (entry,) = [p for p in os.listdir(tmp_path) if p.startswith("inference-")]
         np.savez_compressed(os.path.join(str(tmp_path), entry), bogus=np.arange(3))
+        cache.tenant = cache_label
         fresh = InferenceEngine(cfg, cache=cache)
         rebuilt = fresh.fit(small_affinity)
         np.testing.assert_array_equal(rebuilt.posterior, first.posterior)
+        # The drifted entry is one miss, not a hit followed by a refit.
+        assert cache_counts(cache)[:2] == ({}, {"inference": 1})
 
-    def test_cached_replay_keeps_collapse_diagnostics(self, tmp_path):
+    def test_cached_replay_keeps_collapse_diagnostics(self, tmp_path, cache_label, cache_counts):
         """A cache hit re-surfaces the degenerate-base warning and flags."""
         from repro.core.affinity import AffinityMatrix
 
@@ -285,30 +290,35 @@ class TestInferenceCache:
         matrix = AffinityMatrix(values=np.concatenate([rng.random((n, n)), np.ones((n, n))], axis=1))
         cfg = HierarchicalConfig(n_classes=2, seed=0)
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         with pytest.warns(RuntimeWarning, match="collapsed"):
             first = InferenceEngine(cfg, cache=cache).fit(matrix)
         with pytest.warns(RuntimeWarning, match="collapsed"):
             replay = InferenceEngine(cfg, cache=cache).fit(matrix)
-        assert cache.stats.hits.get("inference") == 1
+        assert cache_counts(cache).hits.get("inference") == 1
         assert replay.reinitialized_functions == first.reinitialized_functions == (1,)
         assert [r.degenerate for r in replay.base_results] == [r.degenerate for r in first.base_results]
 
-    def test_config_changes_key(self, tmp_path, small_affinity):
+    def test_config_changes_key(self, tmp_path, small_affinity, cache_label, cache_counts):
         cache = ArtifactCache(str(tmp_path))
+        cache.tenant = cache_label
         InferenceEngine(HierarchicalConfig(n_classes=2, seed=0), cache=cache).fit(small_affinity)
         InferenceEngine(HierarchicalConfig(n_classes=2, seed=1), cache=cache).fit(small_affinity)
-        assert cache.stats.hits.get("inference") is None
+        assert cache_counts(cache).hits.get("inference") is None
 
-    def test_goggles_shares_cache_between_engines(self, tmp_path, vgg, small_surface):
+    def test_goggles_shares_cache_between_engines(
+        self, tmp_path, vgg, small_surface, cache_label, cache_counts
+    ):
         """Affinity and inference artifacts land in the same cache dir."""
         config = GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(2, 3), cache_dir=str(tmp_path))
         dev = small_surface.sample_dev_set(per_class=3, seed=0)
         first = Goggles(config, model=vgg).label(small_surface.images, dev)
         fresh = Goggles(config, model=vgg)
+        fresh.engine.cache.tenant = cache_label
         second = fresh.label(small_surface.images, dev)
         np.testing.assert_array_equal(first.probabilistic_labels, second.probabilistic_labels)
-        assert fresh.engine.cache.stats.hits.get("affinity") == 1
-        assert fresh.engine.cache.stats.hits.get("inference") == 1
+        assert cache_counts(fresh.engine.cache).hits.get("affinity") == 1
+        assert cache_counts(fresh.engine.cache).hits.get("inference") == 1
         # The restored inference state warm-starts incremental labeling.
         assert fresh.inference.state is not None
         extended = fresh.label_incremental(small_surface.images[:2], dev)

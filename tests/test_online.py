@@ -521,7 +521,9 @@ class TestOnlineService:
             assert service.corpus_size == n0
             assert service.tickets_outstanding == 0
 
-    def test_restarted_online_service_resumes_without_refit(self, vgg, small_surface, tmp_path):
+    def test_restarted_online_service_resumes_without_refit(
+        self, vgg, small_surface, tmp_path, cache_label, cache_counts
+    ):
         images = small_surface.images
         n0 = images.shape[0] - 6
         dev = small_surface.sample_dev_set(per_class=3, seed=0)
@@ -542,9 +544,10 @@ class TestOnlineService:
             assert first.result(first.submit(images[n0 : n0 + 3]), timeout=120.0).done
 
         with make_service() as second:
+            second.goggles.engine.cache.tenant = cache_label
             second.start(images[:n0])  # seed fit replays from the artifact cache
             # No cold refit: the seed inference came from the cache ...
-            assert second.goggles.engine.cache.stats.hits.get("inference", 0) >= 1
+            assert cache_counts(second.goggles.engine.cache).hits.get("inference", 0) >= 1
             # ... and the online state resumed mid-stream.
             assert second.session.resumed
             assert second.online_stats["step"] == 1

@@ -1,4 +1,9 @@
-"""Tests for affinity-matrix persistence and parallel base-model fitting."""
+"""Tests for affinity-matrix persistence and parallel base-model fitting.
+
+The persistence tests write the stored layout by hand, array by array,
+and read it back through ``AffinityMatrix.from_arrays``: entries already
+in a cache directory must keep loading.
+"""
 
 from __future__ import annotations
 
@@ -10,12 +15,29 @@ from repro.core.affinity import AffinityFunctionId, AffinityMatrix
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
 
 
+def _save(path: str, matrix: AffinityMatrix) -> None:
+    """Write ``matrix`` in the stored ``.npz`` layout of an affinity entry."""
+    np.savez_compressed(
+        path,
+        values=matrix.values,
+        layers=np.array([fid.layer for fid in matrix.function_ids], dtype=np.int64),
+        zs=np.array([fid.z for fid in matrix.function_ids], dtype=np.int64),
+        n_functions=np.int64(matrix.n_functions),
+        has_function_ids=np.bool_(bool(matrix.function_ids)),
+    )
+
+
+def _load(path: str) -> AffinityMatrix:
+    with np.load(path) as data:
+        return AffinityMatrix.from_arrays(dict(data))
+
+
 class TestAffinitySaveLoad:
     def test_roundtrip(self, tmp_path, vgg, tiny_images):
         matrix = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(0, 1))
         path = str(tmp_path / "affinity.npz")
-        matrix.save(path)
-        loaded = AffinityMatrix.load(path)
+        _save(path, matrix)
+        loaded = _load(path)
         np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.function_ids == matrix.function_ids
 
@@ -23,8 +45,8 @@ class TestAffinitySaveLoad:
         """A matrix built without ids round-trips as such (no silent guess)."""
         matrix = AffinityMatrix(values=np.random.default_rng(1).random((4, 12)))
         path = str(tmp_path / "noids.npz")
-        matrix.save(path)
-        loaded = AffinityMatrix.load(path)
+        _save(path, matrix)
+        loaded = _load(path)
         np.testing.assert_array_equal(loaded.values, matrix.values)
         assert loaded.function_ids == ()
 
@@ -40,7 +62,7 @@ class TestAffinitySaveLoad:
             has_function_ids=np.bool_(True),
         )
         with pytest.raises(ValueError, match="function ids"):
-            AffinityMatrix.load(path)
+            _load(path)
 
     def test_recorded_alpha_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "truncated.npz")
@@ -53,7 +75,7 @@ class TestAffinitySaveLoad:
             has_function_ids=np.bool_(True),
         )
         with pytest.raises(ValueError, match="corrupt or truncated"):
-            AffinityMatrix.load(path)
+            _load(path)
 
     def test_legacy_file_missing_ids_rejected(self, tmp_path):
         """Pre-marker files with α>0 blocks and no ids no longer round-trip silently."""
@@ -65,7 +87,7 @@ class TestAffinitySaveLoad:
             zs=np.array([], dtype=np.int64),
         )
         with pytest.raises(ValueError, match="no function ids"):
-            AffinityMatrix.load(path)
+            _load(path)
 
     def test_garbage_values_rejected(self, tmp_path):
         path = str(tmp_path / "garbage.npz")
@@ -76,7 +98,7 @@ class TestAffinitySaveLoad:
             zs=np.array([], dtype=np.int64),
         )
         with pytest.raises(ValueError, match="affinity matrix"):
-            AffinityMatrix.load(path)
+            _load(path)
 
     def test_roundtrip_preserves_blocks(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -85,16 +107,16 @@ class TestAffinitySaveLoad:
             function_ids=tuple(AffinityFunctionId(layer=i, z=0) for i in range(3)),
         )
         path = str(tmp_path / "m.npz")
-        matrix.save(path)
-        loaded = AffinityMatrix.load(path)
+        _save(path, matrix)
+        loaded = _load(path)
         for f in range(3):
             np.testing.assert_array_equal(loaded.block(f), matrix.block(f))
 
     def test_loaded_matrix_usable_for_inference(self, tmp_path, vgg, small_surface):
         matrix = compute_affinity_matrix(vgg, small_surface.images, top_z=3, layers=(2, 3))
         path = str(tmp_path / "surface.npz")
-        matrix.save(path)
-        result = HierarchicalModel(HierarchicalConfig(seed=0)).fit(AffinityMatrix.load(path))
+        _save(path, matrix)
+        result = HierarchicalModel(HierarchicalConfig(seed=0)).fit(_load(path))
         assert result.posterior.shape == (small_surface.n_examples, 2)
 
 

@@ -10,7 +10,6 @@ accounting, and executor bit-identity of inference over sparse blocks.
 from __future__ import annotations
 
 import gc
-import io
 import os
 
 import numpy as np
@@ -153,20 +152,14 @@ class TestSparseAffinityMatrix:
         sparse = sparsify_affinity(dense, 10)
         np.testing.assert_array_equal(sparse.densify().values, dense.values)
 
-    def test_save_load_path_and_file_object(self, sparse_matrix, tmp_path):
-        path = tmp_path / "sparse.npz"
-        sparse_matrix.save(str(path))
-        loaded = SparseAffinityMatrix.load(str(path))
+    def test_cache_round_trip(self, sparse_matrix, tmp_path):
+        cache = ArtifactCache(str(tmp_path))
+        cache.save_affinity_csr("a" * 64, sparse_matrix)
+        loaded = cache.load_affinity_csr("a" * 64)
         np.testing.assert_array_equal(loaded.data, sparse_matrix.data)
         np.testing.assert_array_equal(loaded.indices, sparse_matrix.indices)
         np.testing.assert_array_equal(loaded.fill, sparse_matrix.fill)
         assert loaded.function_ids == sparse_matrix.function_ids
-
-        buffer = io.BytesIO()
-        sparse_matrix.save(buffer)
-        buffer.seek(0)
-        from_buffer = SparseAffinityMatrix.load(buffer)
-        np.testing.assert_array_equal(from_buffer.data, sparse_matrix.data)
 
     def test_content_hash_sensitive_to_values(self, sparse_matrix):
         data = sparse_matrix.data.copy()
@@ -214,24 +207,26 @@ class TestEngineSparseBuild:
         np.testing.assert_array_equal(sparse.indices, reference.indices)
         np.testing.assert_array_equal(sparse.fill, reference.fill)
 
-    def test_cache_hit_on_rebuild(self, images, tmp_path):
+    def test_cache_hit_on_rebuild(self, images, tmp_path, cache_label, cache_counts):
         config = EngineConfig(cache_dir=str(tmp_path), affinity_mode="sparse", top_k=3)
         first = AffinityEngine(_flat_source(), config).build(images)
         engine = AffinityEngine(_flat_source(), config)
+        engine.cache.tenant = cache_label
         second = engine.build(images)
-        assert engine.cache.stats.hits.get("affinity-csr") == 1
+        assert cache_counts(engine.cache).hits.get("affinity-csr") == 1
         np.testing.assert_array_equal(first.data, second.data)
         np.testing.assert_array_equal(first.indices, second.indices)
 
-    def test_cache_key_sensitive_to_top_k(self, images, tmp_path):
+    def test_cache_key_sensitive_to_top_k(self, images, tmp_path, cache_label, cache_counts):
         for k in (2, 3):
             engine = AffinityEngine(
                 _flat_source(),
                 EngineConfig(cache_dir=str(tmp_path), affinity_mode="sparse", top_k=k),
             )
+            engine.cache.tenant = cache_label
             sparse = engine.build(images)
             assert sparse.top_k == k
-            assert engine.cache.stats.hits.get("affinity-csr", 0) == 0
+            assert cache_counts(engine.cache).hits.get("affinity-csr", 0) == 0
 
     def test_keep_state_rejected(self, images):
         engine = AffinityEngine(_flat_source(), EngineConfig(affinity_mode="sparse"))
@@ -269,7 +264,7 @@ class TestMemmapBlocks:
         assert any(name.startswith("affinity-block-") for name in os.listdir(tmp_path))
 
     def test_standalone_store_round_trip(self, sparse_matrix, tmp_path):
-        store = MemmapBlockStore(directory=str(tmp_path))
+        store = MemmapBlockStore()
         backed = sparse_matrix.with_store(store)
         for f in range(backed.n_functions):
             block = backed.block(f)
