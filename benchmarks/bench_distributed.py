@@ -1,33 +1,24 @@
-"""Distributed shard runtime: cluster vs the serial path, with crossover.
+"""Distributed shard runtime: cluster vs the local thread path.
 
-Three benchmarks share the repo-root ``BENCH_distributed.json``, one
-section each:
+Two benchmarks share the repo-root ``BENCH_distributed.json``, one
+section each.  Their workers are ``goggles-repro worker`` processes
+started through ``tests/local_workers.py`` (``conftest.py`` puts
+``tests/`` on ``sys.path``).
 
 * ``test_distributed_extraction_bit_identical_at_any_worker_count`` —
-  cold clusters of 1, 2 and 4 spawned worker processes with result
-  streaming forced on (``stream_threshold=0``), so the framed path runs
-  under load.  At every worker count the merged pool features (values
+  cold clusters of 1, 2 and 4 worker processes with result streaming
+  forced on (``--stream-threshold 0``), so the framed path runs under
+  load.  At every worker count the merged pool features (values
   *and* strides: the downstream GEMM rounds by operand layout), the
   assembled :class:`AffinityMatrix` and the class-aligned labels must
   be **bit-identical** (atol=0) to the serial path.  Written as the
   ``extraction`` section; each cluster counts into its own registry, so
-  every row's counts are that cluster's.
-* ``test_distributed_crossover_sweep`` — the "does distributed ever
-  win" question, answered with numbers: N ∈ {80, 160, 320} ×
-  workers ∈ {2, 4} against a *warm* session — a :class:`Coordinator`
-  held open across runs (the cold first run — spawn + import +
-  per-process backbone build — is timed separately per session), every
-  cell asserted bit-identical, and a ``crossover`` section recording
-  the smallest N where distributed ≤ serial per worker count (or null).
-  The sweep also asserts the warm session spawned **zero** new workers
-  after its first run.
-
-The ``serial_*`` keys keep their names so the committed baselines stay
-comparable key for key, but they time the library default
-(``executor="thread"``): extraction chunks, similarity tiles and base
-fits all fan out over ``n_jobs`` local threads.
+  every row's counts are that cluster's.  The ``serial_*`` keys keep
+  their names so the committed baselines stay comparable key for key,
+  but they time the library default: extraction chunks, similarity
+  tiles and base fits all fan out over ``n_jobs`` local threads.
 * ``test_distributed_telemetry_reconciliation`` — the cluster-wide
-  telemetry contract: two *process* workers ship their
+  telemetry contract: two worker processes ship their
   ``goggles_worker_shards_completed_total`` deltas over the wire, and
   the sum of the merged per-worker series must reconcile **exactly**
   with the coordinator queue's completed-shard count (telemetry rides
@@ -44,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from local_workers import process_workers
 
 from repro.core import Goggles, GogglesConfig
 from repro.datasets import make_dataset
@@ -54,10 +46,6 @@ from repro.obs import MetricsRegistry
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_distributed.json"
 N_WORKERS = 2
-#: Crossover sweep grid: images per class (2 classes → N = 80/160/320)
-#: and warm-session worker counts.
-SWEEP_N_PER_CLASS = (40, 80, 160)
-SWEEP_WORKERS = (2, 4)
 #: Extraction cells: worker counts, pool layers and chunk size.
 EXTRACTION_WORKERS = (1, 2, 4)
 EXTRACTION_LAYERS = (0, 1, 2, 3, 4)
@@ -68,7 +56,7 @@ def update_trajectory(path: Path, key: str, rows: list[dict] | dict) -> None:
     """Merge one section into the shared trajectory JSON.
 
     ``BENCH_distributed.json`` holds one section per benchmark in this
-    file (``extraction``, ``crossover``, ``telemetry``); merging instead
+    file (``extraction``, ``telemetry``); merging instead
     of rewriting lets the benchmarks run in any order — or alone —
     without erasing each other's numbers.
     """
@@ -102,10 +90,8 @@ def test_distributed_extraction_bit_identical_at_any_worker_count(benchmark, set
 
         for n_workers in EXTRACTION_WORKERS:
             start = time.perf_counter()
-            with Coordinator(
-                DistributedConfig(n_workers=n_workers, stream_threshold=0),
-                registry=MetricsRegistry(),
-            ) as coordinator:
+            coordinator = Coordinator(DistributedConfig(), registry=MetricsRegistry())
+            with coordinator, process_workers(coordinator.address, n_workers, "--stream-threshold", "0"):
                 distributed = Goggles(config, model=model, coordinator=coordinator).label(
                     dataset.images, dev
                 )
@@ -173,10 +159,10 @@ def test_distributed_extraction_bit_identical_at_any_worker_count(benchmark, set
 def test_distributed_telemetry_reconciliation(benchmark, settings, record_result):
     """Worker-shipped telemetry must reconcile exactly with the queue.
 
-    Two spawned *process* workers each keep their own registry and ship
-    counter deltas piggybacked on their completion reports; the broker
-    merges each frame before applying the completions it rode with, so
-    when the run returns, the per-worker
+    Two ``goggles-repro worker`` processes each keep their own registry
+    and ship counter deltas piggybacked on their completion reports; the
+    broker merges each frame before applying the completions it rode
+    with, so when the run returns, the per-worker
     ``goggles_worker_shards_completed_total`` series must sum to the
     coordinator's completed-shard count — exactly, not approximately.
     """
@@ -189,7 +175,8 @@ def test_distributed_telemetry_reconciliation(benchmark, settings, record_result
         section.clear()
         registry = MetricsRegistry()
         start = time.perf_counter()
-        with Coordinator(DistributedConfig(n_workers=N_WORKERS), registry=registry) as coordinator:
+        coordinator = Coordinator(DistributedConfig(), registry=registry)
+        with coordinator, process_workers(coordinator.address, N_WORKERS):
             Goggles(GogglesConfig(n_classes=2, seed=0), model=model, coordinator=coordinator).label(
                 dataset.images, dev
             )
@@ -247,119 +234,3 @@ def test_distributed_telemetry_reconciliation(benchmark, settings, record_result
         f"trajectory artifact: {JSON_PATH.name}"
     )
 
-
-@pytest.mark.benchmark(group="distributed")
-def test_distributed_crossover_sweep(benchmark, settings, record_result):
-    """Warm-session N-sweep: where does distributed stop losing to local?
-
-    The local side (the library default, ``executor="thread"``) is
-    timed once per N; each worker count gets one :class:`Coordinator`
-    held open across runs, whose cold first run (process spawn +
-    imports + per-process backbone build) is timed separately and
-    excluded from the sweep rows — those measure warm steady-state,
-    which is what a long-lived service actually sees.  Every cell must
-    stay bit-identical to the local run, and the session must spawn
-    zero new workers after warm-up.
-    """
-    model = shared_model(settings)
-    datasets = {
-        npc: make_dataset("surface", n_per_class=npc, seed=0) for npc in SWEEP_N_PER_CLASS
-    }
-    devs = {
-        npc: datasets[npc].sample_dev_set(settings.dev_per_class, seed=0)
-        for npc in SWEEP_N_PER_CLASS
-    }
-    section: dict = {}
-
-    def measure() -> dict:
-        section.clear()
-        serial_out: dict[int, object] = {}
-        serial_s: dict[int, float] = {}
-        config = GogglesConfig(n_classes=2, seed=0)
-        for npc in SWEEP_N_PER_CLASS:
-            start = time.perf_counter()
-            serial_out[npc] = Goggles(config, model=model).label(datasets[npc].images, devs[npc])
-            serial_s[npc] = time.perf_counter() - start
-
-        rows: list[dict] = []
-        warmups: list[dict] = []
-        for n_workers in SWEEP_WORKERS:
-            with Coordinator(
-                DistributedConfig(n_workers=n_workers), registry=MetricsRegistry()
-            ) as pool:
-                spawned = pool.registry.get("goggles_pool_workers_spawned_total")
-                warm_npc = SWEEP_N_PER_CLASS[0]
-                start = time.perf_counter()
-                Goggles(config, model=model, coordinator=pool).label(
-                    datasets[warm_npc].images, devs[warm_npc]
-                )
-                warmups.append(
-                    {
-                        "workers": n_workers,
-                        "cold_first_run_seconds": round(time.perf_counter() - start, 4),
-                        "workers_spawned": int(spawned.total()),
-                    }
-                )
-                spawned_after_warmup = int(spawned.total())
-                for npc in SWEEP_N_PER_CLASS:
-                    start = time.perf_counter()
-                    distributed = Goggles(config, model=model, coordinator=pool).label(
-                        datasets[npc].images, devs[npc]
-                    )
-                    distributed_s = time.perf_counter() - start
-                    serial = serial_out[npc]
-                    assert np.array_equal(
-                        distributed.affinity.values, serial.affinity.values
-                    ), f"warm distributed affinity diverged at N={datasets[npc].n_examples}"
-                    assert np.array_equal(
-                        distributed.probabilistic_labels, serial.probabilistic_labels
-                    )
-                    assert np.array_equal(distributed.predictions, serial.predictions)
-                    rows.append(
-                        {
-                            "n": datasets[npc].n_examples,
-                            "workers": n_workers,
-                            "serial_seconds": round(serial_s[npc], 4),
-                            "distributed_seconds": round(distributed_s, 4),
-                            "speedup": round(serial_s[npc] / distributed_s, 3),
-                            "bit_identical": True,
-                        }
-                    )
-                assert int(spawned.total()) == spawned_after_warmup, (
-                    "warm session spawned new workers mid-sweep "
-                    f"({spawned_after_warmup} -> {int(spawned.total())})"
-                )
-
-        crossover_n: dict[str, int | None] = {}
-        for n_workers in SWEEP_WORKERS:
-            wins = [
-                row["n"]
-                for row in rows
-                if row["workers"] == n_workers
-                and row["distributed_seconds"] <= row["serial_seconds"]
-            ]
-            crossover_n[str(n_workers)] = min(wins) if wins else None
-        section.update({"rows": rows, "warmup": warmups, "crossover_n": crossover_n})
-        return section
-
-    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
-    update_trajectory(JSON_PATH, "crossover", measured)
-
-    lines = [
-        f"Distributed crossover sweep (warm sessions, N in "
-        f"{sorted({2 * npc for npc in SWEEP_N_PER_CLASS})}, workers in {list(SWEEP_WORKERS)})"
-    ]
-    for row in measured["rows"]:
-        lines.append(
-            f"  N={row['n']:<4d} workers={row['workers']}  serial {row['serial_seconds']:6.2f}s"
-            f"  distributed {row['distributed_seconds']:6.2f}s"
-            f"  speedup {row['speedup']:.2f}x  bit_identical={row['bit_identical']}"
-        )
-    for warm in measured["warmup"]:
-        lines.append(
-            f"  cold first run ({warm['workers']} workers): "
-            f"{warm['cold_first_run_seconds']:.2f}s, {warm['workers_spawned']} spawns"
-        )
-    lines.append(f"  crossover N (distributed <= serial): {measured['crossover_n']}")
-    lines.append(f"trajectory artifact: {JSON_PATH.name}")
-    record_result("\n".join(lines))

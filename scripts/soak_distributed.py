@@ -12,11 +12,12 @@ run at the library defaults, and the run fails loudly if no lease was
 ever reassigned (i.e. the chaos did not actually bite) or if a shard
 exhausted its retry budget.
 
-All rounds share one :class:`~repro.obs.MetricsRegistry`, so the
-telemetry shipped over the wire by the spawned process workers
-accumulates across rounds, and so do the queue counts ``stats()``
-reads from it: each round prints its own deltas, and the totals come
-from the last round.  The soak asserts the merged per-worker
+Each round's workers are ``goggles-repro worker`` processes started
+through ``tests/local_workers.py``.  All rounds share one
+:class:`~repro.obs.MetricsRegistry`, so the telemetry those processes
+ship over the wire accumulates across rounds, and so do the queue
+counts ``stats()`` reads from it: each round prints its own deltas, and
+the totals come from the last round.  The soak asserts the merged per-worker
 ``goggles_worker_shards_completed_total`` series stay **monotone
 non-decreasing** round over round even while chaos steals leases
 (lost frames lose their completions too — totals may lag, never
@@ -36,6 +37,7 @@ import argparse
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -44,6 +46,9 @@ from repro.datasets import make_dataset
 from repro.distributed import Coordinator, DistributedConfig, PoisonShardError
 from repro.nn.vgg import VGG16, VGGConfig
 from repro.obs import MetricsRegistry
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from local_workers import process_workers  # noqa: E402
 
 
 class LeaseThief(threading.Thread):
@@ -79,7 +84,7 @@ class LeaseThief(threading.Thread):
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=4, help="spawned worker processes")
+    parser.add_argument("--workers", type=int, default=4, help="worker processes per round")
     parser.add_argument("--rounds", type=int, default=3, help="labeling rounds to soak")
     parser.add_argument("--n-per-class", type=int, default=24, help="corpus scale per round")
     parser.add_argument(
@@ -130,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
 
         coordinator = Coordinator(
             DistributedConfig(
-                n_workers=args.workers,
                 lease_timeout=args.lease_timeout,
                 max_attempts=args.max_attempts,
                 run_timeout=900.0,
@@ -139,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         thief = LeaseThief(coordinator, interval=args.theft_interval)
         start = time.perf_counter()
-        with coordinator:
+        with coordinator, process_workers(coordinator.address, args.workers):
             thief.start()
             try:
                 distributed = Goggles(config, model=model, coordinator=coordinator).label(

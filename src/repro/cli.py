@@ -5,15 +5,13 @@ Examples::
     goggles-repro label --dataset cub --n-per-class 40
     goggles-repro table1 --seeds 3
     goggles-repro fig8 --dataset surface
-    goggles-repro --executor distributed --n-jobs 2 serve --dataset surface
     goggles-repro serve --http-port 8080 --max-queued-pixels 2000000
 
-``--executor distributed`` runs every stage on one coordinator/worker
-session that the command opens and closes (``serve``'s tenant keeps its
-session warm for the seed labeling and every streamed batch).  A local
-two-command cluster (terminal 1 runs the coordinator, which shards
-affinity tiles and base fits over the task queue; terminal 2+ run
-workers — on this machine or any other that can reach the broker)::
+Every other command runs on this machine's ``--n-jobs`` threads.  The
+one distributed form takes two commands: terminal 1 runs the
+coordinator, which shards feature extraction, affinity tiles and base
+fits over its task queue, and terminal 2+ run workers — on this machine
+or any other that can reach the broker::
 
     goggles-repro coordinator --dataset surface --bind 127.0.0.1:41817
     goggles-repro worker --connect 127.0.0.1:41817
@@ -30,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import EXECUTORS, Goggles, GogglesConfig
+from repro.core import Goggles, GogglesConfig
 from repro.datasets import DATASET_NAMES, make_dataset
 from repro.engine import ArtifactCache
 from repro.eval.harness import (
@@ -64,7 +62,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         dev_per_class=args.dev_per_class,
         seed=args.seed,
         n_jobs=args.n_jobs,
-        executor=args.executor,
         batch_size=_batch_size(args),
         precision=args.precision,
         cache_dir=args.cache_dir,
@@ -88,9 +85,9 @@ def _cmd_label(args: argparse.Namespace) -> int:
     # One-shot command: retaining the corpus state only pays off when a
     # cache directory persists it for a later incremental/serve run.
     keep_state = args.cache_dir is not None and not args.no_keep_corpus_state
-    with Goggles(_goggles_config(args, dataset.n_classes, keep_corpus_state=keep_state)) as goggles:
-        before = None if goggles.engine.cache is None else _cache_counts()
-        result = goggles.label(dataset.images, dev)
+    goggles = Goggles(_goggles_config(args, dataset.n_classes, keep_corpus_state=keep_state))
+    before = None if goggles.engine.cache is None else _cache_counts()
+    result = goggles.label(dataset.images, dev)
     accuracy = result.accuracy(dataset.labels, exclude=dev.indices)
     print(f"dataset: {dataset.name}")
     print(f"instances: {dataset.n_examples} (dev {dev.size})")
@@ -154,9 +151,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
         )
     # Further tenants joining over POST /v1/tenants inherit the CLI's
-    # engine flags through base_config.  The tenant's one Goggles lives
-    # for the whole command: under --executor distributed the session it
-    # opens stays warm for the seed fit and every streamed batch.
+    # engine flags through base_config.
     tenants = TenantRegistry(base_config=config, model=VGG16(config.vgg))
     tenant_config = TenantConfig(
         mode=mode,
@@ -225,33 +220,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_coordinator(args: argparse.Namespace) -> int:
     """Run a labeling job as the cluster coordinator.
 
-    Binds the broker, optionally spawns local workers, then shards the
-    affinity tiles and base fits over whoever is connected.  Remote
-    workers join with ``goggles-repro worker --connect HOST:PORT``.
+    Binds the broker, then shards feature extraction, affinity tiles and
+    base fits over whichever workers connect; the job waits for them.
+    Workers join with ``goggles-repro worker --connect HOST:PORT``.
     """
     from repro.distributed import Coordinator, DistributedConfig
 
     dataset = make_dataset(args.dataset, n_per_class=args.n_per_class, seed=args.seed)
     dev = dataset.sample_dev_set(args.dev_per_class, seed=args.seed)
-    # The explicit Coordinator below is the single source of truth for
-    # bind/worker settings; Goggles runs every stage on it.
     coordinator = Coordinator(
         DistributedConfig(
             bind=args.bind,
             authkey=args.authkey,
-            n_workers=args.spawn_workers,
             lease_timeout=args.lease_timeout,
             max_attempts=args.max_attempts,
-            stream_threshold=args.stream_threshold,
-            lease_batch=args.lease_batch,
             lease_target_seconds=args.lease_target_seconds,
         )
     )
     config = _goggles_config(args, dataset.n_classes, keep_corpus_state=False)
-    with coordinator, Goggles(config, coordinator=coordinator) as goggles:
+    with coordinator:
+        goggles = Goggles(config, coordinator=coordinator)
         host, port = coordinator.address
-        print(f"coordinator listening on {host}:{port} "
-              f"({args.spawn_workers} local worker(s) spawned)")
+        # Flushed, so a script piping the output sees where to point its
+        # workers before the job blocks on them.
+        print(f"coordinator listening on {host}:{port}", flush=True)
         start = time.perf_counter()
         result = goggles.label(dataset.images, dev)
         elapsed = time.perf_counter() - start
@@ -281,6 +273,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     worker = Worker(
         (host, port), args.authkey, cache=cache,
         stream_threshold=args.stream_threshold, lease_batch=args.lease_batch,
+        # This process' registry is out of the coordinator's reach, so
+        # its counts and spans ride the reports back for merging.
+        ship_telemetry=True,
     )
     print(f"worker {worker.worker_id} polling {args.connect}")
     worker.run()
@@ -297,6 +292,9 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
     """Inspect a shared artifact-cache directory."""
     if args.cache_dir is None:
         raise SystemExit("cache-info needs --cache-dir")
+    if not os.path.isdir(args.cache_dir):
+        # Building the cache would create the directory it was asked to inspect.
+        raise SystemExit(f"cache-info: no cache directory at {args.cache_dir}")
     cache = ArtifactCache(args.cache_dir, max_bytes=args.cache_max_bytes)
     kinds: dict[str, tuple[int, int]] = {}
     for name in sorted(os.listdir(cache.cache_dir)):
@@ -502,11 +500,6 @@ def main(argv: list[str] | None = None) -> int:
              "runs on one thread (default: usable cores, %(default)s here)",
     )
     parser.add_argument(
-        "--executor", choices=EXECUTORS, default="thread",
-        help="where every stage runs: local threads, or a coordinator/worker session "
-        "the command opens and closes",
-    )
-    parser.add_argument(
         "--batch-size", type=int, default=32,
         help="images per backbone forward pass (0 = whole corpus)",
     )
@@ -600,18 +593,14 @@ def main(argv: list[str] | None = None) -> int:
 
     coordinator = sub.add_parser(
         "coordinator",
-        help="run a labeling job as a cluster coordinator (shards affinity tiles "
-        "and base fits to connected workers)",
+        help="run a labeling job as a cluster coordinator (shards feature extraction, "
+        "affinity tiles and base fits to the workers that connect)",
     )
     coordinator.add_argument("--dataset", choices=DATASET_NAMES, default="surface")
     coordinator.add_argument(
         "--bind", default=f"127.0.0.1:{DEFAULT_PORT}",
         help="host:port the broker listens on (port 0 = ephemeral); bind a routable "
         "host to accept workers from other machines",
-    )
-    coordinator.add_argument(
-        "--spawn-workers", type=int, default=2,
-        help="local worker processes to spawn (0 = all workers join externally)",
     )
     coordinator.add_argument(
         "--authkey", default=default_authkey(),
@@ -624,16 +613,6 @@ def main(argv: list[str] | None = None) -> int:
     coordinator.add_argument(
         "--max-attempts", type=int, default=3,
         help="lease grants per shard before it is poisoned (clear error, no hang)",
-    )
-    coordinator.add_argument(
-        "--stream-threshold", type=int, default=DEFAULT_STREAM_THRESHOLD,
-        help="result bytes above which spawned workers stream shard results as "
-        "framed sub-messages instead of one message (0 = always stream)",
-    )
-    coordinator.add_argument(
-        "--lease-batch", type=int, default=DEFAULT_LEASE_BATCH,
-        help="most shards one worker lease round-trip may request (the autotuner "
-        "usually grants fewer; 1 = one shard per round-trip)",
     )
     coordinator.add_argument(
         "--lease-target-seconds", type=float, default=0.1,

@@ -13,14 +13,13 @@ from repro.core.affinity import (
     affinity_from_features,
     cosine_similarity,
 )
-from repro.core.goggles import EXECUTORS, Goggles, GogglesConfig, GogglesResult
+from repro.core.goggles import Goggles, GogglesConfig, GogglesResult
 
 __all__ = [
     "AffinityFunctionId",
     "AffinityMatrix",
     "affinity_from_features",
     "cosine_similarity",
-    "EXECUTORS",
     "Goggles",
     "GogglesConfig",
     "GogglesResult",

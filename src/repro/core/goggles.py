@@ -41,10 +41,7 @@ from repro.utils.validation import check_images
 if TYPE_CHECKING:  # runtime import would cycle (repro.online builds on the engines)
     from repro.online import OnlineConfig
 
-__all__ = ["EXECUTORS", "GogglesConfig", "GogglesResult", "Goggles"]
-
-#: Where the pipeline runs: local threads, or one coordinator/worker session.
-EXECUTORS = ("thread", "distributed")
+__all__ = ["GogglesConfig", "GogglesResult", "Goggles"]
 
 
 @dataclass(frozen=True)
@@ -61,20 +58,9 @@ class GogglesConfig:
             base models", §5.3); defaults to the usable core count.
             Above 1 the engines' pools pin the process to one BLAS
             thread (see :class:`~repro.engine.engine.EngineConfig`).
-            Results are identical at any width.
-        executor: ``"thread"`` (default; every stage on the local
-            ``n_jobs`` pool, ``n_jobs=1`` for serial fits) or
-            ``"distributed"`` (feature extraction, affinity tiles *and*
-            base fits sharded over a coordinator/worker session that
-            :class:`Goggles` opens and closes, possibly spanning
-            machines).  Results are identical in either mode.
-        broker: ``host:port`` the distributed coordinator binds (only
-            with ``executor="distributed"``; port 0 = ephemeral).
-            ``None`` means a localhost cluster that auto-spawns
-            ``n_workers or n_jobs`` local workers.
-        n_workers: local worker processes the distributed session
-            spawns; 0 with an explicit ``broker`` means workers join
-            externally via ``goggles-repro worker``.
+            Results are identical at any width.  To shard the stages
+            over other machines instead, pass a coordinator to
+            :class:`Goggles`.
         batch_size: images per backbone forward pass in the affinity
             engine; bounds peak memory, never changes values.
         cache_dir: artifact-cache directory shared by the affinity and
@@ -101,9 +87,7 @@ class GogglesConfig:
             seed fields here take precedence).
         engine: full engine override (tile sizes, precision).  When
             given, its ``n_jobs``/``batch_size``/``cache_dir`` win over
-            the top-level convenience fields.  ``executor``, ``broker``
-            and ``n_workers`` are not engine fields, so an override
-            keeps them.
+            the top-level convenience fields.
         online: knobs of the online serving loop
             (:class:`~repro.online.OnlineConfig` — step-size schedule,
             drift threshold, refit cadence) picked up by
@@ -116,9 +100,6 @@ class GogglesConfig:
     layers: tuple[int, ...] = (0, 1, 2, 3, 4)
     seed: int = 0
     n_jobs: int = field(default_factory=usable_cores)
-    executor: str = "thread"
-    broker: str | None = None
-    n_workers: int = 0
     batch_size: int | None = 32
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
@@ -130,12 +111,6 @@ class GogglesConfig:
     inference: HierarchicalConfig = field(default_factory=HierarchicalConfig)
     engine: EngineConfig | None = None
     online: OnlineConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
-        if self.n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
 
     def hierarchical_config(self) -> HierarchicalConfig:
         """The inference config with n_classes/seed overridden."""
@@ -198,15 +173,14 @@ class GogglesResult:
 class Goggles:
     """The GOGGLES automatic image-labeling system.
 
-    Every stage runs on one coordinator/worker session when there is
-    one, so a worker connects once and serves extraction chunks,
-    affinity tiles and base fits alike.  A ``coordinator`` passed in
-    runs every stage whatever ``config.executor`` says, and stays open:
-    the caller closes it, so one session kept open across consecutive
-    ``Goggles`` runs is a warm pool (e.g. the CLI's ``coordinator``
-    verb).  Without one, ``executor="distributed"`` opens a session
-    through :meth:`repro.distributed.Coordinator.for_engine`, and
-    :meth:`close` (or the context-manager form) closes that session only.
+    Every stage runs on the local ``n_jobs`` pool, or on a
+    :class:`repro.distributed.Coordinator` passed as ``coordinator``:
+    then a worker connects once and serves extraction chunks, affinity
+    tiles and base fits alike.  The caller opens that coordinator and
+    closes it, so one kept open across consecutive ``Goggles`` runs is
+    a warm pool (e.g. the CLI's ``coordinator`` verb).  A coordinator
+    without a cache takes the engine's.  Results are identical either
+    way.
     """
 
     def __init__(
@@ -222,17 +196,7 @@ class Goggles:
             PrototypeAffinitySource(self.model, top_z=self.config.top_z, layers=self.config.layers),
             engine_config,
         )
-        self._opened = None
-        if coordinator is None and self.config.executor == "distributed":
-            from repro.distributed import Coordinator
-
-            coordinator = self._opened = Coordinator.for_engine(
-                broker=self.config.broker,
-                n_workers=self.config.n_workers,
-                n_jobs=engine_config.n_jobs,
-                cache=self.engine.cache,
-            )
-        elif coordinator is not None and coordinator.cache is None:
+        if coordinator is not None and coordinator.cache is None:
             coordinator.cache = self.engine.cache
         self.coordinator = self.engine.coordinator = coordinator
         # Step 2 mirrors step 1: a staged engine sharing the same cache,
@@ -243,17 +207,6 @@ class Goggles:
             cache=self.engine.cache,
             coordinator=coordinator,
         )
-
-    def close(self) -> None:
-        """Close the session this object opened, if any. Idempotent."""
-        if self._opened is not None:
-            self._opened.close()
-
-    def __enter__(self) -> "Goggles":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def build_affinity_matrix(self, images: np.ndarray) -> AffinityMatrix | SparseAffinityMatrix:
         """Step 1 (Figure 3): affinity matrix construction.

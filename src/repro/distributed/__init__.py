@@ -15,9 +15,9 @@ than one giant pickle):
 * :mod:`repro.distributed.broker` — the authenticated TCP front door.
 * :mod:`repro.distributed.worker` — the pull/compute/report loop.
 * :mod:`repro.distributed.coordinator` — the session object the
-  engines drive when they are given one.  ``Goggles`` opens a session
-  for ``executor="distributed"``; a caller that opens one itself keeps
-  it warm across runs and closes it.
+  engines drive when they are given one.  The caller opens it, passes
+  it to ``Goggles(coordinator=...)``, keeps it warm across runs and
+  closes it; workers join it as ``goggles-repro worker`` processes.
 * :mod:`repro.distributed.wire` — wire format v2, the only payload
   format: raw npy result buffers behind a framed header.
 """
@@ -49,7 +49,6 @@ from repro.distributed.worker import (
     DEFAULT_POLL_INTERVAL_MAX,
     DEFAULT_STREAM_THRESHOLD,
     Worker,
-    run_worker_process,
 )
 from repro.distributed.wire import (
     WireFormatError,
@@ -88,7 +87,6 @@ __all__ = [
     "parse_address",
     "require_safe_authkey",
     "required_result_keys",
-    "run_worker_process",
     "similarity_task",
     "wire",
 ]

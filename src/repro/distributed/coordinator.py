@@ -2,9 +2,9 @@
 
 The coordinator is the distributed runtime's only stateful piece.  It
 owns the lease-based :class:`~repro.distributed.queue.TaskQueue`, binds
-the :class:`~repro.distributed.broker.Broker` socket, optionally spawns
-local workers, and exposes the two stage-level operations the engines
-need:
+the :class:`~repro.distributed.broker.Broker` socket that workers
+(``goggles-repro worker``) join, and exposes the three stage-level
+operations the engines need:
 
 * :meth:`Coordinator.extract_pool_features` — stage 1: the corpus is
   cut at the serial chunked-batch boundaries, shipped as
@@ -23,18 +23,14 @@ need:
   lease reassignments.
 
 Construction is lazy and cheap — no socket is bound until the first
-:meth:`run` (a fully cache-hot rerun never binds one at all), so a
-``Goggles`` configured for distributed execution costs nothing until it
-actually labels.
+:meth:`run` or :attr:`Coordinator.address` (a fully cache-hot rerun
+never binds one at all), so a ``Goggles`` handed a coordinator costs
+nothing until it actually labels.
 """
 
 from __future__ import annotations
 
-import logging
-import multiprocessing
 import os
-import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,19 +45,9 @@ from repro.distributed.tasks import (
     load_shard_result,
     unpack_gmm_result,
 )
-from repro.distributed.worker import (
-    DEFAULT_FRAME_BYTES,
-    DEFAULT_LEASE_BATCH,
-    DEFAULT_POLL_INTERVAL_MAX,
-    DEFAULT_STREAM_THRESHOLD,
-    Worker,
-    run_worker_process,
-)
 from repro.engine.cache import ArtifactCache
 from repro.nn.vgg import VGGConfig
 from repro.obs import MetricsRegistry, default_registry
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_AUTHKEY",
@@ -73,8 +59,6 @@ __all__ = [
 ]
 
 DEFAULT_AUTHKEY = "goggles-repro"
-
-_WORKER_MODES = ("process", "thread")
 
 
 def default_authkey() -> str:
@@ -116,7 +100,7 @@ def parse_address(spec: str) -> tuple[str, int]:
 
 @dataclass(frozen=True)
 class DistributedConfig:
-    """Configuration of one coordinator/worker session.
+    """Configuration of one coordinator session.
 
     Attributes:
         bind: ``host:port`` the broker listens on; port 0 binds an
@@ -124,98 +108,53 @@ class DistributedConfig:
             Bind a routable host to accept workers from other machines.
         authkey: shared HMAC secret for connection authentication;
             defaults to ``$GOGGLES_AUTHKEY`` or ``"goggles-repro"``.
-        n_workers: local workers the coordinator spawns itself; 0 means
-            every worker joins externally (``goggles-repro worker``).
-        worker_mode: ``"process"`` (spawned subprocesses — true
-            parallelism, the production shape) or ``"thread"``
-            (in-process loops — cheap, mainly for tests and tiny runs).
         lease_timeout: seconds before an unresponsive worker's shard is
             reassigned.
         max_attempts: lease grants per shard before it is poisoned.
         run_timeout: overall deadline for one :meth:`Coordinator.run`;
             ``None`` waits forever.
-        worker_poll_interval: initial idle poll period of spawned
-            workers (they back off exponentially up to
-            ``worker_poll_max`` while the queue stays idle).
-        worker_poll_max: ceiling of the idle backoff.
-        lease_batch: most shards one worker ``lease_many`` round-trip
-            may request; the queue's autotuner usually grants fewer
-            (about ``lease_target_seconds`` of estimated compute).
-            1 restores one-shard-per-round-trip.
         lease_target_seconds: compute seconds one lease grant aims to
             carry once the autotuner has calibrated a shard kind.
-        stream_threshold: result size (payload array bytes) above which
-            spawned workers stream a shard result back as framed
-            sub-messages instead of one monolithic message; below it
-            results batch into ``report_many`` uploads.  0 streams
-            everything.
-        frame_bytes: frame size of a streamed result.
         straggler_factor: a completed shard whose worker-measured
             compute exceeded this multiple of the autotuner's EWMA
             estimate for its kind is counted as a straggler
             (``goggles_stragglers_total{kind}``) and logged with shard
             id and worker.
-        close_join_timeout: seconds :meth:`Coordinator.close` waits for
-            each worker thread/process (and the broker's threads) to
-            join before giving up with a warning instead of hanging.
     """
 
     bind: str = "127.0.0.1:0"
     authkey: str = field(default_factory=default_authkey)
-    n_workers: int = 0
-    worker_mode: str = "process"
     lease_timeout: float = 30.0
     max_attempts: int = 3
     run_timeout: float | None = 600.0
-    worker_poll_interval: float = 0.02
-    worker_poll_max: float = DEFAULT_POLL_INTERVAL_MAX
-    lease_batch: int = DEFAULT_LEASE_BATCH
     lease_target_seconds: float = 0.1
-    stream_threshold: int = DEFAULT_STREAM_THRESHOLD
-    frame_bytes: int = DEFAULT_FRAME_BYTES
     straggler_factor: float = 4.0
-    close_join_timeout: float = 5.0
 
     def __post_init__(self) -> None:
         parse_address(self.bind)  # fail fast on malformed addresses
-        if self.n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
-        if self.worker_mode not in _WORKER_MODES:
-            raise ValueError(f"worker_mode must be one of {_WORKER_MODES}, got {self.worker_mode!r}")
         if self.run_timeout is not None and self.run_timeout <= 0:
             raise ValueError(f"run_timeout must be > 0, got {self.run_timeout}")
-        if self.worker_poll_max < self.worker_poll_interval:
-            raise ValueError(
-                f"worker_poll_max ({self.worker_poll_max}) must be >= "
-                f"worker_poll_interval ({self.worker_poll_interval})"
-            )
-        if self.lease_batch < 1:
-            raise ValueError(f"lease_batch must be >= 1, got {self.lease_batch}")
         if self.lease_target_seconds <= 0:
             raise ValueError(f"lease_target_seconds must be > 0, got {self.lease_target_seconds}")
-        if self.stream_threshold < 0:
-            raise ValueError(f"stream_threshold must be >= 0, got {self.stream_threshold}")
-        if self.frame_bytes < 1:
-            raise ValueError(f"frame_bytes must be >= 1, got {self.frame_bytes}")
         if self.straggler_factor <= 1.0:
             raise ValueError(f"straggler_factor must be > 1, got {self.straggler_factor}")
-        if self.close_join_timeout <= 0:
-            raise ValueError(f"close_join_timeout must be > 0, got {self.close_join_timeout}")
 
 
 class Coordinator:
-    """Coordinator/worker session over the fault-tolerant task queue.
+    """Coordinator session over the fault-tolerant task queue.
 
-    Whoever opens a session closes it.  A coordinator the caller keeps
-    open is a warm pool: pass it to consecutive ``Goggles`` runs (which
-    never close a session they did not open) and the workers and the
-    broker socket survive between them.  Spawned worker processes keep
-    their imported modules and memoised VGG backbone, which is most of
-    what a cold run pays for.
+    The caller opens a coordinator and closes it; nothing else does.
+    Workers join it from outside, as ``goggles-repro worker --connect
+    HOST:PORT`` processes on this machine or any other that reaches
+    :attr:`address`.  A coordinator kept open across consecutive
+    ``Goggles`` runs is a warm pool: the broker socket and the connected
+    workers survive between runs, and each worker process keeps its
+    imported modules and memoised VGG backbone, which is most of what a
+    cold run pays for.
 
     ``registry`` (default: process-wide) is the session's one counter
-    store: the coordinator, queue, broker, in-thread workers and merged
-    telemetry count into it, so a count read through any of them is that
+    store: the coordinator, queue, broker and merged worker telemetry
+    count into it, so a count read through any of them is that
     registry's total.  Tests asserting exact counts pass a fresh one.
     """
 
@@ -237,8 +176,6 @@ class Coordinator:
             straggler_factor=self.config.straggler_factor,
         )
         self._broker: Broker | None = None
-        self._thread_workers: list[tuple[Worker, threading.Thread]] = []
-        self._processes: list[multiprocessing.process.BaseProcess] = []
         self._closed = False
         self._m_planned = self.registry.counter(
             "goggles_coordinator_shards_planned_total",
@@ -248,43 +185,8 @@ class Coordinator:
             "goggles_coordinator_shard_cache_hits_total",
             "Shards resolved from the artifact cache without enqueueing.",
         )
-        self._m_spawned = self.registry.counter(
-            "goggles_pool_workers_spawned_total", "Local workers spawned by coordinators."
-        )
         self._m_writebacks = self.registry.counter(
             "goggles_pool_cache_writebacks_total", "Shard results written back into the artifact cache."
-        )
-        self._m_close_timeouts = self.registry.counter(
-            "goggles_pool_close_join_timeouts_total",
-            "Worker threads/processes that failed to join within close()'s timeout.",
-        )
-
-    @classmethod
-    def for_engine(
-        cls,
-        *,
-        broker: str | None = None,
-        n_workers: int = 0,
-        n_jobs: int = 1,
-        cache: ArtifactCache | None = None,
-    ) -> "Coordinator":
-        """The session implied by ``GogglesConfig``'s distributed knobs.
-
-        An explicit ``broker`` address binds there and trusts
-        ``n_workers`` as given (0 = all workers join externally).
-        Without one, ``executor="distributed"`` should still just work:
-        bind an ephemeral localhost port and spawn ``n_workers`` (or,
-        when that is 0, ``n_jobs``) local workers — a one-knob local
-        cluster.  At the library default ``n_jobs`` that is one worker
-        per usable core, each pinned to one BLAS thread
-        (:func:`~repro.distributed.worker.run_worker_process`).  The
-        caller closes what this opens.
-        """
-        if broker is None and n_workers == 0:
-            n_workers = max(1, n_jobs)
-        return cls(
-            DistributedConfig(bind=broker or "127.0.0.1:0", n_workers=n_workers),
-            cache=cache,
         )
 
     # ------------------------------------------------------------------
@@ -302,7 +204,7 @@ class Coordinator:
         return self._broker.address
 
     def start(self) -> "Coordinator":
-        """Bind the broker and spawn local workers. Idempotent."""
+        """Bind the broker socket. Idempotent."""
         if self._closed:
             raise RuntimeError("coordinator is closed")
         if self._broker is not None:
@@ -310,91 +212,19 @@ class Coordinator:
         bind = parse_address(self.config.bind)
         require_safe_authkey(bind[0], self.config.authkey)
         self._broker = Broker(self.queue, bind=bind, authkey=self.config.authkey)
-        for index in range(self.config.n_workers):
-            self._spawn_worker(index)
         return self
 
-    def _spawn_worker(self, index: int) -> None:
-        assert self._broker is not None
-        host, port = self._broker.address
-        self._m_spawned.inc()
-        if self.config.worker_mode == "thread":
-            worker = Worker(
-                (host, port),
-                self.config.authkey,
-                cache=self.cache,
-                worker_id=f"local-thread-{index}",
-                poll_interval=self.config.worker_poll_interval,
-                poll_interval_max=self.config.worker_poll_max,
-                lease_batch=self.config.lease_batch,
-                stream_threshold=self.config.stream_threshold,
-                frame_bytes=self.config.frame_bytes,
-                # In-thread workers share the coordinator's registry
-                # (and do NOT ship telemetry — that would double-count).
-                registry=self.registry,
-            )
-            thread = threading.Thread(target=worker.run, name=f"goggles-worker-{index}", daemon=True)
-            thread.start()
-            self._thread_workers.append((worker, thread))
-        else:
-            # Spawn (not fork): the broker's accept thread is already
-            # running, and forked children would inherit its socket.
-            context = multiprocessing.get_context("spawn")
-            cache_dir = self.cache.cache_dir if self.cache is not None else None
-            cache_max_bytes = self.cache.max_bytes if self.cache is not None else None
-            process = context.Process(
-                target=run_worker_process,
-                args=(
-                    host,
-                    port,
-                    self.config.authkey,
-                    cache_dir,
-                    cache_max_bytes,
-                    self.config.stream_threshold,
-                    self.config.frame_bytes,
-                    self.config.worker_poll_interval,
-                    self.config.worker_poll_max,
-                    self.config.lease_batch,
-                ),
-                name=f"goggles-worker-{index}",
-                daemon=True,
-            )
-            process.start()
-            self._processes.append(process)
-
     def close(self) -> None:
-        """Shut the session down: workers, broker, socket. Idempotent."""
+        """Close the broker and its socket. Idempotent.
+
+        Connected workers see the connection drop and exit once their
+        reconnect budget runs out.
+        """
         if self._closed:
             return
         self._closed = True
-        timeout = self.config.close_join_timeout
-        for worker, _ in self._thread_workers:
-            worker.stop()
         if self._broker is not None:
             self._broker.close()
-        for worker, thread in self._thread_workers:
-            thread.join(timeout=timeout)
-            if thread.is_alive():
-                # Never hang a close: the thread is daemonic, so leak it
-                # loudly (counter + log) and move on — e.g. a worker
-                # blocked on a connect retry to a broker that died.
-                self._m_close_timeouts.inc()
-                logger.warning(
-                    "worker thread %s did not join within %.1fs on close; leaking daemon thread",
-                    thread.name, timeout,
-                )
-        for process in self._processes:
-            process.terminate()
-            process.join(timeout=timeout)
-            if process.is_alive():  # pragma: no cover - last resort
-                self._m_close_timeouts.inc()
-                logger.warning(
-                    "worker process %s (pid %s) did not join within %.1fs on close; killing",
-                    process.name, process.pid, timeout,
-                )
-                process.kill()
-        self._thread_workers.clear()
-        self._processes.clear()
 
     def __enter__(self) -> "Coordinator":
         return self
@@ -444,7 +274,7 @@ class Coordinator:
         for task in outstanding:
             self.queue.add(task)
         ids = [task.task_id for task in outstanding]
-        finished = self._wait(ids)
+        finished = self.queue.wait(ids, timeout=self.config.run_timeout)
         poisoned = self.queue.poisoned_among(ids)
         if poisoned:
             worst = poisoned[0]
@@ -472,45 +302,6 @@ class Coordinator:
                 self._m_writebacks.inc()
         self.queue.forget(ids)
         return results
-
-    def _wait(self, ids: list[str]) -> bool:
-        """Wait for shards in slices, watching local-cluster liveness."""
-        deadline = None if self.config.run_timeout is None else time.monotonic() + self.config.run_timeout
-        while True:
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                return False
-            step = 0.5 if remaining is None else min(0.5, remaining)
-            if self.queue.wait(ids, timeout=step):
-                return True
-            self._check_local_cluster()
-
-    def _check_local_cluster(self) -> None:
-        """Fail fast when every local worker died and nobody else serves.
-
-        Without this, a cluster whose auto-spawned workers crashed at
-        startup (bad environment, import error) would sit silently
-        until ``run_timeout``.  External workers joining through an
-        explicit broker address keep the run alive.
-        """
-        spawned = bool(self._processes) or bool(self._thread_workers)
-        if not spawned:
-            return  # external-workers-only session: nothing to watch
-        alive = any(p.is_alive() for p in self._processes) or any(
-            t.is_alive() for _, t in self._thread_workers
-        )
-        if alive:
-            return
-        if self._broker is not None and self._broker.active_connections > 0:
-            return  # external workers are serving
-        exit_codes = [p.exitcode for p in self._processes]
-        raise RuntimeError(
-            f"all {len(self._processes) + len(self._thread_workers)} local worker(s) "
-            f"exited (exit codes {exit_codes}) with shards still outstanding and no "
-            "external workers connected to "
-            f"{self._broker.address if self._broker else self.config.bind}; "
-            "check the workers' stderr"
-        )
 
     # ------------------------------------------------------------------
     # Stage-level operations (what the engines call)

@@ -5,7 +5,7 @@ it copies every byte of every array once into the pickle, once more on
 the join at reassembly, and a third time on ``pickle.loads``.  For the
 multi-megabyte extraction and tile results that dominate distributed
 traffic, those copies (not the compute) are a measurable slice of the
-constant factor of ``executor="distributed"``.  (Version 1 was that
+constant factor of a distributed run.  (Version 1 was that
 pickled stream; it is no longer spoken.)
 
 v2 serialises a result as a *list of buffers* instead of one blob:

@@ -47,7 +47,6 @@ from repro.distributed import wire
 from repro.distributed.tasks import ShardTask, execute_shard
 from repro.engine.cache import ArtifactCache
 from repro.obs import MetricsRegistry, TelemetryShipper, default_registry, span, trace_context
-from repro.utils.threads import pin_thread_budget
 
 __all__ = [
     "DEFAULT_STREAM_THRESHOLD",
@@ -55,7 +54,6 @@ __all__ = [
     "DEFAULT_LEASE_BATCH",
     "DEFAULT_POLL_INTERVAL_MAX",
     "Worker",
-    "run_worker_process",
 ]
 
 #: Result payload bytes above which a shard result streams as frames.
@@ -96,13 +94,15 @@ class Worker:
         frame_bytes: chunk size of a streamed result blob.
         registry: the one store of the worker's counts, the
             ``goggles_worker_*{worker}`` families (default: the
-            process-wide one; in-thread workers get the coordinator's).
+            process-wide one; a worker running in the coordinator's
+            process may share the coordinator's).
         ship_telemetry: piggyback registry deltas + fresh span records
             on outgoing reports (``report_many`` / ``result-end`` /
             ``bye``) so the coordinator can merge them into its scrape
-            registry.  On for spawned worker processes, off for
-            in-thread workers (which already share the coordinator's
-            registry — shipping would double-count).
+            registry.  On for ``goggles-repro worker`` processes, whose
+            registry the coordinator cannot otherwise reach; off for a
+            worker sharing the coordinator's registry (shipping would
+            double-count).
     """
 
     _instances = 0
@@ -148,12 +148,12 @@ class Worker:
         self.retry_delay = float(retry_delay)
         self.stream_threshold = int(stream_threshold)
         self.frame_bytes = int(frame_bytes)
-        # Counters keyed by the worker's own id.  In-thread workers
-        # write them straight into the coordinator's registry; spawned
-        # workers write their own process registry and (with
-        # ``ship_telemetry``) ship deltas for the coordinator to merge —
-        # the ``worker`` label makes both paths land as distinct series
-        # of the same families.
+        # Counters keyed by the worker's own id.  A worker sharing the
+        # coordinator's registry writes them there directly; a worker
+        # process writes its own registry and (with ``ship_telemetry``)
+        # ships deltas for the coordinator to merge — the ``worker``
+        # label makes both paths land as distinct series of the same
+        # families.
         self.registry = registry if registry is not None else default_registry()
         self._m_completed = self.registry.counter(
             "goggles_worker_shards_completed_total",
@@ -331,39 +331,3 @@ class Worker:
             except (EOFError, OSError, BrokenPipeError):
                 pass
             conn.close()
-
-
-def run_worker_process(
-    host: str,
-    port: int,
-    authkey: str,
-    cache_dir: str | None,
-    cache_max_bytes: int | None = None,
-    stream_threshold: int = DEFAULT_STREAM_THRESHOLD,
-    frame_bytes: int = DEFAULT_FRAME_BYTES,
-    poll_interval: float = 0.05,
-    poll_interval_max: float = DEFAULT_POLL_INTERVAL_MAX,
-    lease_batch: int = DEFAULT_LEASE_BATCH,
-) -> None:
-    """Entry point of a spawned local worker process.
-
-    Module-level (picklable) so ``multiprocessing`` spawn contexts can
-    target it; reconstructs the cache from its directory (budget
-    included, so worker writes respect the LRU bound) because an
-    :class:`ArtifactCache` handle does not cross process boundaries.
-    """
-    # Local workers run side by side, one per core by default, so each
-    # runs BLAS on one thread.
-    pin_thread_budget()
-    cache = ArtifactCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
-    Worker(
-        (host, int(port)),
-        authkey,
-        cache=cache,
-        stream_threshold=stream_threshold,
-        frame_bytes=frame_bytes,
-        poll_interval=poll_interval,
-        poll_interval_max=poll_interval_max,
-        lease_batch=lease_batch,
-        ship_telemetry=True,  # a spawned process' registry is otherwise unreachable
-    ).run()

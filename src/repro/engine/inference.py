@@ -288,6 +288,9 @@ class InferenceEngine:
             label_predictions = stored["label_predictions"]
             if int(stored["n_classes"]) != k or label_predictions.shape != (n, alpha * k):
                 raise ValueError("cached fit is for another K or affinity shape")
+            base_names = ("base_ll", "base_iters", "base_converged", "base_degenerate", "base_reinit")
+            if any(stored[name].shape != (alpha,) for name in base_names):
+                raise ValueError("cached fit holds a base-fit array of the wrong length")
             base_results = tuple(
                 GMMFitResult(
                     responsibilities=label_predictions[:, f * k : (f + 1) * k],

@@ -17,14 +17,13 @@ module, so the exact experiment protocol lives in one place:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.clustering import FullCovarianceGMM, KMeans, SpectralCoclustering, optimal_mapping_accuracy
 from repro.core.affinity import AffinityMatrix, affinity_from_features
-from repro.core.goggles import EXECUTORS, Goggles, GogglesConfig
+from repro.core.goggles import Goggles, GogglesConfig
 from repro.engine import EngineConfig, InferenceEngine
 from repro.core.inference.bernoulli import BernoulliMixture, one_hot_encode_lp
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
@@ -77,9 +76,6 @@ class ExperimentSettings:
             tiling and base-model fitting; defaults to the usable core
             count, like :class:`~repro.core.goggles.GogglesConfig`.
             Results are identical at any width.
-        executor: ``"thread"`` or ``"distributed"`` (each run opens
-            and closes its own coordinator/worker session);
-            value-neutral like n_jobs.
         batch_size: images per backbone forward pass in the affinity
             engine (memory bound, value-neutral).
         precision: engine compute precision (``"float64"`` exact,
@@ -104,7 +100,6 @@ class ExperimentSettings:
     vgg_seed: int = 0
     seed: int = 0
     n_jobs: int = field(default_factory=usable_cores)
-    executor: str = "thread"
     batch_size: int | None = 32
     precision: str | None = None
     cache_dir: str | None = None
@@ -112,10 +107,6 @@ class ExperimentSettings:
     affinity_mode: str = "dense"
     top_k: int | None = None
     memmap: bool = False
-
-    def __post_init__(self) -> None:
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {self.executor!r}")
 
     def engine_config(self) -> EngineConfig:
         sparse = self.affinity_mode == "sparse"
@@ -133,7 +124,7 @@ class ExperimentSettings:
 
     def goggles_config(self, **fields: object) -> GogglesConfig:
         """The pipeline config of one run under these settings."""
-        return GogglesConfig(executor=self.executor, engine=self.engine_config(), **fields)
+        return GogglesConfig(engine=self.engine_config(), **fields)
 
 
 _MODEL_CACHE: dict[tuple, VGG16] = {}
@@ -159,8 +150,8 @@ def build_affinity(
     is set) the content-addressed artifact cache, so sweep experiments
     that revisit the same corpus skip step 1 entirely.
     """
-    with Goggles(settings.goggles_config(top_z=top_z, keep_corpus_state=False), model=model) as goggles:
-        return goggles.build_affinity_matrix(images)
+    goggles = Goggles(settings.goggles_config(top_z=top_z, keep_corpus_state=False), model=model)
+    return goggles.build_affinity_matrix(images)
 
 
 def _infer_with_affinity(
@@ -169,19 +160,10 @@ def _infer_with_affinity(
     n_classes: int,
     seed: int,
     n_jobs: int,
-    executor: str = "thread",
 ) -> np.ndarray:
     """Hierarchical inference + dev mapping on a prebuilt affinity matrix."""
-    session = nullcontext()
-    if executor == "distributed":
-        from repro.distributed import Coordinator
-
-        session = Coordinator.for_engine(n_jobs=n_jobs)
-    with session as coordinator:
-        engine = InferenceEngine(
-            HierarchicalConfig(n_classes=n_classes, seed=seed), n_jobs=n_jobs, coordinator=coordinator
-        )
-        result = engine.fit(affinity)
+    engine = InferenceEngine(HierarchicalConfig(n_classes=n_classes, seed=seed), n_jobs=n_jobs)
+    result = engine.fit(affinity)
     mapping = map_clusters_to_classes(result.posterior, dev, n_classes)
     return apply_mapping(result.posterior, mapping)
 
@@ -219,8 +201,7 @@ def run_table1_row(
     if "goggles" in methods:
         assert affinity is not None
         config = settings.goggles_config(n_classes=k, seed=derive_seed(settings.seed, "goggles", run_seed))
-        with Goggles(config, model=model) as goggles:
-            result = goggles.infer_labels(affinity, dev)
+        result = Goggles(config, model=model).infer_labels(affinity, dev)
         out["goggles"] = 100 * result.accuracy(dataset.labels, exclude=dev.indices)
 
     if "snorkel" in methods:
@@ -250,7 +231,6 @@ def run_table1_row(
             k,
             derive_seed(settings.seed, "hog", run_seed),
             n_jobs=settings.n_jobs,
-            executor=settings.executor,
         )
         out["hog"] = 100 * labeling_accuracy(posterior, dataset.labels, exclude=dev.indices)
 
@@ -262,7 +242,6 @@ def run_table1_row(
             k,
             derive_seed(settings.seed, "logits", run_seed),
             n_jobs=settings.n_jobs,
-            executor=settings.executor,
         )
         out["logits"] = 100 * labeling_accuracy(posterior, dataset.labels, exclude=dev.indices)
 
@@ -392,8 +371,7 @@ def run_table2_row(
             seed=derive_seed(settings.seed, "goggles2", run_seed),
             keep_corpus_state=False,  # one-shot label, no incremental
         )
-        with Goggles(config, model=model) as goggles:
-            goggles_result = goggles.label(train.images, dev)
+        goggles_result = Goggles(config, model=model).label(train.images, dev)
         out["goggles"] = _train_and_score(
             features_train,
             goggles_result.probabilistic_labels,

@@ -22,9 +22,9 @@ Lifecycle verbs:
   state), and without one the pipeline is still fully seeded — either
   way the reloaded tenant's posteriors are **bit-identical** to the
   pre-eviction ones (tests prove this);
-* :meth:`TenantRegistry.evict` — drain the service, close its
-  ``Goggles`` (and any distributed session that ``Goggles`` opened) and
-  drop the corpus state, keeping the registration (the reload recipe);
+* :meth:`TenantRegistry.evict` — drain the service and drop its
+  ``Goggles`` with the corpus state, keeping the registration (the
+  reload recipe);
 * :meth:`TenantRegistry.remove` — evict and forget.
 
 Idle tenants are lazily evicted under a global ``memory_budget_bytes``:
@@ -337,27 +337,23 @@ class TenantRegistry:
     def _start(self, handle: TenantHandle) -> LabelingService:
         """Fit the handle's recipe on a fresh ``Goggles`` and start serving it."""
         goggles = Goggles(handle.goggles_config, model=self.model)
-        try:
-            if goggles.engine.cache is not None:
-                # The cache directory is shared (content addressing keeps
-                # tenants from colliding); the metric label is per-tenant.
-                goggles.engine.cache.tenant = handle.tenant_id
-            config = handle.config
-            service = LabelingService(
-                goggles,
-                handle.dev_set,
-                tenant=handle.tenant_id,
-                mode=config.mode,
-                warm_start=config.warm_start,
-                ticket_retention=config.ticket_retention,
-                max_batch=config.max_batch,
-                online=config.online,
-                registry=self.metrics,
-            )
-            service.start(handle.seed_images)
-        except BaseException:
-            goggles.close()  # a failed fit must not leak a distributed session
-            raise
+        if goggles.engine.cache is not None:
+            # The cache directory is shared (content addressing keeps
+            # tenants from colliding); the metric label is per-tenant.
+            goggles.engine.cache.tenant = handle.tenant_id
+        config = handle.config
+        service = LabelingService(
+            goggles,
+            handle.dev_set,
+            tenant=handle.tenant_id,
+            mode=config.mode,
+            warm_start=config.warm_start,
+            ticket_retention=config.ticket_retention,
+            max_batch=config.max_batch,
+            online=config.online,
+            registry=self.metrics,
+        )
+        service.start(handle.seed_images)
         return service
 
     def register(
@@ -426,8 +422,7 @@ class TenantRegistry:
         return handle
 
     def evict(self, tenant_id: str, *, wait: bool = True) -> bool:
-        """Drain and drop the tenant's service, closing its ``Goggles``
-        (and any distributed session that ``Goggles`` opened), while
+        """Drain and drop the tenant's service and its ``Goggles``, while
         keeping the registration.  Returns whether anything was evicted.
         Outstanding tickets are dropped with the service — post-eviction
         polls answer 404, as after ticket expiry."""
@@ -437,7 +432,6 @@ class TenantRegistry:
             if service is None:
                 return False
             service.stop(wait=wait)
-            service.goggles.close()
         self._m_evictions.inc(tenant=tenant_id)
         return True
 
@@ -516,7 +510,7 @@ class TenantRegistry:
     # Shutdown
     # ------------------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
-        """Evict every tenant: drain its service and close its ``Goggles``.
+        """Evict every tenant: drain its service and drop its ``Goggles``.
 
         Registrations survive (a closed registry could activate again),
         but normal callers simply drop the registry afterwards."""

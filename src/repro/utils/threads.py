@@ -88,8 +88,7 @@ def pin_thread_budget() -> None:
     """Give the cores to the caller's thread pool: one BLAS thread, one arena.
 
     Called wherever an ``n_jobs > 1`` pool opens for BLAS-bound work
-    (the engines' tile pool and base-fit pool) and by spawned workers.
-    Both settings are process-wide and idempotent, so concurrent
+    (the engines' tile pool and base-fit pool).  Both settings are process-wide and idempotent, so concurrent
     engines (one per tenant) may all call it.  Values do not change:
     OpenBLAS splits a GEMM over its output blocks, never over the
     summed axis, so every element is the same sum in the same order at

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 import re
+import socket
 import time
 import urllib.request
 
 import pytest
+from local_workers import process_workers
 
 from repro import cli
 from repro.cli import main
@@ -42,14 +43,12 @@ class TestCli:
             main([])
 
     def test_label_with_engine_knobs(self, capsys, tmp_path):
-        """--executor/--precision/--cache knobs reach the engine."""
+        """--precision/--cache knobs reach the engine."""
         code = main([
             "--n-per-class",
             "8",
             "--dev-per-class",
             "2",
-            "--executor",
-            "thread",
             "--precision",
             "float32",
             "--cache-dir",
@@ -78,11 +77,6 @@ class TestCli:
         assert main(["label"]) == 0
         assert main(["--n-jobs", "1", "label"]) == 0
         assert seen == [GogglesConfig().n_jobs, 1]
-
-    def test_invalid_executor_rejected(self):
-        for executor in ("gpu", "process", "serial"):
-            with pytest.raises(SystemExit):
-                main(["--executor", executor, "label", "--dataset", "surface"])
 
     def test_invalid_precision_rejected(self):
         with pytest.raises(SystemExit):
@@ -262,50 +256,31 @@ class TestCli:
 
 
 class TestDistributedCli:
-    def test_coordinator_command_runs_local_cluster(self, capsys):
-        """The coordinator verb spawns workers, shards the job, and
-        reports shard stats alongside the accuracy."""
-        code = main([
-            "--n-per-class",
-            "6",
-            "--dev-per-class",
-            "2",
-            "coordinator",
-            "--dataset",
-            "surface",
-            "--bind",
-            "127.0.0.1:0",
-            "--spawn-workers",
-            "2",
-        ])
+    def test_coordinator_command_shards_to_a_worker_process(self, capsys):
+        """The coordinator verb listens, a ``worker`` process joins it,
+        and the job reports shard stats alongside the accuracy."""
+        with socket.socket() as probe:  # reserve a free loopback port
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        address = f"127.0.0.1:{port}"
+        # The worker retries its connect until the coordinator binds.
+        with process_workers(address, 1):
+            code = main([
+                "--n-per-class",
+                "6",
+                "--dev-per-class",
+                "2",
+                "coordinator",
+                "--dataset",
+                "surface",
+                "--bind",
+                address,
+            ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "coordinator listening on" in out
+        assert f"coordinator listening on {address}" in out
         assert "labeling accuracy" in out
         assert "shards:" in out and "completed" in out
-
-    def test_serve_streams_on_its_tenants_session_and_closes_it(self, capsys):
-        """Under ``--executor distributed`` the tenant's Goggles opens the
-        session, and closing the registry closes it: no worker outlives
-        the command."""
-        code = main([
-            "--n-per-class",
-            "8",
-            "--dev-per-class",
-            "2",
-            "--executor",
-            "distributed",
-            "--n-jobs",
-            "1",
-            "serve",
-            "--dataset",
-            "surface",
-            "--stream-batch",
-            "4",
-        ])
-        assert code == 0
-        assert "streaming accuracy" in capsys.readouterr().out
-        assert multiprocessing.active_children() == []
 
     def test_worker_requires_valid_address(self):
         with pytest.raises(SystemExit):
@@ -327,6 +302,12 @@ class TestDistributedCli:
         assert "shard" in out and "affinity" in out
         assert "2 entries" in out  # the total line
         assert "(unbounded)" in out  # the budget line
+
+    def test_cache_info_on_a_missing_directory_creates_nothing(self, tmp_path):
+        missing = tmp_path / "absent"
+        with pytest.raises(SystemExit, match="no cache directory"):
+            main(["--cache-dir", str(missing), "cache-info"])
+        assert not missing.exists()
 
     def test_cache_info_requires_cache_dir(self):
         with pytest.raises(SystemExit, match="cache-dir"):

@@ -8,22 +8,25 @@ Three contracts matter:
   hanging the cluster.
 * **Bit-identity** — the merged affinity matrix and posteriors equal
   the serial path exactly (atol=0), regardless of worker count (1, 2,
-  4) or worker mode, because shards are content-addressed pure tasks
-  cut at the serial tile boundaries with per-function seed streams.
+  4) or whether workers are threads or ``goggles-repro worker``
+  processes, because shards are content-addressed pure tasks cut at the
+  serial tile boundaries with per-function seed streams.
 * **Cache short-circuiting** — with a shared artifact cache mounted, a
   rerun of known content never recomputes (or even enqueues) a shard.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from multiprocessing.connection import Client
+from typing import Iterator
 
 import numpy as np
 import pytest
+from local_workers import process_workers, thread_workers
 from reference_affinity import compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
@@ -50,18 +53,21 @@ from repro.obs import MetricsRegistry, default_registry
 from repro.utils.rng import derive_seed
 
 
-def thread_cluster(n_workers: int, **overrides) -> Coordinator:
-    """A localhost cluster with in-process (thread) workers: cheap and
-    fast, but still exercising the full lease protocol over TCP.  Each
-    cluster counts into its own registry, so its counts are exact."""
-    defaults = dict(
-        n_workers=n_workers,
-        worker_mode="thread",
-        lease_timeout=10.0,
-        run_timeout=120.0,
-    )
-    defaults.update(overrides)
-    return Coordinator(DistributedConfig(**defaults), registry=MetricsRegistry())
+@contextmanager
+def thread_cluster(n_workers: int, **overrides: object) -> Iterator[Coordinator]:
+    """A localhost coordinator with ``n_workers`` in-process (thread)
+    workers: cheap and fast, but still exercising the full lease
+    protocol over TCP.  ``stream_threshold``/``frame_bytes`` configure
+    the workers, the other ``overrides`` the :class:`DistributedConfig`.
+    Each cluster counts into its own registry, so its counts are exact;
+    on exit the workers stop and the coordinator closes."""
+    worker_names = ("stream_threshold", "frame_bytes")
+    worker_options = {name: overrides.pop(name) for name in worker_names if name in overrides}
+    config = DistributedConfig(**{"lease_timeout": 10.0, "run_timeout": 120.0, **overrides})
+    with Coordinator(config, registry=MetricsRegistry()) as coordinator, thread_workers(
+        coordinator, n_workers, **worker_options
+    ):
+        yield coordinator
 
 
 def counted(coordinator: Coordinator, name: str, **labels: object) -> int:
@@ -457,7 +463,7 @@ class TestCluster:
     def test_shared_cache_short_circuits_rerun(self, sim_data, tmp_path):
         protos, vectors = sim_data
         cache = ArtifactCache(str(tmp_path))
-        with thread_cluster(1) as coordinator:
+        with thread_cluster(0) as coordinator, thread_workers(coordinator, 1, cache=cache):
             coordinator.cache = cache
             first = coordinator.best_similarities(protos, vectors, row_tile=4)
             planned = counted(coordinator, "goggles_coordinator_shards_planned_total")
@@ -506,8 +512,7 @@ class TestCluster:
         with the connection, the lease is reassigned, and the healthy
         completion is still bit-identical."""
         protos, vectors = sim_data
-        coordinator = thread_cluster(0, lease_timeout=30.0, stream_threshold=0, frame_bytes=128)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             outcome: dict = {}
 
@@ -553,14 +558,11 @@ class TestCluster:
             assert counted(coordinator, "goggles_broker_stream_errors_total") == 0
             expected = best_similarities(protos, vectors, row_tile=4, col_tile=6)
             np.testing.assert_array_equal(outcome["out"], expected)
-        finally:
-            coordinator.close()
 
     def test_malformed_stream_is_a_shard_failure_not_a_completion(self):
         """Length mismatches and orphan result-ends burn a retry via
         queue.fail instead of completing a shard with garbage."""
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             task = make_task()
             coordinator.queue.add(task)
@@ -593,16 +595,13 @@ class TestCluster:
             assert coordinator.queue.result(task.task_id) is not None
             conn.send(("bye", "liar"))
             conn.close()
-        finally:
-            coordinator.close()
 
     def test_worker_crash_mid_shard_triggers_reassignment(self, sim_data):
         """A connection that leases a shard and dies loses nothing: the
         broker releases the lease on disconnect and a live worker picks
         the shard up; the merged result is still exact."""
         protos, vectors = sim_data
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             outcome: dict = {}
 
@@ -634,8 +633,6 @@ class TestCluster:
             assert stats["requeued"] >= 1  # the crashed lease came back
             expected = best_similarities(protos, vectors, row_tile=4, col_tile=6)
             np.testing.assert_array_equal(outcome["out"], expected)
-        finally:
-            coordinator.close()
 
     def test_poison_shard_raises_clear_error_instead_of_hanging(self):
         # A 1-D "block" makes every fit attempt raise deterministically.
@@ -647,25 +644,10 @@ class TestCluster:
 
     def test_timeout_with_no_workers_is_a_clear_error(self, sim_data):
         protos, vectors = sim_data
-        config = DistributedConfig(n_workers=0, lease_timeout=0.2, run_timeout=0.5)
+        config = DistributedConfig(lease_timeout=0.2, run_timeout=0.5)
         with Coordinator(config) as coordinator:
             with pytest.raises(TimeoutError, match="incomplete"):
                 coordinator.best_similarities(protos, vectors, row_tile=4)
-
-    def test_dead_local_cluster_fails_fast(self, sim_data, monkeypatch):
-        """If every auto-spawned worker dies, the run errors promptly
-        instead of sitting out the full run_timeout."""
-        protos, vectors = sim_data
-        coordinator = thread_cluster(1, run_timeout=120.0)
-        # Sabotage the worker so its thread exits immediately.
-        monkeypatch.setattr(Worker, "run", lambda self: None)
-        start = time.monotonic()
-        try:
-            with pytest.raises(RuntimeError, match="local worker"):
-                coordinator.best_similarities(protos, vectors, row_tile=4)
-            assert time.monotonic() - start < 60.0
-        finally:
-            coordinator.close()
 
 
 class TestSessionRegistry:
@@ -695,16 +677,13 @@ class TestSessionRegistry:
         registry, and the process-wide registry does not move."""
         protos, vectors = sim_data
         before = self._process_wide()
-        with thread_cluster(2) as coordinator:
+        with thread_cluster(0) as coordinator:
             registry = coordinator.registry
             assert registry is not default_registry()
-            out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
-            # Park the spawned workers so the hand-rolled client below
-            # is the only one that can lease.
-            for worker, thread in coordinator._thread_workers:
-                worker.stop()
-                thread.join(timeout=10.0)
-                assert not thread.is_alive()
+            with thread_workers(coordinator, 2):
+                out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
+            # Leaving thread_workers parked the workers, so the
+            # hand-rolled client below is the only one that can lease.
             task = make_task()
             coordinator.queue.add(task)
             conn = Client(coordinator.address, authkey=coordinator.config.authkey.encode())
@@ -743,7 +722,7 @@ class TestEndToEnd:
     # row_tile=8 forces a real multi-shard similarity grid and
     # batch_size=8 a real multi-shard extraction on the 24-image corpus,
     # so the distributed path exercises every stage.  A coordinator
-    # passed to Goggles runs every stage, whatever the executor says.
+    # passed to Goggles runs every stage.
     CONFIG = GogglesConfig(
         n_classes=2, seed=0, top_z=3, layers=(1, 2), engine=EngineConfig(row_tile=8, batch_size=8)
     )
@@ -770,29 +749,30 @@ class TestEndToEnd:
         np.testing.assert_array_equal(dist_inc.probabilistic_labels, serial_inc.probabilistic_labels)
 
     def test_process_workers_bit_identical(self, random_affinity):
-        """One real spawned worker process over the full wire protocol."""
+        """One ``goggles-repro worker`` process over the full wire
+        protocol.  Its counts ship back with its reports, so the
+        session's per-worker completions reconcile with the queue."""
         config = HierarchicalConfig(n_classes=2, seed=0)
         lp_serial, _ = fit_all_base_functions(random_affinity, config)
-        with Coordinator(
-            DistributedConfig(n_workers=1, worker_mode="process", run_timeout=120.0)
-        ) as coordinator:
+        with thread_cluster(0) as coordinator, process_workers(coordinator.address, 1):
             results = coordinator.fit_base_models(random_affinity, config)
+            completed = coordinator.queue.stats()["completed"]
         lp = np.concatenate([r.responsibilities for r in results], axis=1)
         np.testing.assert_array_equal(lp, lp_serial)
+        assert completed == random_affinity.n_functions
+        assert counted(coordinator, "goggles_worker_shards_completed_total") == completed
 
     def test_trace_id_propagates_to_process_worker_spans(self, random_affinity):
         """A submit's trace id crosses the wire: shards planned inside a
-        trace context carry the id to the spawned worker *process*, whose
-        ``shard.*`` spans ship back and stitch into the local ring."""
-        from repro.obs import MetricsRegistry, clear_spans, new_trace_id, recent_spans, trace_context
+        trace context carry the id to a ``goggles-repro worker``
+        *process*, whose ``shard.*`` spans ship back and stitch into the
+        local ring."""
+        from repro.obs import clear_spans, new_trace_id, recent_spans, trace_context
 
         clear_spans()
         trace_id = new_trace_id()
         config = HierarchicalConfig(n_classes=2, seed=0)
-        with Coordinator(
-            DistributedConfig(n_workers=1, worker_mode="process", run_timeout=120.0),
-            registry=MetricsRegistry(),
-        ) as coordinator:
+        with thread_cluster(0) as coordinator, process_workers(coordinator.address, 1):
             with trace_context(trace_id):
                 coordinator.fit_base_models(random_affinity, config)
         records = recent_spans(trace_id=trace_id)
@@ -821,44 +801,37 @@ class TestEndToEnd:
         assert shard_spans
         assert all(r.name == "shard.base-fit" for r in shard_spans)
 
-    def test_goggles_closes_only_the_session_it_opened(self, vgg, sim_data):
-        """Whoever opens a session closes it: Goggles closes the session
-        it opened for executor="distributed", and leaves a passed-in one
-        open and usable."""
+    def test_goggles_runs_on_a_passed_in_session(self, vgg, sim_data, tmp_path):
+        """Both engines hold the caller's coordinator, a cacheless one
+        takes the engine cache, and the session stays the caller's to
+        use and close: Goggles has nothing to close."""
         protos, vectors = sim_data
-        config = GogglesConfig(executor="distributed", n_workers=1)
+        config = GogglesConfig(cache_dir=str(tmp_path))
         with thread_cluster(1) as coordinator:
-            with Goggles(config, model=vgg, coordinator=coordinator) as goggles:
-                assert goggles.coordinator is coordinator
+            assert coordinator.cache is None
+            goggles = Goggles(config, model=vgg, coordinator=coordinator)
+            assert goggles.engine.coordinator is coordinator is goggles.inference.coordinator
+            assert coordinator.cache is goggles.engine.cache is not None
             out = coordinator.best_similarities(protos, vectors, row_tile=4)
         np.testing.assert_array_equal(out, best_similarities(protos, vectors, row_tile=4))
-        with Goggles(config, model=vgg) as goggles:
-            opened = goggles.coordinator
-            assert goggles.engine.coordinator is opened is goggles.inference.coordinator
-        with pytest.raises(RuntimeError, match="closed"):
-            opened.run([make_task()])
+        assert not hasattr(goggles, "close")
 
-    def test_engine_override_keeps_the_distributed_executor(self, vgg):
-        """executor/n_workers live on GogglesConfig, so an engine override
-        cannot drop them: Goggles labels on a session of its own, one
-        spawned worker process, and closes it."""
+    def test_worker_process_labels_bit_identical(self, vgg, tmp_path):
+        """One ``goggles-repro worker`` process serves every stage of
+        ``Goggles.label``, and the affinity and posteriors equal the
+        thread path's.  The worker mounts the run's cache directory
+        (``--cache-dir``), so it stores every shard result itself and
+        the coordinator writes none back."""
         dataset = make_dataset("surface", n_per_class=6, image_size=64, seed=1)
         dev = dataset.sample_dev_set(2, seed=0)
-        config = GogglesConfig(
-            n_classes=2,
-            top_z=2,
-            layers=(1,),
-            executor="distributed",
-            n_workers=1,
-            engine=EngineConfig(row_tile=8),
-        )
-        expected = Goggles(replace(config, executor="thread"), model=vgg).label(dataset.images, dev)
-        with Goggles(config, model=vgg) as goggles:
-            assert goggles.coordinator is not None
-            completed = goggles.coordinator.queue.stats()["completed"]
-            result = goggles.label(dataset.images, dev)
-            assert goggles.coordinator.queue.stats()["completed"] > completed
-        assert multiprocessing.active_children() == []
+        config = GogglesConfig(n_classes=2, top_z=2, layers=(1,), engine=EngineConfig(row_tile=8))
+        expected = Goggles(config, model=vgg).label(dataset.images, dev)
+        cached = replace(config, engine=replace(config.engine, cache_dir=str(tmp_path)))
+        with thread_cluster(0) as coordinator, process_workers(coordinator.address, 1, cache=tmp_path):
+            result = Goggles(cached, model=vgg, coordinator=coordinator).label(dataset.images, dev)
+        for kind in ("extraction", "similarity", "base-fit"):
+            assert counted(coordinator, "goggles_coordinator_shards_completed_total", kind=kind) > 0
+        assert counted(coordinator, "goggles_pool_cache_writebacks_total") == 0
         np.testing.assert_array_equal(result.affinity.values, expected.affinity.values)
         np.testing.assert_array_equal(result.probabilistic_labels, expected.probabilistic_labels)
 

@@ -11,8 +11,7 @@ path (see ENGINE.md, "Distributed stages"):
   and the ~100ms-of-compute-per-lease plan;
 * idle polling backoff — exponential with jitter, reset on a grant;
 * warm sessions — a caller-held :class:`Coordinator` reused across
-  consecutive ``Goggles`` runs with zero new spawns and bit-identical
-  output;
+  consecutive ``Goggles`` runs with bit-identical output;
 * coordinator restart recovery — a half-finished plan resumes from
   content-addressed ``shard`` cache hits.
 """
@@ -41,6 +40,7 @@ from repro.engine.tiling import best_similarities
 from repro.obs import MetricsRegistry
 from repro.utils.rng import derive_seed
 
+from local_workers import thread_workers
 from test_distributed import _prefix_dev, counted, make_task, sim_data, thread_cluster  # noqa: F401
 
 
@@ -182,8 +182,7 @@ class TestShardAutotuner:
 # ----------------------------------------------------------------------
 class TestBatchedOps:
     def test_lease_many_report_many_roundtrip(self):
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             tasks = [make_task(i) for i in range(6)]
             for task in tasks:
@@ -211,12 +210,9 @@ class TestBatchedOps:
             assert conn.recv() == ("idle",)
             conn.send(("bye", "batcher"))
             conn.close()
-        finally:
-            coordinator.close()
 
     def test_report_many_duplicates_are_idempotent(self):
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             task = make_task()
             coordinator.queue.add(task)
@@ -232,8 +228,6 @@ class TestBatchedOps:
             assert coordinator.queue.stats()["completed"] == 1
             conn.send(("bye", "dup"))
             conn.close()
-        finally:
-            coordinator.close()
 
     def test_npy_streamed_results_bit_identical_to_serial(self, sim_data):
         """stream_threshold=0 pushes every result through the framed
@@ -265,8 +259,7 @@ class TestBatchedOps:
     def test_malformed_npy_frames_burn_a_retry_not_a_completion(self):
         """Garbage bytes in a streamed result must queue.fail the shard
         (requeue/poison semantics), never complete it."""
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             task = make_task()
             coordinator.queue.add(task)
@@ -295,15 +288,12 @@ class TestBatchedOps:
             assert coordinator.queue.stats()["failed"] == 2
             conn.send(("bye", "liar"))
             conn.close()
-        finally:
-            coordinator.close()
 
     def test_v1_single_shard_ops_are_unknown(self):
         """The v1 ``lease`` and ``result`` ops are gone: the broker
         answers each with an error, grants and completes nothing, and
         the same connection still serves the batched protocol."""
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             task = make_task()
             coordinator.queue.add(task)
@@ -319,8 +309,6 @@ class TestBatchedOps:
             assert granted.task_id == task.task_id
             conn.send(("bye", "old"))
             conn.close()
-        finally:
-            coordinator.close()
 
     def test_unencodable_streamed_result_is_a_failure_not_a_pickle(self, monkeypatch):
         """A streamed result wire v2 cannot carry (object dtype) is
@@ -338,8 +326,7 @@ class TestBatchedOps:
             return real_execute(task, cache=cache)
 
         monkeypatch.setattr(worker_module, "execute_shard", unencodable_once)
-        coordinator = thread_cluster(0, lease_timeout=30.0)
-        try:
+        with thread_cluster(0, lease_timeout=30.0) as coordinator:
             coordinator.start()
             task = make_task()
             coordinator.queue.add(task)
@@ -365,8 +352,6 @@ class TestBatchedOps:
             np.testing.assert_array_equal(
                 coordinator.queue.result(task.task_id)["best"], real_execute(task)["best"]
             )
-        finally:
-            coordinator.close()
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +387,7 @@ class TestIdleBackoff:
     def test_idle_worker_backs_off_against_a_live_broker(self):
         """An idle cluster's workers poll a handful of times, not
         hundreds: the backoff visibly caps the lease chatter."""
-        coordinator = thread_cluster(0)
-        try:
+        with thread_cluster(0) as coordinator:
             coordinator.start()
             worker = Worker(
                 coordinator.address,
@@ -419,21 +403,15 @@ class TestIdleBackoff:
             # A fixed 5ms period would poll ~200 times in a second; the
             # exponential schedule stays far below that.
             assert 0 < worker.idle_polls < 30
-        finally:
-            coordinator.close()
 
 
 # ----------------------------------------------------------------------
 # Warm worker pools: a Coordinator the caller keeps open
 # ----------------------------------------------------------------------
-SPAWNED = "goggles_pool_workers_spawned_total"
-
-
 class TestWorkerPool:
-    def test_pool_survives_goggles_close_and_spawns_zero_new_workers(self, vgg, small_surface):
+    def test_pool_serves_consecutive_goggles_runs(self, vgg, small_surface):
         """Two consecutive Goggles runs on one caller-held session:
-        bit-identical output, Goggles.close() leaves the session open,
-        and the second run spawns zero new workers."""
+        bit-identical output, and the session stays open between them."""
         images = small_surface.images
         dev = _prefix_dev(small_surface, images.shape[0], per_class=3)
         config = GogglesConfig(
@@ -441,62 +419,23 @@ class TestWorkerPool:
         )
         expected = Goggles(config, model=vgg).label(images, dev)
         with thread_cluster(2) as pool:
-            with Goggles(config, model=vgg, coordinator=pool) as first:
-                out1 = first.label(images, dev)
-            spawned_after_first = counted(pool, SPAWNED)
-            assert spawned_after_first == 2
-            assert pool.started and not pool._closed  # Goggles.close() left it open
-            with Goggles(config, model=vgg, coordinator=pool) as second:
-                out2 = second.label(images, dev)
-            # The reuse counter: a warm second run spawned nothing.
-            assert counted(pool, SPAWNED) == spawned_after_first
+            out1 = Goggles(config, model=vgg, coordinator=pool).label(images, dev)
+            assert pool.started and not pool._closed
+            out2 = Goggles(config, model=vgg, coordinator=pool).label(images, dev)
         np.testing.assert_array_equal(out1.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out2.probabilistic_labels, expected.probabilistic_labels)
         np.testing.assert_array_equal(out1.affinity.values, expected.affinity.values)
         np.testing.assert_array_equal(out2.affinity.values, expected.affinity.values)
 
-    def test_warm_up_spawns_before_first_run(self):
-        with thread_cluster(1) as pool:
-            assert not pool.started
-            pool.start()
-            assert pool.started
-            assert counted(pool, SPAWNED) == 1
-
-    def test_close_does_not_hang_on_stuck_worker_thread(self):
-        """close() bounds every join: a thread that never exits is leaked
-        loudly (counter + warning) instead of hanging the caller."""
-        registry = MetricsRegistry()
-        coordinator = Coordinator(
-            DistributedConfig(n_workers=0, close_join_timeout=0.2), registry=registry
-        )
-
-        class StuckWorker:
-            def stop(self) -> None:
-                pass
-
-        halt = threading.Event()
-        stuck = threading.Thread(target=halt.wait, name="stuck-worker", daemon=True)
-        stuck.start()
-        coordinator._thread_workers.append((StuckWorker(), stuck))
-        start = time.perf_counter()
-        coordinator.close()
-        assert time.perf_counter() - start < 5.0
-        assert registry.get("goggles_pool_close_join_timeouts_total").total() == 1
-        halt.set()
-        stuck.join(timeout=5.0)
-
     def test_pool_close_survives_dead_broker(self):
-        """Closing a session whose broker already died returns promptly —
-        the workers' joins are bounded by close_join_timeout."""
-        coordinator = Coordinator(
-            DistributedConfig(n_workers=1, worker_mode="thread", close_join_timeout=1.0),
-            registry=MetricsRegistry(),
-        )
-        coordinator.start()
-        coordinator._broker.close()  # broker dies behind the session's back
-        start = time.perf_counter()
-        coordinator.close()
-        assert time.perf_counter() - start < 30.0
+        """Closing a session whose broker already died returns promptly,
+        and its worker stops within thread_workers' bound."""
+        coordinator = Coordinator(DistributedConfig(), registry=MetricsRegistry())
+        with thread_workers(coordinator, 1):
+            coordinator._broker.close()  # broker dies behind the session's back
+            start = time.perf_counter()
+            coordinator.close()
+            assert time.perf_counter() - start < 30.0
         assert coordinator._closed
 
 
@@ -512,17 +451,13 @@ class TestRestartRecovery:
         on restart: only the remainder is planned and computed."""
         cache = ArtifactCache(str(tmp_path / "cache"))
         tasks = self._tasks(6)
-        first = thread_cluster(1, lease_timeout=10.0)
-        first.cache = cache
-        try:
+        with thread_cluster(1, lease_timeout=10.0) as first:
+            first.cache = cache
             done = first.run(tasks[:3])  # the half that finished
             assert len(done) == 3
-        finally:
-            first.close()
         # "Restart": a brand-new coordinator over the same cache dir.
-        second = thread_cluster(1, lease_timeout=10.0)
-        second.cache = ArtifactCache(str(tmp_path / "cache"))
-        try:
+        with thread_cluster(1, lease_timeout=10.0) as second:
+            second.cache = ArtifactCache(str(tmp_path / "cache"))
             results = second.run(tasks)
             assert len(results) == 6
             # The finished half hits the cache; only the rest is planned.
@@ -532,8 +467,6 @@ class TestRestartRecovery:
                 np.testing.assert_array_equal(
                     results[task.task_id]["best"], done[task.task_id]["best"]
                 )
-        finally:
-            second.close()
 
     def test_cacheless_worker_results_are_written_back(self, tmp_path):
         """With a coordinator-side cache but cacheless workers, results
@@ -541,9 +474,8 @@ class TestRestartRecovery:
         on every worker mounting the shared cache."""
         cache = ArtifactCache(str(tmp_path / "cache"))
         tasks = self._tasks(4)
-        coordinator = thread_cluster(0, lease_timeout=10.0)
-        coordinator.cache = cache
-        try:
+        with thread_cluster(0, lease_timeout=10.0) as coordinator:
+            coordinator.cache = cache
             coordinator.start()
             worker = Worker(  # no cache mounted
                 coordinator.address, coordinator.config.authkey, poll_interval=0.01
@@ -556,15 +488,10 @@ class TestRestartRecovery:
             assert counted(coordinator, "goggles_pool_cache_writebacks_total") == len(tasks)
             for task in tasks:
                 assert cache.has("shard", task.task_id)
-        finally:
-            coordinator.close()
         # The written-back artifacts satisfy a cold rerun entirely.
-        rerun = thread_cluster(0, lease_timeout=10.0)  # zero workers: must not need any
-        rerun.cache = ArtifactCache(str(tmp_path / "cache"))
-        try:
+        with thread_cluster(0, lease_timeout=10.0) as rerun:  # zero workers: must not need any
+            rerun.cache = ArtifactCache(str(tmp_path / "cache"))
             results = rerun.run(tasks)
             assert len(results) == len(tasks)
             assert counted(rerun, "goggles_coordinator_shard_cache_hits_total") == len(tasks)
             assert not rerun.started  # never even bound the broker
-        finally:
-            rerun.close()

@@ -293,20 +293,12 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="n_jobs"):
             EngineConfig(n_jobs=0)
 
-    def test_bad_executor(self):
+    def test_budget_flows_from_goggles_config(self):
         from repro.core import GogglesConfig
 
-        for executor in ("gpu", "process", "serial"):
-            with pytest.raises(ValueError, match="executor"):
-                GogglesConfig(executor=executor)
-
-    def test_executor_and_budget_flow_from_goggles_config(self):
-        from repro.core import GogglesConfig
-
-        config = GogglesConfig(executor="distributed", n_jobs=4, cache_max_bytes=1024)
+        config = GogglesConfig(n_jobs=4, cache_max_bytes=1024)
         engine = config.engine_config()
         assert (engine.n_jobs, engine.cache_max_bytes) == (4, 1024)
-        assert not hasattr(engine, "executor")  # GogglesConfig holds the only copy
 
 
 class TestConcurrentWriteEvictionRaces:

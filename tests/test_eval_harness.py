@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import replace
-
 import pytest
 
 from repro.eval.harness import (
@@ -19,7 +16,6 @@ from repro.eval.harness import (
     run_table2_row,
     shared_model,
 )
-from repro.obs import default_registry
 
 TINY = ExperimentSettings(n_per_class=10, n_seeds=1, dev_per_class=3)
 
@@ -35,30 +31,6 @@ class TestTable1Row:
         row = run_table1_row("surface", TINY, 0, methods=(method,))
         assert row[method] is not None
         assert 0.0 <= row[method] <= 100.0
-
-    def test_distributed_runs_match_thread_and_close_their_sessions(self):
-        """executor="distributed" sends the affinity build and the
-        GOGGLES and HOG fits to sessions of their own (one spawned worker
-        each), which every run closes; accuracies equal the thread runs'."""
-
-        def completed() -> dict[str, float]:
-            family = default_registry().get("goggles_coordinator_shards_completed_total")
-            kinds = ("extraction", "similarity", "base-fit")
-            return {kind: 0.0 if family is None else family.value(kind=kind) for kind in kinds}
-
-        settings = replace(TINY, n_per_class=6, dev_per_class=2, n_jobs=1)
-        methods = ("goggles", "hog")
-        local = run_table1_row("surface", settings, 0, methods=methods)
-        before = completed()
-        distributed = run_table1_row("surface", replace(settings, executor="distributed"), 0, methods=methods)
-        assert all(count > before[kind] for kind, count in completed().items())
-        assert distributed == local
-        assert multiprocessing.active_children() == []
-
-    def test_bad_executor(self):
-        for executor in ("serial", "process"):
-            with pytest.raises(ValueError, match="executor"):
-                ExperimentSettings(executor=executor)
 
     def test_snorkel_cub_only(self):
         row = run_table1_row("cub", TINY, 0, methods=("snorkel",))

@@ -281,6 +281,28 @@ class TestInferenceCache:
         # The drifted entry is one miss, not a hit followed by a refit.
         assert cache_counts(cache)[:2] == ({}, {"inference": 1})
 
+    def test_short_base_array_is_a_miss_not_a_crash(
+        self, tmp_path, small_affinity, cache_label, cache_counts
+    ):
+        """An entry whose per-function arrays are shorter than α is
+        rejected like any drifted entry: one miss, then a refit equal
+        to the cold fit."""
+        import os
+
+        cfg = HierarchicalConfig(n_classes=2, seed=0)
+        cache = ArtifactCache(str(tmp_path))
+        first = InferenceEngine(cfg, cache=cache).fit(small_affinity)
+        (entry,) = [p for p in os.listdir(tmp_path) if p.startswith("inference-")]
+        path = os.path.join(str(tmp_path), entry)
+        with np.load(path) as data:
+            stored = {name: data[name] for name in data.files}
+        stored["base_ll"] = stored["base_ll"][:1]
+        np.savez_compressed(path, **stored)
+        cache.tenant = cache_label
+        refit = InferenceEngine(cfg, cache=cache).fit(small_affinity)
+        np.testing.assert_array_equal(refit.posterior, first.posterior)
+        assert cache_counts(cache)[:2] == ({}, {"inference": 1})
+
     def test_cached_replay_keeps_collapse_diagnostics(self, tmp_path, cache_label, cache_counts):
         """A cache hit re-surfaces the degenerate-base warning and flags."""
         from repro.core.affinity import AffinityMatrix
