@@ -9,12 +9,14 @@ check the α-linearity claim.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
 import pytest
 from reference_affinity import _layer_affinity_blocks
 
+from repro.core import Goggles, GogglesConfig
 from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalModel
 from repro.datasets import make_dataset
 from repro.engine import (
@@ -159,3 +161,48 @@ def test_tiled_vs_naive_affinity_construction(benchmark, settings, record_result
         # fixed per-call overhead dominates and the ratio is meaningless.
         assert speedup >= 2.0, f"tiled affinity construction should be >=2x naive, got {speedup:.2f}x"
     assert timings["engine_warm"] < timings["engine_cold"], "cache-warm rerun must be faster"
+
+
+@pytest.mark.benchmark(group="runtime")
+def test_cached_label_overhead(benchmark, settings, record_result, tmp_path):
+    """What an artifact cache costs a cold ``Goggles.label``.
+
+    One ``surface`` corpus, labelled by a fresh ``Goggles`` per call
+    (library defaults) with a fresh ``cache_dir`` and without one, in
+    alternating pairs after one uncached warm-up call.  A cold cached
+    call writes the affinity, corpus-state and inference entries and
+    reads none.  The gate is the ratio of the two medians.
+    """
+    model = shared_model(settings)
+    dataset = make_dataset("surface", n_per_class=settings.n_per_class, seed=0)
+    dev = dataset.sample_dev_set(per_class=5, seed=0)
+    n_pairs = 4
+
+    def label(cache_dir):
+        goggles = Goggles(GogglesConfig(n_classes=2, cache_dir=cache_dir), model=model)
+        start = time.perf_counter()
+        result = goggles.label(dataset.images, dev)
+        return time.perf_counter() - start, result.probabilistic_labels
+
+    def measure():
+        _, reference = label(None)  # warm-up: thread pool, BLAS, allocator
+        timings: dict[str, list[float]] = {"uncached": [], "cached": []}
+        for pair in range(n_pairs):
+            order = ("uncached", "cached") if pair % 2 == 0 else ("cached", "uncached")
+            for side in order:
+                cache_dir = str(tmp_path / f"cache-{pair}") if side == "cached" else None
+                seconds, labels = label(cache_dir)
+                np.testing.assert_array_equal(labels, reference)
+                timings[side].append(seconds)
+        return timings
+
+    timings = benchmark.pedantic(measure, rounds=1, iterations=1)
+    uncached = statistics.median(timings["uncached"])
+    cached = statistics.median(timings["cached"])
+    ratio = cached / uncached
+    record_result(
+        f"Cold Goggles.label at N={dataset.n_examples}, median of {n_pairs} alternating pairs "
+        f"(n_samples={n_pairs} per side):\n"
+        f"  no cache {uncached:.3f}s, fresh cache_dir {cached:.3f}s, ratio {ratio:.2f}x"
+    )
+    assert ratio <= 1.25, f"a cold cached label should cost at most 1.25x an uncached one, got {ratio:.2f}x"

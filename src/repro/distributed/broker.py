@@ -146,12 +146,6 @@ class Broker:
         host, port = self._listener.address
         return str(host), int(port)
 
-    @property
-    def active_connections(self) -> int:
-        """Worker connections currently open (liveness signal)."""
-        with self._lock:
-            return len(self._connections)
-
     # ------------------------------------------------------------------
     # Accept / serve
     # ------------------------------------------------------------------

@@ -425,7 +425,7 @@ class TestBrokerShutdown:
         client = Client(broker.address, authkey=b"goggles-repro")
         try:
             deadline = time.monotonic() + 5.0
-            while broker.active_connections == 0:
+            while not broker._handlers:
                 assert time.monotonic() < deadline, "connection never accepted"
                 time.sleep(0.01)
             threads = [broker._accept_thread, *broker._handlers]

@@ -436,13 +436,24 @@ class TestOnlinePersistence:
         assert not second.resumed  # the online config is part of the key
         assert second.stats()["step"] == 0
 
-    def test_resume_after_refit_replays_buffer(self, vgg, small_surface, tmp_path):
+    @pytest.mark.parametrize("recompress", [False, True])
+    def test_resume_after_refit_replays_buffer(self, vgg, small_surface, tmp_path, recompress):
         _, _, _, first, images, n0 = self._build(
             vgg, small_surface, tmp_path, config=OnlineConfig(drift_threshold=100.0, refit_every=1)
         )
         first.absorb(images[n0 : n0 + 3])
         assert first.n_refits == 1
         assert first.n_seed == n0 + 3  # the refit grew the corpus
+        if recompress:
+            # Entries written zlib-compressed, as earlier versions wrote
+            # every kind, resume the same way.
+            entries = sorted(tmp_path.glob("*.npz"))
+            kinds = {entry.name.rsplit("-", 1)[0] for entry in entries}
+            assert {"affinity", "state", "inference", "online", "online-replay"} <= kinds
+            for entry in entries:
+                with np.load(entry) as data:
+                    stored = {name: data[name] for name in data.files}
+                np.savez_compressed(entry, **stored)
         _, _, _, second, _, _ = self._build(
             vgg, small_surface, tmp_path, config=OnlineConfig(drift_threshold=100.0, refit_every=1)
         )
