@@ -45,6 +45,10 @@ class GMMParams:
         weights: ``(K,)`` mixing weights π.
         means: ``(K, D)`` component means μ.
         variances: ``(K, D)`` diagonal covariances Σ.
+
+    A stack of α models holds the same fields with a leading axis:
+    ``(α, K)``, ``(α, K, D)`` and ``(α, K, D)``.  :func:`gmm_posterior`
+    scores such a stack in one call.
     """
 
     weights: np.ndarray
@@ -106,11 +110,11 @@ class _Centred(NamedTuple):
 
 
 def _features(x: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """``[x − centre, (x − centre)²]`` as one ``(N, 2D)`` array."""
-    n, d = x.shape
-    features = np.empty((n, 2 * d))
-    diff = np.subtract(x, centre, out=features[:, :d])
-    np.square(diff, out=features[:, d:])
+    """``[x − centre, (x − centre)²]`` as one ``(..., N, 2D)`` array."""
+    d = x.shape[-1]
+    features = np.empty((*x.shape[:-1], 2 * d))
+    diff = np.subtract(x, centre, out=features[..., :d])
+    np.square(diff, out=features[..., d:])
     return features
 
 
@@ -121,22 +125,29 @@ def _centre(x: np.ndarray) -> _Centred:
 
 
 def _log_joint(features: np.ndarray, centre: np.ndarray, params: GMMParams) -> np.ndarray:
-    """Per-component joint log density log π_k + log N(x | μ_k, Σ_k), ``(N, K)``."""
+    """Per-component joint log density log π_k + log N(x | μ_k, Σ_k), ``(..., N, K)``.
+
+    Leading axes stack models: each slice is one GEMM of the same shape
+    as a single model's, so a stacked call equals its per-model calls
+    bit for bit.
+    """
     precision = 1.0 / params.variances
     offset = params.means - centre
-    coefficients = np.concatenate([-2.0 * offset * precision, precision], axis=1)
+    coefficients = np.concatenate([-2.0 * offset * precision, precision], axis=-1)
     constant = (
-        centre.shape[0] * _LOG_2PI
-        + np.log(params.variances).sum(axis=1)
-        + (offset * offset * precision).sum(axis=1)
+        centre.shape[-1] * _LOG_2PI
+        + np.log(params.variances).sum(axis=-1)
+        + (offset * offset * precision).sum(axis=-1)
     )
-    return np.log(np.maximum(params.weights, 1e-300)) - 0.5 * (features @ coefficients.T + constant)
+    log_weights = np.log(np.maximum(params.weights, 1e-300))
+    scaled = features @ np.swapaxes(coefficients, -1, -2) + constant[..., None, :]
+    return log_weights[..., None, :] - 0.5 * scaled
 
 
 def _normalise(log_joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior rows and their ``(N, 1)`` log normaliser (max-shifted)."""
-    shift = log_joint.max(axis=1, keepdims=True)
-    log_norm = shift + np.log(np.exp(log_joint - shift).sum(axis=1, keepdims=True))
+    """Posterior rows and their ``(..., N, 1)`` log normaliser (max-shifted)."""
+    shift = log_joint.max(axis=-1, keepdims=True)
+    log_norm = shift + np.log(np.exp(log_joint - shift).sum(axis=-1, keepdims=True))
     return np.exp(log_joint - log_norm), log_norm
 
 
@@ -146,8 +157,12 @@ def gmm_posterior(x: np.ndarray, params: GMMParams) -> np.ndarray:
     Centred on the mixture mean Σπ_kμ_k, which equals the training
     column mean after any M-step, so new rows score through the same
     kernel, with the same conditioning, as the fit's own E-step.
+
+    ``x`` of shape ``(α, M, D)`` under a stack of α models (see
+    :class:`GMMParams`) gives the ``(α, M, K)`` posteriors, each slice
+    equal to the single-model call on ``x[f]``.
     """
-    centre = params.weights @ params.means
+    centre = params.weights[..., None, :] @ params.means
     return _normalise(_log_joint(_features(x, centre), centre, params))[0]
 
 

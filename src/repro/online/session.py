@@ -27,15 +27,24 @@ removes N from the serving path entirely:
   the refit buffer — their labels were already served and their
   influence lives on in the statistics).
 
+The α base models' statistics and parameters are held stacked —
+``(α, K)`` and ``(α, K, d)`` arrays, one :class:`GMMStats` and one
+:class:`GMMParams` — so each scoring or update step is one batched call
+over all functions instead of α calls.
+
 The mutable online state (accumulators, step counter, drift EWMA)
 persists through the :class:`~repro.engine.cache.ArtifactCache` as an
-``online-*.npz`` entry keyed by the seed fit's identity, so a restarted
-service resumes mid-stream instead of starting the schedule over.  The
-batches each refit absorbed into the corpus persist alongside it as an
-``online-replay-*.npz`` log; a restarted session replays them through
-``label_incremental`` (cache hits make the replay a cheap bit-identical
-re-derivation) to regrow the corpus, so it resumes even *after* refits
-instead of cold-starting in that case.
+``online-*.npz`` entry of 16 arrays (``base_{nk,sx,sxx,n}``,
+``ens_{nk,sx,n}``, eight scalars and the mapping) keyed by the seed
+fit's identity, so a restarted service resumes mid-stream instead of
+starting the schedule over.  The batches each refit absorbed into the
+corpus persist alongside it as an ``online-replay-*.npz`` log; a
+restarted session replays them through ``label_incremental`` (cache
+hits make the replay a cheap bit-identical re-derivation) to regrow the
+corpus, so it resumes even *after* refits instead of cold-starting in
+that case.  A write that fails with an ``OSError`` is counted
+(``goggles_online_persist_errors_total``) and does not fail the batch:
+writes publish by rename, so the previous entry stays intact.
 
 Accuracy contract: on the shapes corpora the online path must agree
 with a full warm refit at ≥99% posterior agreement (1 − mean total
@@ -220,6 +229,11 @@ class OnlineSession:
             "Arrival rows buffered for the next refit.",
             labelnames=("tenant",),
         ).set_function(lambda: sum(batch.shape[0] for batch in self._buffer), tenant=self.tenant)
+        self._m_persist_errors = reg.counter(
+            "goggles_online_persist_errors_total",
+            "Online state writes that failed with an OSError (the batch was still served).",
+            labelnames=("kind", "tenant"),
+        )
 
     # ------------------------------------------------------------------
     # Seed snapshot
@@ -239,19 +253,24 @@ class OnlineSession:
         lp = result.hierarchical.label_predictions
         self.n_seed = affinity.n_examples
         self.alpha = affinity.n_functions
-        self._base_stats = [
-            GMMStats.from_responsibilities(affinity.block(f), lp[:, f * k : (f + 1) * k])
-            for f in range(self.alpha)
-        ]
-        self._base_params = [stats.params(self._variance_floor) for stats in self._base_stats]
+        # One function at a time, then stacked: squaring all blocks at
+        # once would build an (α, N, N) temporary.
+        self._base_stats = GMMStats.stack(
+            [
+                GMMStats.from_responsibilities(affinity.block(f), lp[:, f * k : (f + 1) * k])
+                for f in range(self.alpha)
+            ]
+        )
+        self._base_params = self._base_stats.params(self._variance_floor)
         one_hot = result.hierarchical.one_hot
         posterior = result.hierarchical.posterior
         self._ensemble_stats = BernoulliStats.from_responsibilities(one_hot, posterior)
         self._ensemble_params = self._ensemble_stats.params(_ENSEMBLE_PARAM_FLOOR)
         self.mapping = result.mapping
-        # Dev rows in the frozen feature space, for the vote-stability check.
+        # Dev rows in the frozen feature space, (α, n_dev, n_seed), for
+        # the vote-stability check.
         self._dev_rows = (
-            [np.array(affinity.block(f)[self.dev_set.indices, :], copy=True) for f in range(self.alpha)]
+            np.stack([affinity.block(f)[self.dev_set.indices, :] for f in range(self.alpha)])
             if self.dev_set.size
             else None
         )
@@ -292,17 +311,21 @@ class OnlineSession:
         return float(logsumexp(log_joint, axis=1).mean())
 
     def _score_batch(
-        self, rows: list[np.ndarray], base_params: list[GMMParams], ens_params: BernoulliParams
+        self, rows: np.ndarray, base_params: GMMParams, ens_params: BernoulliParams
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """One hierarchical E-step on a batch: LP, one-hot, posterior, mean ll."""
-        lp = np.concatenate(
-            [gmm_posterior(rows[f], base_params[f]) for f in range(self.alpha)], axis=1
-        )
+        """One hierarchical E-step on ``(α, M, d)`` rows.
+
+        Returns the base posteriors ``(α, M, K)``, the one-hot LP, the
+        ensemble posterior and its mean log-likelihood.
+        """
+        base = gmm_posterior(rows, base_params)
+        # LP (M, α·K): function f's posterior in columns [f·K, (f+1)·K).
+        lp = np.swapaxes(base, 0, 1).reshape(base.shape[1], -1)
         one_hot = one_hot_encode_lp(lp, self.n_classes)
         log_joint = self._ensemble_log_joint(one_hot, ens_params)
         log_norm = logsumexp(log_joint, axis=1, keepdims=True)
         posterior = np.exp(log_joint - log_norm)
-        return lp, one_hot, posterior, float(log_norm.mean())
+        return base, one_hot, posterior, float(log_norm.mean())
 
     # ------------------------------------------------------------------
     # The O(batch) absorb step
@@ -323,10 +346,9 @@ class OnlineSession:
             if block.ndim != 2 or block.shape[1] != self.n_seed or block.shape[0] == 0:
                 raise ValueError(f"rows[{f}] shaped {block.shape}, expected (M > 0, {self.n_seed})")
         with span("absorb", self.registry):
-            return self._absorb_rows(rows)
+            return self._absorb_rows(np.stack(rows))
 
-    def _absorb_rows(self, rows: list[np.ndarray]) -> np.ndarray:
-        k = self.n_classes
+    def _absorb_rows(self, rows: np.ndarray) -> np.ndarray:
         config = self.config
         self._step += 1
         rho = step_size(self._step, config.step_decay, config.step_delay)
@@ -338,7 +360,7 @@ class OnlineSession:
         base_params, ens_params = self._base_params, self._ensemble_params
         cand_base_stats, cand_ens_stats = self._base_stats, self._ensemble_stats
         previous_posterior: np.ndarray | None = None
-        lp, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
+        base, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
         # Prequential drift signal: the score under the *committed*
         # (pre-update) parameters, captured before the refinement loop
         # adapts them to this batch — a distribution shift must show up
@@ -346,19 +368,14 @@ class OnlineSession:
         # update it should trigger on.
         prequential_ll = mean_ll
         for _ in range(config.refine_max_iter):
-            cand_base_stats = [
-                self._base_stats[f].blend(
-                    GMMStats.from_responsibilities(rows[f], lp[:, f * k : (f + 1) * k]), rho
-                )
-                for f in range(self.alpha)
-            ]
+            cand_base_stats = self._base_stats.blend(GMMStats.from_responsibilities(rows, base), rho)
             cand_ens_stats = self._ensemble_stats.blend(
                 BernoulliStats.from_responsibilities(one_hot, posterior), rho
             )
-            base_params = [stats.params(self._variance_floor) for stats in cand_base_stats]
+            base_params = cand_base_stats.params(self._variance_floor)
             ens_params = cand_ens_stats.params(_ENSEMBLE_PARAM_FLOOR)
             previous_posterior = posterior
-            lp, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
+            base, one_hot, posterior, mean_ll = self._score_batch(rows, base_params, ens_params)
             if np.abs(posterior - previous_posterior).max() < config.refine_tol:
                 break
 
@@ -454,8 +471,8 @@ class OnlineSession:
     def _snapshot(self) -> tuple:
         """The mutable online state (statistics are immutable — shallow is enough)."""
         return (
-            list(self._base_stats),
-            list(self._base_params),
+            self._base_stats,
+            self._base_params,
             self._ensemble_stats,
             self._ensemble_params,
             self._step,
@@ -508,12 +525,26 @@ class OnlineSession:
     # ------------------------------------------------------------------
     # Persistence (kind "online" in the artifact cache)
     # ------------------------------------------------------------------
-    def _persist(self) -> None:
-        """Write the mutable online state as one ``online-*.npz`` entry."""
+    def _save(self, kind: str, arrays: dict[str, np.ndarray]) -> None:
+        """Write one entry of this session; an ``OSError`` is counted, not raised.
+
+        A write follows work the session has already committed (an
+        absorbed batch, a grown corpus), so raising would fail labels it
+        holds, and a retry would count the batch twice.  Writes publish
+        by rename, so the previous entry stays intact and a restart
+        resumes from it.
+        """
         if self._session_key is None:
             return
         cache = self.goggles.engine.cache
         assert cache is not None
+        try:
+            cache.save_arrays(kind, self._session_key, arrays)
+        except OSError:
+            self._m_persist_errors.inc(kind=kind, tenant=self.tenant)
+
+    def _persist(self) -> None:
+        """Write the mutable online state as one ``online-*.npz`` entry."""
         arrays: dict[str, np.ndarray] = {
             "step": np.int64(self._step),
             "ewma_ll": np.float64(self._ewma_ll),
@@ -526,9 +557,8 @@ class OnlineSession:
             "mapping": self.mapping.cluster_to_class,
         }
         arrays.update(self._ensemble_stats.arrays("ens"))
-        for f, stats in enumerate(self._base_stats):
-            arrays.update(stats.arrays(f"f{f:03d}"))
-        cache.save_arrays("online", self._session_key, arrays)
+        arrays.update(self._base_stats.arrays("base"))
+        self._save("online", arrays)
 
     def _persist_replay(self) -> None:
         """Write the refit batches as one ``online-replay-*.npz`` entry.
@@ -537,14 +567,10 @@ class OnlineSession:
         the session's lineage address), so a restarted process finds
         the log from the seed fit alone, before any replaying.
         """
-        if self._session_key is None:
-            return
-        cache = self.goggles.engine.cache
-        assert cache is not None
         arrays: dict[str, np.ndarray] = {"n_entries": np.int64(len(self._replay_log))}
         for i, batch in enumerate(self._replay_log):
             arrays[f"entry_{i:03d}"] = batch
-        cache.save_arrays("online-replay", self._session_key, arrays)
+        self._save("online-replay", arrays)
 
     def _try_replay(self) -> None:
         """Re-absorb persisted refit batches into the corpus.
@@ -597,10 +623,13 @@ class OnlineSession:
         """Restore persisted accumulators/step/EWMA for this seed fit.
 
         Silently a no-op when there is nothing usable: no cache, no
-        entry, or an entry whose shapes no longer line up.  A previous
-        process that refit onto a grown corpus is handled by
-        :meth:`_try_replay` (which re-derives that corpus from the
-        persisted refit batches before this method runs).
+        entry, or an entry whose shapes no longer line up.  An entry
+        without the stacked ``base_*`` arrays (per-function
+        ``f{i:03d}_*`` names, as earlier versions wrote) fails the parse,
+        so the cache evicts it and counts a miss.  A previous process
+        that refit onto a grown corpus is handled by :meth:`_try_replay`
+        (which re-derives that corpus from the persisted refit batches
+        before this method runs).
         """
         if self._session_key is None:
             return
@@ -613,7 +642,7 @@ class OnlineSession:
             return {
                 "n_seed": int(stored["n_seed"]),
                 "mapping": stored["mapping"],
-                "base_stats": [GMMStats.from_arrays(stored, f"f{f:03d}") for f in range(self.alpha)],
+                "base_stats": GMMStats.from_arrays(stored, "base"),
                 "ensemble_stats": BernoulliStats.from_arrays(stored, "ens"),
                 "step": int(stored["step"]),
                 "ewma_ll": float(stored["ewma_ll"]),
@@ -634,12 +663,12 @@ class OnlineSession:
             return
         k = self.n_classes
         base_stats, ensemble_stats = saved["base_stats"], saved["ensemble_stats"]
-        if any(s.sx.shape != (k, self.n_seed) or s.nk.shape != (k,) for s in base_stats):
+        if base_stats.sx.shape != (self.alpha, k, self.n_seed) or base_stats.nk.shape != (self.alpha, k):
             return
         if ensemble_stats.sx.shape != (k, self.alpha * k):
             return
         self._base_stats = base_stats
-        self._base_params = [s.params(self._variance_floor) for s in base_stats]
+        self._base_params = base_stats.params(self._variance_floor)
         self._ensemble_stats = ensemble_stats
         self._ensemble_params = ensemble_stats.params(_ENSEMBLE_PARAM_FLOOR)
         self._step = saved["step"]

@@ -23,6 +23,11 @@ Two combination rules are provided:
 Statistics are stored per-row-normalised (``nk`` sums to 1): the M-step
 formulas are scale-invariant, and normalised statistics make the blend
 a plain convex combination.
+
+:class:`GMMStats` also holds a stack of α base models at once — every
+array gains a leading ``(α,)`` axis — so the online session updates all
+of them in one call.  Each slice of a stacked result equals the
+single-model result bit for bit.
 """
 
 from __future__ import annotations
@@ -45,11 +50,12 @@ def step_size(step: int, decay: float, delay: float) -> float:
 
 
 def _check_responsibilities(x: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` ``(..., N, D)`` and ``resp`` ``(..., N, K)`` as float64, leading axes equal."""
     x = np.asarray(x, dtype=np.float64)
     resp = np.asarray(resp, dtype=np.float64)
-    if x.ndim != 2 or resp.ndim != 2 or x.shape[0] != resp.shape[0]:
+    if x.ndim < 2 or resp.ndim != x.ndim or x.shape[:-1] != resp.shape[:-1]:
         raise ValueError(f"rows {x.shape} and responsibilities {resp.shape} do not align")
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise ValueError("need at least one row")
     return x, resp
 
@@ -64,6 +70,9 @@ class GMMStats:
         sxx: ``(K, D)`` mean responsibility-weighted squares ``E[γ_k·x²]``.
         n: rows that contributed (bookkeeping; the statistics are
             already normalised, so ``n`` never enters the M-step).
+
+    A stack of α models, each fed the same rows, holds ``nk`` as
+    ``(α, K)`` and ``sx``/``sxx`` as ``(α, K, D)``, with one ``n``.
     """
 
     nk: np.ndarray
@@ -73,14 +82,29 @@ class GMMStats:
 
     @classmethod
     def from_responsibilities(cls, x: np.ndarray, resp: np.ndarray) -> "GMMStats":
-        """Statistics of ``x`` under soft assignments ``resp`` (one E-step's output)."""
+        """Statistics of ``x`` under soft assignments ``resp`` (one E-step's output).
+
+        ``x`` ``(α, N, D)`` with ``resp`` ``(α, N, K)`` gives the stacked
+        statistics of α models.
+        """
         x, resp = _check_responsibilities(x, resp)
-        n = x.shape[0]
+        n = x.shape[-2]
+        resp_t = np.swapaxes(resp, -1, -2)
         return cls(
-            nk=resp.sum(axis=0) / n,
-            sx=(resp.T @ x) / n,
-            sxx=(resp.T @ np.square(x)) / n,
+            nk=resp.sum(axis=-2) / n,
+            sx=(resp_t @ x) / n,
+            sxx=(resp_t @ np.square(x)) / n,
             n=float(n),
+        )
+
+    @classmethod
+    def stack(cls, models: "list[GMMStats]") -> "GMMStats":
+        """α single-model statistics of the same rows as one stack."""
+        return cls(
+            nk=np.stack([model.nk for model in models]),
+            sx=np.stack([model.sx for model in models]),
+            sxx=np.stack([model.sxx for model in models]),
+            n=models[0].n,
         )
 
     def merge(self, other: "GMMStats") -> "GMMStats":
@@ -116,9 +140,9 @@ class GMMStats:
         produce the same parameters.
         """
         nk = np.maximum(self.nk, 1e-10)
-        means = self.sx / nk[:, None]
-        variances = np.maximum(self.sxx / nk[:, None] - np.square(means), variance_floor)
-        weights = nk / nk.sum()
+        means = self.sx / nk[..., None]
+        variances = np.maximum(self.sxx / nk[..., None] - np.square(means), variance_floor)
+        weights = nk / nk.sum(axis=-1, keepdims=True)
         return GMMParams(weights=weights, means=means, variances=variances)
 
     def arrays(self, prefix: str) -> dict[str, np.ndarray]:
@@ -157,8 +181,8 @@ class BernoulliStats:
     @classmethod
     def from_responsibilities(cls, x: np.ndarray, resp: np.ndarray) -> "BernoulliStats":
         x, resp = _check_responsibilities(x, resp)
-        n = x.shape[0]
-        return cls(nk=resp.sum(axis=0) / n, sx=(resp.T @ x) / n, n=float(n))
+        n = x.shape[-2]
+        return cls(nk=resp.sum(axis=-2) / n, sx=(np.swapaxes(resp, -1, -2) @ x) / n, n=float(n))
 
     def merge(self, other: "BernoulliStats") -> "BernoulliStats":
         """Exact pooling: equals the statistics of the concatenated data."""

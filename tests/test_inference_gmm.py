@@ -132,6 +132,31 @@ class TestDiagonalGMM:
             DiagonalGMM(2, max_iter=0)
 
 
+class TestStackedPosterior:
+    """``gmm_posterior`` over a stack of α models equals the per-model
+    calls bit for bit: each slice runs the same kernel on the same shapes."""
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_stack_equals_each_model(self, m):
+        rng = np.random.default_rng(11)
+        alpha, n, d, k = 4, 40, 16, 3
+        # Affinity-like columns: near 0.99 with small variances.
+        fits = [
+            DiagonalGMM(k, seed=f).fit(0.99 + 1e-3 * rng.standard_normal((n, d))).params
+            for f in range(alpha)
+        ]
+        stacked = GMMParams(
+            weights=np.stack([p.weights for p in fits]),
+            means=np.stack([p.means for p in fits]),
+            variances=np.stack([p.variances for p in fits]),
+        )
+        rows = 0.99 + 1e-3 * rng.standard_normal((alpha, m, d))
+        posterior = gmm_posterior(rows, stacked)
+        assert posterior.shape == (alpha, m, k)
+        for f in range(alpha):
+            np.testing.assert_array_equal(posterior[f], gmm_posterior(rows[f], fits[f]))
+
+
 # ----------------------------------------------------------------------
 # Reference: the per-component EM the centred kernel replaced
 # ----------------------------------------------------------------------

@@ -9,6 +9,9 @@ cached ``online-*.npz`` state without refitting).
 
 from __future__ import annotations
 
+import errno
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Goggles, GogglesConfig
 from repro.core.inference.base_gmm import DiagonalGMM, _centre
 from repro.core.inference.mapping import ClusterMapping
+from repro.obs import MetricsRegistry
 from repro.online import BernoulliStats, GMMStats, OnlineConfig, OnlineSession, step_size
 from repro.serving import LabelingService
 from repro.utils.rng import spawn_rng
@@ -88,6 +92,30 @@ class TestGMMStats:
             GMMStats.from_responsibilities(np.zeros((3, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="at least one row"):
             GMMStats.from_responsibilities(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_stack_equals_each_function(self, m):
+        """Statistics, blend and M-step over a stack of α functions equal
+        the single-function calls slice for slice, bit for bit."""
+        rng = spawn_rng(8, "gmm-stats")
+        alpha, d, k = 4, 7, 3
+        seed_x, x = rng.normal(size=(alpha, 10, d)), rng.normal(size=(alpha, m, d))
+        seed_resp = np.stack([_soft_assignments(rng, 10, k) for _ in range(alpha)])
+        resp = np.stack([_soft_assignments(rng, m, k) for _ in range(alpha)])
+        seeds = [GMMStats.from_responsibilities(seed_x[f], seed_resp[f]) for f in range(alpha)]
+        batch = GMMStats.from_responsibilities(x, resp)
+        blended = GMMStats.stack(seeds).blend(batch, rho=0.3)
+        params = blended.params(VARIANCE_FLOOR)
+        assert batch.sx.shape == (alpha, k, d) and batch.n == m
+        for f in range(alpha):
+            single_batch = GMMStats.from_responsibilities(x[f], resp[f])
+            single = seeds[f].blend(single_batch, rho=0.3)
+            single_params = single.params(VARIANCE_FLOOR)
+            for name in ("nk", "sx", "sxx"):
+                np.testing.assert_array_equal(getattr(batch, name)[f], getattr(single_batch, name))
+                np.testing.assert_array_equal(getattr(blended, name)[f], getattr(single, name))
+            for name in ("weights", "means", "variances"):
+                np.testing.assert_array_equal(getattr(params, name)[f], getattr(single_params, name))
 
 
 class TestBernoulliStats:
@@ -329,7 +357,7 @@ class TestOnlineSession:
         )
         rows = session._arrival_rows(images[n0 : n0 + 3])
         _, _, _, pre_update_ll = session._score_batch(
-            rows, session._base_params, session._ensemble_params
+            np.stack(rows), session._base_params, session._ensemble_params
         )
         session.absorb_rows(rows)
         assert session._ewma_ll == pytest.approx(pre_update_ll)
@@ -419,8 +447,7 @@ class TestOnlinePersistence:
         assert second.stats()["step"] == 1
         assert second.n_absorbed == 3
         np.testing.assert_allclose(second._ewma_ll, first._ewma_ll)
-        for mine, theirs in zip(second._base_stats, first._base_stats):
-            np.testing.assert_allclose(mine.sx, theirs.sx)
+        np.testing.assert_allclose(second._base_stats.sx, first._base_stats.sx)
         # And it keeps serving: the next absorb continues the schedule.
         again = second.absorb(images[n0 + 3 :])
         assert second.stats()["step"] == 2
@@ -467,8 +494,7 @@ class TestOnlinePersistence:
         assert second.resumed
         assert second.n_refits == 1
         np.testing.assert_allclose(second._ewma_ll, first._ewma_ll)
-        for mine, theirs in zip(second._base_stats, first._base_stats):
-            np.testing.assert_allclose(mine.sx, theirs.sx)
+        np.testing.assert_allclose(second._base_stats.sx, first._base_stats.sx)
         # And it keeps serving on the grown corpus.
         again = second.absorb(images[n0 + 3 :])
         assert again.shape == (3, 2)
@@ -496,6 +522,136 @@ class TestOnlinePersistence:
         goggles, dev, result, images, n0 = seeded
         session = OnlineSession(goggles, dev, result)
         assert session.stats()["persisted"] is False
+
+
+#: The members of an ``online`` entry: the α base models stacked, the
+#: ensemble, eight scalars and the mapping.
+ONLINE_ENTRY_NAMES = set(
+    "base_nk base_sx base_sxx base_n ens_nk ens_sx ens_n step ewma_ll baseline_ll n_seed "
+    "n_refits n_absorbed n_batches n_buffer_dropped mapping".split()
+)
+
+
+def _entry(cache_dir, kind: str):
+    """The one cache entry of ``kind`` in ``cache_dir``, or ``None``."""
+    found = [path for path in cache_dir.glob("*.npz") if path.name.rsplit("-", 1)[0] == kind]
+    assert len(found) <= 1
+    return found[0] if found else None
+
+
+def _members(path) -> dict[str, np.ndarray]:
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+class TestOnlineCheckpoint:
+    """The ``online`` entry's stacked layout, an entry in the per-function
+    layout earlier versions wrote, and writes that fail."""
+
+    def _seed(self, vgg, small_surface, cache_dir, tenant: str | None = None):
+        images = small_surface.images
+        n0 = images.shape[0] - 6
+        dev = small_surface.sample_dev_set(per_class=3, seed=0)
+        goggles = Goggles(
+            GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), cache_dir=str(cache_dir)),
+            model=vgg,
+        )
+        if tenant is not None:
+            goggles.engine.cache.tenant = tenant
+        return goggles, dev, goggles.label(images[:n0], dev), images, n0
+
+    def test_online_entry_holds_sixteen_stacked_arrays(self, vgg, small_surface, tmp_path):
+        goggles, dev, result, images, n0 = self._seed(vgg, small_surface, tmp_path)
+        session = OnlineSession(goggles, dev, result, OnlineConfig(drift_threshold=100.0))
+        session.absorb(images[n0 : n0 + 3])
+        stored = _members(_entry(tmp_path, "online"))
+        assert set(stored) == ONLINE_ENTRY_NAMES
+        assert not any(name.startswith("f0") for name in stored)
+        assert stored["base_nk"].shape == (session.alpha, 2)
+        assert stored["base_sx"].shape == stored["base_sxx"].shape == (session.alpha, 2, n0)
+
+    def test_per_function_entry_is_a_counted_miss(
+        self, vgg, small_surface, tmp_path, cache_label, cache_counts
+    ):
+        goggles, dev, result, images, n0 = self._seed(vgg, small_surface, tmp_path)
+        first = OnlineSession(goggles, dev, result, OnlineConfig(drift_threshold=100.0))
+        first.absorb(images[n0 : n0 + 3])
+        entry = _entry(tmp_path, "online")
+        stored = _members(entry)
+        # Rewrite it in the layout earlier versions wrote: f{i:03d}_{nk,sx,sxx,n}.
+        legacy = {name: value for name, value in stored.items() if not name.startswith("base_")}
+        for f in range(first.alpha):
+            for name in ("nk", "sx", "sxx"):
+                legacy[f"f{f:03d}_{name}"] = stored[f"base_{name}"][f]
+            legacy[f"f{f:03d}_n"] = stored["base_n"]
+        np.savez(entry, **legacy)
+
+        goggles, dev, result, images, n0 = self._seed(vgg, small_surface, tmp_path, tenant=cache_label)
+        misses = cache_counts(goggles.engine.cache).misses.get("online", 0)
+        second = OnlineSession(goggles, dev, result, OnlineConfig(drift_threshold=100.0))
+        assert not second.resumed
+        assert second.stats()["step"] == 0
+        assert cache_counts(goggles.engine.cache).misses.get("online", 0) == misses + 1
+        assert not entry.exists()
+        second.absorb(images[n0 + 3 :])
+        assert set(_members(entry)) == ONLINE_ENTRY_NAMES
+
+    @pytest.mark.parametrize("kind, faulted", [("online", 3), ("online-replay", 2)])
+    def test_failed_write_still_serves_the_batch(
+        self, vgg, small_surface, tmp_path, monkeypatch, kind, faulted
+    ):
+        """A write that fails after the batch was absorbed is counted: the
+        batch is served once, the previous entry stays, and the session
+        keeps serving and resumes after a restart."""
+        config = OnlineConfig(drift_threshold=100.0, refit_every=2)
+        goggles, dev, result, images, n0 = self._seed(vgg, small_surface, tmp_path)
+        registry = MetricsRegistry()
+        session = OnlineSession(goggles, dev, result, config, registry=registry, tenant="t")
+        sizes = (2, 1, 2, 1)  # refit_every=2: the 2nd and 4th absorbs refit
+        real_replace = os.replace
+        armed = [False]
+
+        def replace(src, dst):
+            # Publishing an entry of `kind` fails once, as on a full disk.
+            if armed[0] and os.path.basename(dst).rsplit("-", 1)[0] == kind:
+                armed[0] = False
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        start = n0
+        for i, size in enumerate(sizes, start=1):
+            previous = _entry(tmp_path, kind)
+            previous = None if previous is None else _members(previous)
+            armed[0] = i == faulted
+            labels = session.absorb(images[start : start + size])
+            start += size
+            assert labels.shape == (size, 2)
+            assert session.n_absorbed == start - n0
+            assert goggles.engine.state.n_images == session.n_seed
+            if i != faulted:
+                continue
+            assert registry.get("goggles_online_persist_errors_total").value(kind=kind, tenant="t") == 1
+            assert not list(tmp_path.glob("*.tmp"))
+            now = _entry(tmp_path, kind)
+            if previous is None:
+                assert now is None
+            else:
+                stored = _members(now)
+                assert stored.keys() == previous.keys()
+                for name, value in previous.items():
+                    np.testing.assert_array_equal(stored[name], value)
+        assert session.n_refits == 2
+        assert registry.get("goggles_online_persist_errors_total").value(kind=kind, tenant="t") == 1
+
+        goggles, dev, result, _, _ = self._seed(vgg, small_surface, tmp_path)
+        restarted = OnlineSession(goggles, dev, result, config)
+        assert restarted.resumed
+        assert restarted.replayed == 2
+        assert restarted.n_seed == session.n_seed
+        assert restarted.n_absorbed == session.n_absorbed == sum(sizes)
+        assert restarted.stats()["step"] == session.stats()["step"]
+        np.testing.assert_array_equal(restarted._base_stats.sx, session._base_stats.sx)
 
 
 # ----------------------------------------------------------------------
