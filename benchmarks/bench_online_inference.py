@@ -27,10 +27,10 @@ from repro.datasets.base import DevSet
 from repro.datasets.shapes import make_shapes
 from repro.engine import InferenceEngine
 from repro.eval.harness import shared_model
+from repro.eval.metrics import MIN_POSTERIOR_AGREEMENT, posterior_agreement
 from repro.online import OnlineConfig, OnlineSession
 from repro.utils.rng import derive_seed
 
-MIN_POSTERIOR_AGREEMENT = 0.99  # documented online-vs-refit contract (ENGINE.md)
 STREAM_BATCH = 4
 
 
@@ -102,8 +102,7 @@ def test_online_absorb_vs_full_refit(benchmark, settings, record_result):
             mapping = map_clusters_to_classes(refit.posterior, dev, 2)
             refit_labels = apply_mapping(refit.posterior, mapping)[n0:]
 
-            total_variation = 0.5 * np.abs(online - refit_labels).sum(axis=1)
-            agreement = float(1.0 - total_variation.mean())
+            agreement = posterior_agreement(online, refit_labels)
             labels_exact = bool((online.argmax(axis=1) == refit_labels.argmax(axis=1)).all())
             absorb_step_s = absorb_s / n_steps
             assert labels_exact, "online hard labels must match the full warm refit exactly"

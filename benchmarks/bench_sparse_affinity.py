@@ -4,13 +4,14 @@ The sparse path stores each affinity function block as uniform-row CSR
 (top-k per row plus a per-row fill value) in float32 and densifies
 blocks lazily — optionally through memory-mapped files so N can exceed
 RAM.  Its acceptance contract (ENGINE.md) is accuracy-first: posterior
-agreement ≥ 99% and *exact* label agreement with the dense float64
-path, alongside a measured peak-memory reduction and wall-clock
-speedup.  This benchmark checks the contract at N ∈ {2·n_per_class,
-4·n_per_class} (80 and 160 at the default protocol scale) and writes a
-``sparse`` section into ``BENCH_inference.json`` for the CI regression
-gate (``scripts/check_bench.py`` fails the build if an agreement flag
-flips or the speedup ratio shrinks by more than 25%).
+agreement ≥ 99% and *exact* label agreement with the dense path (both
+at the float32 default), alongside a measured peak-memory reduction and
+the dense/sparse wall-clock ratio.  This benchmark checks the contract
+at N ∈ {2·n_per_class, 4·n_per_class} (80 and 160 at the default
+protocol scale) and writes a ``sparse`` section into
+``BENCH_inference.json`` for the CI regression gate
+(``scripts/check_bench.py`` fails the build if an agreement flag flips
+or the speedup ratio shrinks by more than 25%).
 
 Two memory numbers are recorded.  Whole-run peak heap comes from
 :mod:`tracemalloc` (NumPy registers its allocations with it; a
@@ -36,11 +37,11 @@ from bench_distributed import update_trajectory
 from repro.core import Goggles, GogglesConfig
 from repro.datasets import make_dataset
 from repro.eval.harness import shared_model
+from repro.eval.metrics import MIN_POSTERIOR_AGREEMENT, posterior_agreement
 
 # Trajectory artifacts live at the repo root so the BENCH_*.json series
 # is tracked in one place across PRs (not buried under benchmarks/).
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_inference.json"
-MIN_POSTERIOR_AGREEMENT = 0.99  # documented sparse-path contract (ENGINE.md)
 
 
 def _affinity_bytes(affinity) -> int:
@@ -93,10 +94,9 @@ def test_sparse_affinity_vs_dense(benchmark, settings, record_result):
                 model, dataset.images, dev,
             )
 
-            # Posterior agreement: 1 − mean total-variation distance.
-            dense_p = dense_result.probabilistic_labels.astype(np.float64)
-            sparse_p = sparse_result.probabilistic_labels.astype(np.float64)
-            agreement = float(1.0 - 0.5 * np.abs(dense_p - sparse_p).sum(axis=1).mean())
+            agreement = posterior_agreement(
+                dense_result.probabilistic_labels, sparse_result.probabilistic_labels
+            )
             labels_exact = bool(
                 np.array_equal(dense_result.predictions, sparse_result.predictions)
             )

@@ -504,9 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         help="images per backbone forward pass (0 = whole corpus)",
     )
     parser.add_argument(
-        "--precision", choices=("float64", "float32"), default=None,
-        help="engine compute precision (float32 is ~2x faster, allclose-exact; "
-        "default: float64 dense, float32 sparse)",
+        "--precision", choices=("float64", "float32"), default="float32",
+        help="engine compute precision (default float32: >=99%% posterior agreement and "
+        "exact labels vs float64; float64 is the exact path)",
     )
     parser.add_argument(
         "--affinity-mode", choices=("dense", "sparse"), default="dense",

@@ -120,13 +120,9 @@ class GogglesConfig:
         """The affinity-engine config implied by this pipeline config."""
         if self.engine is not None:
             return self.engine
-        sparse = self.affinity_mode == "sparse"
         return EngineConfig(
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
-            # float32 end-to-end is the sparse-path default; dense keeps
-            # the bit-compatible float64 discipline.
-            precision="float32" if sparse else "float64",
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
             affinity_mode=self.affinity_mode,

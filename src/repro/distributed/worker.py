@@ -39,7 +39,7 @@ import socket
 import threading
 import time
 from multiprocessing import AuthenticationError
-from multiprocessing.connection import Client, Connection
+from multiprocessing.connection import Connection, answer_challenge, deliver_challenge
 
 import numpy as np
 
@@ -177,18 +177,56 @@ class Worker:
         self._idle_streak = 0
         self._rng = random.Random()
         self._stop = threading.Event()
+        # The socket of a connect in progress, which stop() shuts down.
+        self._connecting: socket.socket | None = None
+        self._connecting_lock = threading.Lock()
 
     def stop(self) -> None:
-        """Ask the loop to exit at the next opportunity."""
+        """Ask the loop to exit at the next opportunity.
+
+        A connect waiting on the peer's auth handshake is woken at once:
+        a port that accepts but never sends the challenge (a just-closed
+        broker's, say) would otherwise hold the worker forever.
+        """
         self._stop.set()
+        with self._connecting_lock:
+            if self._connecting is not None:
+                try:
+                    self._connecting.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # not connected (yet): the stop check after connect catches it
 
     # ------------------------------------------------------------------
+    def _open(self) -> Connection:
+        """One connect plus the authkey handshake — what
+        ``multiprocessing.connection.Client`` does, with the socket held
+        where :meth:`stop` can shut it down."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        with self._connecting_lock:
+            self._connecting = sock
+        try:
+            sock.connect(self.address)
+            if self._stop.is_set():
+                raise EOFError("worker stopped while connecting")
+            conn = Connection(sock.dup().detach())
+            try:
+                answer_challenge(conn, self.authkey)
+                deliver_challenge(conn, self.authkey)
+            except BaseException:
+                conn.close()
+                raise
+            return conn
+        finally:
+            with self._connecting_lock:
+                self._connecting = None
+            sock.close()
+
     def _connect(self) -> Connection | None:
         for _ in range(self.connect_retries):
             if self._stop.is_set():
                 return None
             try:
-                return Client(self.address, authkey=self.authkey)
+                return self._open()
             except (OSError, EOFError, AuthenticationError):
                 # Coordinator not up (yet), just went away, or closed
                 # mid-handshake; be patient — the budget bounds us.

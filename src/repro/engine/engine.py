@@ -53,11 +53,16 @@ class EngineConfig:
             (:func:`repro.utils.threads.pin_thread_budget`), so the
             pool, not OpenBLAS, owns the cores.  Values are identical
             at any width.
-        precision: ``"float64"`` (default; within ``atol=1e-12`` of
+        precision: the dtype the backbone, prototypes and similarity
+            run in; affinities are stored float64 on the dense path
+            either way.  ``"float32"`` (default) keeps the labels:
+            against ``"float64"`` it gives ≥ 99% posterior agreement
+            and exact hard labels (tier-1 and ``bench_table1_labeling``
+            check it), though a near-tie can flip one prototype and
+            move single affinities by far more than float32 rounding.
+            ``"float64"`` is the exact path, within ``atol=1e-12`` of
             the direct per-image form of Eq. 2 kept in
-            ``tests/reference_affinity.py``) or ``"float32"`` (≈2×
-            faster similarity stage, equal to within ~1e-6 — inside
-            ``np.allclose`` tolerance).
+            ``tests/reference_affinity.py``.
         cache_dir: artifact cache directory; ``None`` disables caching.
         cache_max_bytes: size budget for the artifact cache; writes
             that push the directory above it evict least-recently-used
@@ -78,7 +83,7 @@ class EngineConfig:
     row_tile: int | None = 32
     col_tile: int | None = None
     n_jobs: int = field(default_factory=usable_cores)
-    precision: str = "float64"
+    precision: str = "float32"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     affinity_mode: str = "dense"

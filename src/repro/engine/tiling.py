@@ -23,10 +23,13 @@ exactly equivalent kernel possible:
    reused scratch, which keeps the ``(rows, P)`` similarity product
    inside the CPU cache.
 
-The kernel optionally computes in float32 (``dtype=np.float32``):
-outputs are cast back to float64 and agree with the float64 path to
-~1e-6, well inside ``np.allclose`` tolerance, at roughly half the
-memory traffic — the right trade for throughput-oriented deployments.
+The kernel computes in ``dtype`` (float32 is the engine default) and
+reduces each tile's maxima in that dtype; the dense path stores the
+table as float64.  Float32 is not allclose-equal to float64: a near-tie
+can select a different prototype and move single affinities by ~0.2.
+Its contract is at label level — ≥ 99% posterior agreement and exact
+hard labels against float64 (see
+:class:`~repro.engine.engine.EngineConfig`).
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ __all__ = [
 
 
 #: Bytes of ``(rows, P)`` similarities a tile task computes at a time:
-#: 128 float64 prototype rows at L0 of a 64×64 image (1024 positions).
+#: 256 float32 (128 float64) prototype rows at L0 of a 64×64 image
+#: (1024 positions).
 _SCRATCH_BYTES = 1 << 20
 
 
@@ -206,12 +210,14 @@ def best_similarities(
     allocated per image.  Chunks are balanced to within one row, so
     every chunk is a matrix product like the unchunked call and the
     output is bit-identical to it (``tests/test_thread_budget.py``
-    holds it to the unchunked per-image kernel).
+    holds it to the unchunked per-image kernel).  A task's maxima
+    gather in a block of the compute dtype, written into the table
+    once.
 
     ``out_dtype`` controls the dtype of the returned table; ``None``
-    keeps the historical float64 output (bit-compatible with every
-    dense consumer, even when computing in float32).  The sparse path
-    passes ``out_dtype=np.float32`` so similarity values stay float32
+    keeps a float64 table (what every dense consumer stores, even when
+    computing in float32).  The sparse path passes
+    ``out_dtype=np.float32`` so similarity values stay float32
     end-to-end instead of being cast back.
     """
     dtype = np.dtype(dtype)
@@ -223,13 +229,19 @@ def best_similarities(
 
     def score_block(bounds: tuple[tuple[int, int], tuple[int, int]]) -> None:
         (i0, i1), (j0, j1) = bounds
-        chunks = [(j0 + r0, j0 + r1) for r0, r1 in _balanced_bounds(j1 - j0, chunk_rows)]
+        chunks = _balanced_bounds(j1 - j0, chunk_rows)
         scratch = np.empty((chunks[0][1] - chunks[0][0], positions), dtype=dtype)
+        # Maxima reduce into a buffer of the compute dtype: a reduction
+        # into a wider ``out`` column casts every element and is slower
+        # at float32 than at float64.  A max is exact, so casting the
+        # block once on the way out gives the same values.
+        best = np.empty((i1 - i0, j1 - j0), dtype=dtype)
         for i in range(i0, i1):
             for r0, r1 in chunks:
                 similarities = scratch[: r1 - r0]
-                np.matmul(protos[r0:r1], vectors[i], out=similarities)
-                similarities.max(axis=1, out=out[r0:r1, i])
+                np.matmul(protos[j0 + r0 : j0 + r1], vectors[i], out=similarities)
+                similarities.max(axis=1, out=best[i - i0, r0:r1])
+        out[j0:j1, i0:i1] = best.T
 
     tasks = [
         (rows, cols)

@@ -30,7 +30,7 @@ from repro.core.inference.hierarchical import HierarchicalConfig, HierarchicalMo
 from repro.core.inference.mapping import apply_mapping, map_clusters_to_classes
 from repro.core.inference.theory import p_mapping_correct_lower_bound
 from repro.datasets import make_dataset
-from repro.datasets.base import DevSet
+from repro.datasets.base import DevSet, LabeledImageDataset
 from repro.endmodel import TrainConfig, one_hot, train_head
 from repro.eval.metrics import labeling_accuracy, mask_excluding, roc_auc
 from repro.fsl import FSLBaseline, FSLConfig
@@ -46,6 +46,7 @@ __all__ = [
     "ExperimentSettings",
     "shared_model",
     "build_affinity",
+    "table1_corpus",
     "run_table1_row",
     "run_table1",
     "run_table2_row",
@@ -78,10 +79,10 @@ class ExperimentSettings:
             Results are identical at any width.
         batch_size: images per backbone forward pass in the affinity
             engine (memory bound, value-neutral).
-        precision: engine compute precision (``"float64"`` exact,
-            ``"float32"`` fast — agreement within ``np.allclose``).
-            ``None`` picks the mode default: float64 dense, float32
-            sparse.
+        precision: engine compute precision, ``"float32"`` (default;
+            ≥ 99% posterior agreement and exact labels against
+            float64) or ``"float64"`` (exact; see
+            :class:`~repro.engine.engine.EngineConfig`).
         cache_dir: artifact cache shared across the harness' runs;
             ``None`` disables on-disk caching.
         cache_max_bytes: size budget for that cache (LRU eviction);
@@ -101,7 +102,7 @@ class ExperimentSettings:
     seed: int = 0
     n_jobs: int = field(default_factory=usable_cores)
     batch_size: int | None = 32
-    precision: str | None = None
+    precision: str = "float32"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     affinity_mode: str = "dense"
@@ -109,12 +110,10 @@ class ExperimentSettings:
     memmap: bool = False
 
     def engine_config(self) -> EngineConfig:
-        sparse = self.affinity_mode == "sparse"
-        precision = self.precision or ("float32" if sparse else "float64")
         return EngineConfig(
             batch_size=self.batch_size,
             n_jobs=self.n_jobs,
-            precision=precision,
+            precision=self.precision,
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
             affinity_mode=self.affinity_mode,
@@ -171,6 +170,21 @@ def _infer_with_affinity(
 # ----------------------------------------------------------------------
 # Table 1: labeling accuracy
 # ----------------------------------------------------------------------
+def table1_corpus(
+    dataset_name: str, settings: ExperimentSettings, run_seed: int
+) -> tuple[LabeledImageDataset, DevSet]:
+    """The corpus and dev set of one seed of the Table-1 protocol."""
+    dataset = make_dataset(
+        dataset_name,
+        n_per_class=settings.n_per_class,
+        image_size=settings.image_size,
+        seed=derive_seed(settings.seed, "table1", dataset_name, run_seed),
+        pair_seed=run_seed,
+    )
+    dev = dataset.sample_dev_set(settings.dev_per_class, seed=derive_seed(settings.seed, "dev", run_seed))
+    return dataset, dev
+
+
 def run_table1_row(
     dataset_name: str,
     settings: ExperimentSettings,
@@ -183,14 +197,7 @@ def run_table1_row(
     is not applicable (Snorkel outside CUB).
     """
     model = shared_model(settings)
-    dataset = make_dataset(
-        dataset_name,
-        n_per_class=settings.n_per_class,
-        image_size=settings.image_size,
-        seed=derive_seed(settings.seed, "table1", dataset_name, run_seed),
-        pair_seed=run_seed,
-    )
-    dev = dataset.sample_dev_set(settings.dev_per_class, seed=derive_seed(settings.seed, "dev", run_seed))
+    dataset, dev = table1_corpus(dataset_name, settings, run_seed)
     k = dataset.n_classes
     out: dict[str, float | None] = {}
 

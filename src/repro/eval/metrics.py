@@ -6,7 +6,21 @@ import numpy as np
 
 from repro.utils.validation import check_labels, check_probabilities
 
-__all__ = ["accuracy", "labeling_accuracy", "confusion_matrix", "brier_score", "roc_auc", "mask_excluding"]
+__all__ = [
+    "MIN_POSTERIOR_AGREEMENT",
+    "accuracy",
+    "labeling_accuracy",
+    "confusion_matrix",
+    "brier_score",
+    "roc_auc",
+    "mask_excluding",
+    "posterior_agreement",
+]
+
+#: The contract of every approximate labeling path against its exact
+#: reference (sparse vs dense, online absorb vs full refit, float32 vs
+#: float64): posterior agreement at least this, and exact hard labels.
+MIN_POSTERIOR_AGREEMENT = 0.99
 
 
 def mask_excluding(n: int, exclude: np.ndarray | None) -> np.ndarray:
@@ -42,6 +56,16 @@ def labeling_accuracy(
     true_labels = check_labels(true_labels)
     mask = mask_excluding(true_labels.shape[0], exclude)
     return accuracy(probabilistic_labels.argmax(axis=1)[mask], true_labels[mask])
+
+
+def posterior_agreement(p: np.ndarray, q: np.ndarray) -> float:
+    """1 − mean total-variation distance between two ``(N, K)`` label
+    distributions: 1.0 when every row matches, 0.0 when none overlaps."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+    return float(1.0 - 0.5 * np.abs(p - q).sum(axis=1).mean())
 
 
 def confusion_matrix(predictions: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:

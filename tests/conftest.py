@@ -49,7 +49,8 @@ def small_surface():
 
 @pytest.fixture(scope="session")
 def small_surface_affinity(vgg, small_surface) -> AffinityMatrix:
-    """The default (dense float64, α=50) affinity matrix of ``small_surface``.
+    """The default (dense, computed in float32 and stored float64, α=50)
+    affinity matrix of ``small_surface``.
 
     Real affinities sit near 1 with tiny column variances, the regime
     where base-fit numerics and memory layout matter; a uniform random

@@ -43,7 +43,14 @@ __all__ = [
     "all_location_vectors",
     "_layer_affinity_blocks",
     "compute_affinity_matrix",
+    "FLOAT32_ATOL",
 ]
+
+#: Bound on a float32 engine build's error in a property that is exact
+#: in real arithmetic (a cosine within [-1, 1], ``extend`` equal to a
+#: from-scratch ``build``): a few float32 ulps at unit scale.  The
+#: float64 path keeps the bounds its tests have always used.
+FLOAT32_ATOL = 8 * float(np.finfo(np.float32).eps)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ class TestCli:
             "--dev-per-class",
             "2",
             "--precision",
-            "float32",
+            "float64",
             "--cache-dir",
             str(tmp_path),
             "--cache-max-bytes",

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from reference_affinity import select_top_z
+from reference_affinity import FLOAT32_ATOL, select_top_z
 
 from repro.core.affinity import (
     AffinityFunctionId,
@@ -14,13 +14,16 @@ from repro.core.affinity import (
     affinity_from_features,
     cosine_similarity,
 )
-from repro.engine import AffinityEngine, PrototypeAffinitySource
+from repro.engine import AffinityEngine, EngineConfig, PrototypeAffinitySource
+
+#: Slack of a bound that is exact in real arithmetic, by precision.
+UNIT_ATOL = {"float64": 1e-9, "float32": FLOAT32_ATOL}
 
 
-def build_prototype_affinity(vgg, images, top_z=10, layers=None) -> AffinityMatrix:
+def build_prototype_affinity(vgg, images, top_z=10, layers=None, **engine) -> AffinityMatrix:
     """The prototype affinity matrix through the library's one builder."""
     source = PrototypeAffinitySource(vgg, top_z=top_z, layers=layers)
-    return AffinityEngine(source).build(images, keep_state=False)
+    return AffinityEngine(source, EngineConfig(**engine)).build(images, keep_state=False)
 
 
 class TestCosineSimilarity:
@@ -124,7 +127,7 @@ class TestComputeAffinityMatrix:
         """A[i, j] = f_{j // N}(x_i, x_{j % N}) — verified against a
         direct evaluation of Eq. 2 for a sample of cells."""
         top_z = 2
-        matrix = build_prototype_affinity(vgg, tiny_images, top_z=top_z, layers=(1,))
+        matrix = build_prototype_affinity(vgg, tiny_images, top_z=top_z, layers=(1,), precision="float64")
         n = tiny_images.shape[0]
         feats = vgg.pool_features(tiny_images, 1)
         c = feats.shape[1]
@@ -154,17 +157,18 @@ class TestComputeAffinityMatrix:
         assert layers == {0, 1, 2, 3, 4}
 
     def test_values_in_cosine_range(self, vgg, tiny_images):
-        matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(0,))
-        assert matrix.values.min() >= -1.0 - 1e-9
-        assert matrix.values.max() <= 1.0 + 1e-9
+        for precision, atol in UNIT_ATOL.items():
+            matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(0,), precision=precision)
+            assert matrix.values.min() >= -1.0 - atol, precision
+            assert matrix.values.max() <= 1.0 + atol, precision
 
     def test_self_affinity_is_maximal(self, vgg, tiny_images):
         """f(x_j, x_j) = 1: the prototype's own location is a perfect match."""
-        matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(1,))
-        n = tiny_images.shape[0]
-        for f in range(matrix.n_functions):
-            diag = np.diag(matrix.block(f))
-            np.testing.assert_allclose(diag, 1.0, atol=1e-9)
+        for precision, atol in UNIT_ATOL.items():
+            matrix = build_prototype_affinity(vgg, tiny_images, top_z=2, layers=(1,), precision=precision)
+            for f in range(matrix.n_functions):
+                diag = np.diag(matrix.block(f))
+                np.testing.assert_allclose(diag, 1.0, atol=atol, err_msg=precision)
 
     def test_bad_layer(self, vgg, tiny_images):
         with pytest.raises(ValueError, match="layer"):

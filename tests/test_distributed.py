@@ -839,7 +839,8 @@ class TestEndToEnd:
         """Distributed similarity equals the legacy whole-corpus kernel
         through the engine path (same guarantee the tiled kernel has)."""
         legacy = compute_affinity_matrix(vgg, tiny_images, top_z=2, layers=(1,))
-        config = GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(1,), engine=EngineConfig(row_tile=2))
+        engine = EngineConfig(row_tile=2, precision="float64")
+        config = GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(1,), engine=engine)
         with thread_cluster(2) as coordinator:
             built = Goggles(config, model=vgg, coordinator=coordinator).build_affinity_matrix(tiny_images)
         np.testing.assert_allclose(built.values, legacy.values, atol=1e-12)

@@ -19,6 +19,7 @@ path (see ENGINE.md, "Distributed stages"):
 from __future__ import annotations
 
 import pickle
+import socket
 import threading
 import time
 from multiprocessing.connection import Client
@@ -437,6 +438,20 @@ class TestWorkerPool:
             coordinator.close()
             assert time.perf_counter() - start < 30.0
         assert coordinator._closed
+
+    def test_stop_interrupts_a_connect_stuck_in_the_handshake(self):
+        """A peer that accepts the TCP connect and never sends the auth
+        challenge (what a just-closed broker's port can look like)
+        holds the worker in its handshake; stop() still ends it."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            worker = Worker(listener.getsockname(), "secret", registry=MetricsRegistry())
+            thread = threading.Thread(target=worker.run, daemon=True)
+            thread.start()
+            peer, _ = listener.accept()  # the worker is past its stop check, awaiting the challenge
+            with peer:
+                worker.stop()
+                thread.join(timeout=5.0)
+                assert not thread.is_alive(), "worker still in its handshake 5 s after stop()"
 
 
 # ----------------------------------------------------------------------

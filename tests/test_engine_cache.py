@@ -148,11 +148,15 @@ class TestEngineCaching:
 
     def test_precision_changes_key(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))
-        AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path))).build(tiny_images, keep_state=False)
-        engine32 = AffinityEngine(source, EngineConfig(cache_dir=str(tmp_path), precision="float32"))
-        engine32.cache.tenant = cache_label
-        engine32.build(tiny_images, keep_state=False)
-        assert cache_counts(engine32.cache).hits == {}
+        for first, second in (("float64", "float32"), ("float32", "float64")):
+            cache_dir = str(tmp_path / first)
+            AffinityEngine(source, EngineConfig(cache_dir=cache_dir, precision=first)).build(
+                tiny_images, keep_state=False
+            )
+            engine = AffinityEngine(source, EngineConfig(cache_dir=cache_dir, precision=second))
+            engine.cache.tenant = f"{cache_label}-{second}"
+            engine.build(tiny_images, keep_state=False)
+            assert cache_counts(engine.cache).hits == {}, (first, second)
 
     def test_runtime_knobs_do_not_change_key(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(0,))

@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from reference_affinity import compute_affinity_matrix
+from reference_affinity import FLOAT32_ATOL, compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
 from repro.engine import AffinityEngine, EngineConfig, FeatureCosineSource, PrototypeAffinitySource
+
+
+def from_scratch(vgg, images, precision: str, **source_args):
+    """The matrix an extension must reproduce, and to what tolerance:
+    the float64 reference kernel at float64, a from-scratch engine
+    build at float32 (within a few ulps of the compute dtype)."""
+    if precision == "float64":
+        return compute_affinity_matrix(vgg, images, **source_args), 1e-12
+    engine = AffinityEngine(PrototypeAffinitySource(vgg, **source_args), EngineConfig(precision=precision))
+    return engine.build(images, keep_state=False), FLOAT32_ATOL
 
 
 class TestEngineExtend:
@@ -15,23 +25,27 @@ class TestEngineExtend:
         images = small_surface.images
         n0 = images.shape[0] - 7
         source = PrototypeAffinitySource(vgg, top_z=3, layers=(1, 3))
-        engine = AffinityEngine(source, EngineConfig(batch_size=5))
-        engine.build(images[:n0])
-        extended = engine.extend(images[n0:])
-        scratch = compute_affinity_matrix(vgg, images, top_z=3, layers=(1, 3))
-        assert extended.values.shape == scratch.values.shape
-        np.testing.assert_allclose(extended.values, scratch.values, atol=1e-12, rtol=0.0)
-        assert extended.function_ids == scratch.function_ids
+        for precision in ("float64", "float32"):
+            engine = AffinityEngine(source, EngineConfig(batch_size=5, precision=precision))
+            engine.build(images[:n0])
+            extended = engine.extend(images[n0:])
+            scratch, atol = from_scratch(vgg, images, precision, top_z=3, layers=(1, 3))
+            assert extended.values.shape == scratch.values.shape
+            np.testing.assert_allclose(
+                extended.values, scratch.values, atol=atol, rtol=0.0, err_msg=precision
+            )
+            assert extended.function_ids == scratch.function_ids
 
     def test_chained_extends(self, vgg, small_surface):
         images = small_surface.images
         source = PrototypeAffinitySource(vgg, top_z=2, layers=(2,))
-        engine = AffinityEngine(source)
-        engine.build(images[:10])
-        engine.extend(images[10:16])
-        final = engine.extend(images[16:])
-        scratch = compute_affinity_matrix(vgg, images, top_z=2, layers=(2,))
-        np.testing.assert_allclose(final.values, scratch.values, atol=1e-12, rtol=0.0)
+        for precision in ("float64", "float32"):
+            engine = AffinityEngine(source, EngineConfig(precision=precision))
+            engine.build(images[:10])
+            engine.extend(images[10:16])
+            final = engine.extend(images[16:])
+            scratch, atol = from_scratch(vgg, images, precision, top_z=2, layers=(2,))
+            np.testing.assert_allclose(final.values, scratch.values, atol=atol, rtol=0.0, err_msg=precision)
 
     def test_extend_without_state_raises(self, vgg, tiny_images):
         engine = AffinityEngine(PrototypeAffinitySource(vgg, top_z=2, layers=(0,)))
@@ -56,7 +70,8 @@ class TestEngineExtend:
 class TestGogglesIncremental:
     @pytest.fixture(scope="class")
     def goggles(self, vgg):
-        return Goggles(GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), n_jobs=2), model=vgg)
+        engine = EngineConfig(n_jobs=2, precision="float64")
+        return Goggles(GogglesConfig(n_classes=2, seed=0, top_z=3, layers=(1, 2), engine=engine), model=vgg)
 
     def test_matches_full_relabel(self, goggles, vgg, small_surface):
         images = small_surface.images

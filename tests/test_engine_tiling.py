@@ -180,7 +180,7 @@ class TestTiledVsNaive:
     def test_full_matrix_matches_legacy(self, vgg, tiny_images):
         naive = compute_affinity_matrix(vgg, tiny_images, top_z=3, layers=(0, 2))
         source = PrototypeAffinitySource(vgg, top_z=3, layers=(0, 2))
-        engine = AffinityEngine(source, EngineConfig(batch_size=2, row_tile=2, n_jobs=2))
+        engine = AffinityEngine(source, EngineConfig(batch_size=2, row_tile=2, n_jobs=2, precision="float64"))
         tiled = engine.build(tiny_images, keep_state=False)
         np.testing.assert_allclose(tiled.values, naive.values, atol=1e-12, rtol=0.0)
         assert tiled.function_ids == naive.function_ids

@@ -12,6 +12,7 @@ from repro.eval.metrics import (
     confusion_matrix,
     labeling_accuracy,
     mask_excluding,
+    posterior_agreement,
     roc_auc,
 )
 
@@ -27,6 +28,18 @@ class TestAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([0]), np.array([0, 1]))
+
+
+class TestPosteriorAgreement:
+    def test_bounds_and_half_overlap(self):
+        one_hot = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert posterior_agreement(one_hot, one_hot) == 1.0
+        assert posterior_agreement(one_hot, one_hot[::-1]) == 0.0
+        assert posterior_agreement(one_hot, np.full((2, 2), 0.5)) == pytest.approx(0.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            posterior_agreement(np.ones((2, 2)) / 2, np.ones((3, 2)) / 2)
 
 
 class TestLabelingAccuracy:

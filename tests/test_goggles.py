@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import Goggles, GogglesConfig
+from repro.datasets import make_dataset, make_shapes
 from repro.datasets.base import DevSet
+from repro.engine import EngineConfig
+from repro.eval.metrics import MIN_POSTERIOR_AGREEMENT, posterior_agreement
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +122,28 @@ class TestGogglesValidation:
         a = serial.label(small_cub.images, dev)
         b = threaded.label(small_cub.images, dev)
         np.testing.assert_allclose(a.probabilistic_labels, b.probabilistic_labels, atol=1e-12)
+
+
+class TestFloat32LabelContract:
+    """The dense default computes in float32; its labels must be the
+    float64 path's.  A near-tie can flip one prototype and move single
+    affinities by ~0.2, so the contract is on posteriors and labels,
+    not on affinity values."""
+
+    @pytest.mark.parametrize("name, seed", [("surface", 1), ("surface", 2), ("shapes", 0), ("shapes", 1)])
+    def test_float32_labels_match_float64(self, vgg, name, seed):
+        if name == "shapes":
+            dataset = make_shapes(n_classes=2, n_per_class=40, seed=seed)
+        else:
+            dataset = make_dataset(name, n_per_class=40, seed=seed)
+        dev = dataset.sample_dev_set(per_class=5, seed=0)
+        results = {
+            precision: Goggles(
+                GogglesConfig(n_classes=2, seed=0, engine=EngineConfig(precision=precision)), model=vgg
+            ).label(dataset.images, dev)
+            for precision in ("float32", "float64")
+        }
+        half, exact = results["float32"], results["float64"]
+        agreement = posterior_agreement(half.probabilistic_labels, exact.probabilistic_labels)
+        assert agreement >= MIN_POSTERIOR_AGREEMENT
+        np.testing.assert_array_equal(half.predictions, exact.predictions)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Goggles, GogglesConfig
+from repro.engine import EngineConfig
 from repro.nn import VGG16, VGGConfig
 from repro.nn import functional as F
 from repro.nn.vgg import VGG16_BLOCKS, VGG16_CHANNELS
@@ -156,7 +157,8 @@ class TestChannelsLastConv:
     @staticmethod
     def _pools_and_labels(images, dev):
         model = VGG16(VGGConfig(seed=0))
-        result = Goggles(GogglesConfig(n_classes=2, seed=0, top_z=4), model=model).label(images, dev)
+        config = GogglesConfig(n_classes=2, seed=0, top_z=4, engine=EngineConfig(precision="float64"))
+        result = Goggles(config, model=model).label(images, dev)
         return model.forward_pools(images), result
 
     @pytest.fixture(scope="class")

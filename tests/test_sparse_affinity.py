@@ -359,7 +359,9 @@ class TestGogglesSparse:
         dev = small_surface.sample_dev_set(2, seed=0)
         base = dict(n_classes=2, seed=0, top_z=3, layers=(1, 2), keep_corpus_state=False)
         n = small_surface.n_examples
-        dense = Goggles(GogglesConfig(**base), model=vgg).label(small_surface.images, dev)
+        dense = Goggles(
+            GogglesConfig(**base, engine=EngineConfig(precision="float64")), model=vgg
+        ).label(small_surface.images, dev)
         sparse = Goggles(
             GogglesConfig(**base, affinity_mode="sparse", top_k=n), model=vgg
         ).label(small_surface.images, dev)

@@ -126,11 +126,19 @@ class TestChunkedSimilarities:
         vectors = unit_location_vectors(filter_maps)
         real = unique_unit_prototypes(filter_maps, 10).vectors
         prototypes = np.concatenate([real] * 8)[:301]
-        expected = reference_best_similarities(prototypes, vectors)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for col_tile in (None, 97):
-                got = best_similarities(prototypes, vectors, row_tile=2, col_tile=col_tile, executor=pool)
-                assert np.array_equal(got, expected)
+        # float64 throughout, then float32 compute into a float64 and
+        # into a float32 table: each tile's maxima reduce in the
+        # compute dtype and are cast once on the way out.
+        for dtype, out_dtype in ((np.float64, None), (np.float32, None), (np.float32, np.float32)):
+            expected = reference_best_similarities(prototypes, vectors, dtype, out_dtype)
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                for col_tile in (None, 97):
+                    got = best_similarities(
+                        prototypes, vectors, row_tile=2, col_tile=col_tile, executor=pool,
+                        dtype=dtype, out_dtype=out_dtype,
+                    )
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected), (dtype, out_dtype, col_tile)
 
 
 class TestExtractionFanOut:
