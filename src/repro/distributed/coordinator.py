@@ -352,17 +352,23 @@ class Coordinator:
         row_tile: int | None = 32,
         col_tile: int | None = None,
         dtype: np.dtype | type = np.float64,
+        out_dtype: np.dtype | type | None = None,
     ) -> np.ndarray:
         """Distributed drop-in for :func:`repro.engine.tiling.best_similarities`.
 
         Merge invariant: shards are cut at the serial tile boundaries
         and each computes the serial kernel's exact per-image matmuls,
         so the assembled array is bit-identical to a serial call.
+        Shards return their blocks in the compute dtype; ``out_dtype``
+        is the table's, as in the local kernel (``None``: float64).
         """
         planner = ShardPlanner(row_tile=row_tile, col_tile=col_tile)
         tasks, targets = planner.similarity_shards(prototypes, unit_vectors, dtype)
         results = self.run(tasks)
-        out = np.empty((prototypes.shape[0], unit_vectors.shape[0]), dtype=np.float64)
+        out = np.empty(
+            (prototypes.shape[0], unit_vectors.shape[0]),
+            dtype=np.float64 if out_dtype is None else np.dtype(out_dtype),
+        )
         for task_id, slots in targets.items():
             best = results[task_id]["best"]
             for (i0, i1), (j0, j1) in slots:

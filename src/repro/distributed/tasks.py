@@ -268,11 +268,15 @@ def _run_similarity(payload: dict) -> dict[str, np.ndarray]:
     """The serial kernel itself — :func:`repro.engine.tiling.best_similarities`
     on one tile — with the same per-image matmul shapes *and strides*
     (see :func:`similarity_task`), so the result is bit-identical to a
-    serial tile."""
+    serial tile.  The block keeps the compute dtype: a max is exact, so
+    a float32 tile ships half the bytes and loses nothing."""
     prototypes, vectors = payload["prototypes"], payload["vectors"]
     if payload.get("transposed"):
         vectors = vectors.transpose(0, 2, 1)  # restore the serial F-order view
-    return {"best": best_similarities(prototypes, vectors, row_tile=None, dtype=prototypes.dtype)}
+    best = best_similarities(
+        prototypes, vectors, row_tile=None, dtype=prototypes.dtype, out_dtype=prototypes.dtype
+    )
+    return {"best": best}
 
 
 def _run_base_fit(payload: dict) -> dict[str, np.ndarray]:

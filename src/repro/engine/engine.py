@@ -46,6 +46,14 @@ class EngineConfig:
             ``None`` runs the whole corpus in one pass.
         row_tile / col_tile: similarity tile sizes over (images ×
             prototype rows); ``None`` disables that tiling axis.
+            ``row_tile`` never changes values.  ``col_tile`` sets the
+            row count of each similarity GEMM, and BLAS may round a
+            small product differently, so a column-tiled table can be
+            an ulp off the untiled one.  Column tiles are balanced, so
+            only ``col_tile=1``, and ``2`` on an odd number of
+            prototype rows, make one-row tiles, whose matmul is a
+            matrix-vector product that BLAS always sums in another
+            order.
         n_jobs: threads that extraction chunks and similarity tiles
             fan out over (and, downstream, base-model fits); defaults
             to the usable core count.  Above 1, opening the pool pins

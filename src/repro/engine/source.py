@@ -15,9 +15,11 @@ source:
   backends of §5.1.5 as ready-made sources.
 
 A source produces bit-identical matrices regardless of ``batch_size``
-/ tile sizes / ``n_jobs``; only ``dtype`` (precision) may change
+/ ``row_tile`` / ``n_jobs``; only ``dtype`` (precision) may change
 values, which is why the engine folds precision — and nothing else
-about the runtime — into cache keys.
+about the runtime — into cache keys.  (``col_tile`` can move a value
+by an ulp, see :class:`~repro.engine.engine.EngineConfig`; it is not
+part of the key either.)
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ __all__ = [
 class EngineRuntime:
     """Execution knobs handed from the engine to a source.
 
-    None of these change output values except ``dtype``.
+    None of these change output values except ``dtype`` (and
+    ``col_tile``, by an ulp on some shapes).
     ``n_jobs`` is the width of the :func:`tile_executor` pool each build
     or extend opens for extraction chunks and similarity tiles (1 = no
     pool); opening it pins the process to one BLAS thread.
@@ -117,16 +120,14 @@ class EngineRuntime:
         """``best_similarities`` under this runtime: local tiles fanned
         over ``pool``, or shard tasks leased to the distributed cluster."""
         if self.coordinator is not None:
-            best = self.coordinator.best_similarities(
+            return self.coordinator.best_similarities(
                 prototypes,
                 vectors,
                 row_tile=self.row_tile,
                 col_tile=self.col_tile,
                 dtype=self.dtype,
+                out_dtype=self.out_dtype,
             )
-            if self.out_dtype is not None:
-                best = best.astype(self.out_dtype, copy=False)
-            return best
         return best_similarities(
             prototypes,
             vectors,

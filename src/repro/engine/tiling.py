@@ -61,6 +61,13 @@ __all__ = [
 #: (1024 positions).
 _SCRATCH_BYTES = 1 << 20
 
+#: Layers with at most this many positions reduce a chunk's similarities
+#: by elementwise maxima (:func:`_fold_max`) instead of ``max(axis=1)``,
+#: which is faster only over longer rows (P = 256 and up).
+_FOLD_MAX_POSITIONS = 64
+#: Columns of the buffer :func:`_fold_max` folds a chunk's positions into.
+_FOLD_WIDTH = 16
+
 
 @contextmanager
 def tile_executor(n_jobs: int) -> Iterator[Executor | None]:
@@ -134,11 +141,13 @@ def unique_unit_prototypes(filter_maps: np.ndarray, z: int) -> LayerPrototypes:
         raise ValueError(f"z must be >= 1, got {z}")
     n, c, h, w = filter_maps.shape
     flat = filter_maps.reshape(n, c, h * w)
+    locations = flat.argmax(axis=2)  # (N, C) flat argmax per channel
+    # A channel's activation is its value at the argmax: the same maximum
+    # without a second pass over positions strided by C.
+    channel_activation = np.take_along_axis(flat, locations[:, :, None], axis=2)[:, :, 0]
     # Stable ranking per image: activation descending, channel ascending
     # on ties (argsort of the negated maxima with a stable kind).
-    channel_activation = flat.max(axis=2)
     ranked = np.argsort(-channel_activation, axis=1, kind="stable")[:, : min(z, c)]
-    locations = flat.argmax(axis=2)  # (N, C) flat argmax per channel
     vectors: list[np.ndarray] = []
     rank_rows = np.empty((n, z), dtype=np.int64)
     offset = 0
@@ -160,7 +169,14 @@ def unique_unit_prototypes(filter_maps: np.ndarray, z: int) -> LayerPrototypes:
 
 
 def tile_bounds(n: int, tile: int | None) -> list[tuple[int, int]]:
-    """The ``[start, end)`` bounds of one tiling axis.
+    """``[start, end)`` bounds cutting ``range(n)`` into the fewest tiles
+    of at most ``tile``, balanced to within one element (``None``: one
+    tile).
+
+    There is no short remainder: a lone trailing prototype row would
+    make its matmul a matrix-vector product, which BLAS sums in a
+    different order than the matrix product every other row goes
+    through.  The scratch chunks inside a tile are cut the same way.
 
     Public because the distributed shard planner must cut the (images ×
     prototype-rows) grid at *exactly* the serial tile boundaries — each
@@ -171,21 +187,33 @@ def tile_bounds(n: int, tile: int | None) -> list[tuple[int, int]]:
         return [(0, n)]
     if tile < 1:
         raise ValueError(f"tile size must be >= 1, got {tile}")
-    return [(start, min(start + tile, n)) for start in range(0, n, tile)]
-
-
-def _balanced_bounds(n: int, size: int) -> list[tuple[int, int]]:
-    """``[start, end)`` bounds cutting ``range(n)`` into the fewest
-    chunks of at most ``size``, balanced to within one element.
-
-    Unlike :func:`tile_bounds` there is no short remainder: a lone
-    trailing row would make its matmul a matrix-vector product, which
-    BLAS sums in a different order than the matrix product every other
-    row goes through.
-    """
-    count = max(1, -(-n // size))
-    edges = [-(-n * c // count) for c in range(count + 1)]  # the first chunk is the largest
+    count = -(-n // tile)
+    edges = [-(-n * c // count) for c in range(count + 1)]  # the first tile is the largest
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _fold_max(similarities: np.ndarray, fold: np.ndarray, out: np.ndarray) -> None:
+    """``out[r] = similarities[r].max()`` by elementwise maxima over long runs.
+
+    ``max(axis=1)`` runs its inner loop over one row of P positions and
+    pays about 70 ns a row, more than the GEMM costs at P ≤ 64.  Here
+    the positions fold into the first ``_FOLD_WIDTH`` columns of
+    ``fold`` by ``np.maximum`` over slabs of that width (the last slab
+    short when the width does not divide P), and those columns fold
+    into ``out`` one at a time.  A max is exact, so the result is the
+    same bits as ``max(axis=1)``.
+    """
+    rows, positions = similarities.shape
+    columns = similarities
+    if positions > _FOLD_WIDTH:
+        columns = fold[:rows]
+        np.copyto(columns, similarities[:, :_FOLD_WIDTH])
+        for p0 in range(_FOLD_WIDTH, positions, _FOLD_WIDTH):
+            width = min(_FOLD_WIDTH, positions - p0)
+            np.maximum(columns[:, :width], similarities[:, p0 : p0 + width], out=columns[:, :width])
+    np.copyto(out, columns[:, 0])
+    for p in range(1, columns.shape[1]):
+        np.maximum(out, columns[:, p], out=out)
 
 
 def best_similarities(
@@ -210,9 +238,13 @@ def best_similarities(
     allocated per image.  Chunks are balanced to within one row, so
     every chunk is a matrix product like the unchunked call and the
     output is bit-identical to it (``tests/test_thread_budget.py``
-    holds it to the unchunked per-image kernel).  A task's maxima
-    gather in a block of the compute dtype, written into the table
-    once.
+    holds it to the unchunked per-image kernel).  Column tiles are
+    balanced for the same reason, but a column tile still sets the
+    GEMM's row count, which BLAS may round by (see
+    :class:`~repro.engine.engine.EngineConfig`).  At P ≤ 64 positions
+    a chunk's maxima are folded by elementwise ``np.maximum``
+    (:func:`_fold_max`), which is exact.  A task's maxima gather in a
+    block of the compute dtype, written into the table once.
 
     ``out_dtype`` controls the dtype of the returned table; ``None``
     keeps a float64 table (what every dense consumer stores, even when
@@ -226,11 +258,13 @@ def best_similarities(
     n_rows, n_images, positions = protos.shape[0], vectors.shape[0], vectors.shape[2]
     out = np.empty((n_rows, n_images), dtype=np.float64 if out_dtype is None else np.dtype(out_dtype))
     chunk_rows = max(1, _SCRATCH_BYTES // (positions * dtype.itemsize))
+    folded = positions <= _FOLD_MAX_POSITIONS
 
     def score_block(bounds: tuple[tuple[int, int], tuple[int, int]]) -> None:
         (i0, i1), (j0, j1) = bounds
-        chunks = _balanced_bounds(j1 - j0, chunk_rows)
+        chunks = tile_bounds(j1 - j0, chunk_rows)
         scratch = np.empty((chunks[0][1] - chunks[0][0], positions), dtype=dtype)
+        fold = np.empty((len(scratch), _FOLD_WIDTH), dtype=dtype) if folded else None
         # Maxima reduce into a buffer of the compute dtype: a reduction
         # into a wider ``out`` column casts every element and is slower
         # at float32 than at float64.  A max is exact, so casting the
@@ -240,7 +274,10 @@ def best_similarities(
             for r0, r1 in chunks:
                 similarities = scratch[: r1 - r0]
                 np.matmul(protos[j0 + r0 : j0 + r1], vectors[i], out=similarities)
-                similarities.max(axis=1, out=best[i - i0, r0:r1])
+                if folded:
+                    _fold_max(similarities, fold, best[i - i0, r0:r1])
+                else:
+                    similarities.max(axis=1, out=best[i - i0, r0:r1])
         out[j0:j1, i0:i1] = best.T
 
     tasks = [

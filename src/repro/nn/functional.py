@@ -12,9 +12,9 @@ GEMM runs one image at a time: one image's patch matrix stays
 cache-resident between its gather and its matmul, where the stacked
 patch matrices of a whole batch do not (75 MB at conv1_2 for 32
 64×64 images at the default width).
-All functions compute in the input's dtype — float64 on the default
-path, float32 when the sparse affinity path feeds half-width batches
-(the layer objects cast their parameters to match the activations).
+All functions compute in the input's dtype: float32 on the affinity
+engine's default path, float64 at ``precision="float64"`` (the layer
+objects cast their parameters to match the activations).
 """
 
 from __future__ import annotations
@@ -124,20 +124,32 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2d(x: np.ndarray, kernel: int = 2, stride: int | None = None) -> np.ndarray:
-    """Max pooling over non-overlapping (by default) spatial windows."""
+    """Max pooling over non-overlapping (by default) spatial windows.
+
+    The window offsets ``(di, dj)`` each select one strided slice of
+    ``x`` holding that offset of every window, and ``kernel² − 1``
+    elementwise maxima fold those slices together.  Each call runs over
+    long runs of the input's memory (whole channel vectors on a
+    channels-last input), where a reduction over the window axes would
+    loop over ``kernel`` elements at a time, and the output keeps the
+    input's memory layout.
+    """
     if stride is None:
         stride = kernel
-    n, c, h, w = x.shape
-    h_out = _out_size(h, kernel, stride, 0)
-    w_out = _out_size(w, kernel, stride, 0)
-    s_n, s_c, s_h, s_w = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, h_out, w_out, kernel, kernel),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
-    return windows.max(axis=(4, 5))
+    _, _, h, w = x.shape
+    h_end = stride * (_out_size(h, kernel, stride, 0) - 1) + 1
+    w_end = stride * (_out_size(w, kernel, stride, 0) - 1) + 1
+    windows = [
+        x[:, :, di : di + h_end : stride, dj : dj + w_end : stride]
+        for di in range(kernel)
+        for dj in range(kernel)
+    ]
+    if kernel == 1:
+        return windows[0].copy(order="K")
+    out = np.maximum(windows[0], windows[1])
+    for window in windows[2:]:
+        np.maximum(out, window, out=out)
+    return out
 
 
 def global_max_pool(x: np.ndarray) -> np.ndarray:

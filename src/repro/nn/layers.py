@@ -79,9 +79,11 @@ def _params_as(
     dtype: np.dtype, weight: np.ndarray, bias: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parameters cast to the activation dtype, so the compute precision
-    follows the input batch (float64 inputs — the default — see the
-    stored parameters unchanged; float32 inputs keep the whole forward
-    pass in float32 instead of silently promoting at the first matmul)."""
+    follows the input batch: the affinity engine's default float32
+    batches keep the whole forward pass in float32 instead of silently
+    promoting at the first matmul, and float64 inputs
+    (``precision="float64"``) see the stored float64 parameters
+    unchanged."""
     if weight.dtype == dtype:
         return weight, bias
     return weight.astype(dtype), None if bias is None else bias.astype(dtype)

@@ -48,7 +48,7 @@ from repro.distributed import (
     similarity_task,
 )
 from repro.engine import ArtifactCache, EngineConfig, InferenceEngine
-from repro.engine.tiling import best_similarities
+from repro.engine.tiling import best_similarities, tile_bounds
 from repro.obs import MetricsRegistry, default_registry
 from repro.utils.rng import derive_seed
 
@@ -311,6 +311,25 @@ class TestPlannerAndTasks:
         expected = best_similarities(protos, vectors, row_tile=4, dtype=np.float32)
         np.testing.assert_array_equal(out, expected)
 
+    def test_similarity_shard_returns_the_compute_dtype(self, sim_data):
+        """A float32 shard ships a float32 block: a max is exact, so it
+        holds the local float32 kernel's values at half the bytes."""
+        protos, vectors = sim_data
+        p32, v32 = protos.astype(np.float32), vectors.astype(np.float32)
+        best = execute_shard(similarity_task(p32, v32))["best"]
+        assert best.dtype == np.float32
+        expected = best_similarities(p32, v32, row_tile=None, dtype=np.float32, out_dtype=np.float32)
+        np.testing.assert_array_equal(best, expected)
+
+    def test_similarity_shards_cut_balanced_column_tiles(self, sim_data):
+        """The planner cuts the prototype-row axis like the local kernel:
+        balanced tiles, so 17 rows at ``col_tile=4`` leave no one-row tile."""
+        protos, vectors = sim_data
+        _, targets = ShardPlanner(row_tile=None, col_tile=4).similarity_shards(protos, vectors)
+        cols = sorted(cols for slots in targets.values() for _, cols in slots)
+        assert cols == tile_bounds(protos.shape[0], 4)
+        assert min(j1 - j0 for j0, j1 in cols) > 1
+
     def test_content_addressing_is_stable_and_dedups(self):
         protos = np.arange(12, dtype=np.float64).reshape(4, 3)
         tile = np.ones((2, 3, 2))
@@ -445,6 +464,18 @@ class TestCluster:
             out = coordinator.best_similarities(protos, vectors, row_tile=4, col_tile=6)
         expected = best_similarities(protos, vectors, row_tile=4, col_tile=6)
         np.testing.assert_array_equal(out, expected)
+
+    def test_float32_table_bit_identical(self, sim_data):
+        """Float32 shards assemble the local kernel's float32 table bit for
+        bit, into a float64 table by default or a float32 one."""
+        protos, vectors = sim_data
+        tiles = {"row_tile": 4, "col_tile": 6, "dtype": np.float32}
+        with thread_cluster(2) as coordinator:
+            dense = coordinator.best_similarities(protos, vectors, **tiles)
+            stored = coordinator.best_similarities(protos, vectors, out_dtype=np.float32, **tiles)
+        assert dense.dtype == np.float64 and stored.dtype == np.float32
+        np.testing.assert_array_equal(dense, best_similarities(protos, vectors, **tiles))
+        np.testing.assert_array_equal(stored, best_similarities(protos, vectors, out_dtype=np.float32, **tiles))
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     def test_posterior_identical_any_worker_count(self, random_affinity, small_surface_affinity, n_workers):
@@ -747,6 +778,21 @@ class TestEndToEnd:
         np.testing.assert_array_equal(dist_full.probabilistic_labels, serial_full.probabilistic_labels)
         np.testing.assert_array_equal(dist_inc.affinity.values, serial_inc.affinity.values)
         np.testing.assert_array_equal(dist_inc.probabilistic_labels, serial_inc.probabilistic_labels)
+
+    def test_sparse_build_bit_identical_to_local(self, vgg, small_surface):
+        """The sparse path keeps similarities in float32: float32 shards
+        assemble a float32 table with no cast, and every top-k block
+        equals a local build's."""
+        engine = replace(self.CONFIG.engine, affinity_mode="sparse")
+        config = replace(self.CONFIG, engine=engine)
+        local = Goggles(config, model=vgg).build_affinity_matrix(small_surface.images)
+        with thread_cluster(2) as coordinator:
+            distributed = Goggles(config, model=vgg, coordinator=coordinator).build_affinity_matrix(
+                small_surface.images
+            )
+        assert distributed.data.dtype == np.float32
+        for name in ("data", "indices", "fill"):
+            np.testing.assert_array_equal(getattr(distributed, name), getattr(local, name))
 
     def test_process_workers_bit_identical(self, random_affinity):
         """One ``goggles-repro worker`` process over the full wire

@@ -16,6 +16,7 @@ from repro.engine import (
     best_similarities,
     extract_pool_features,
     iter_batches,
+    tile_bounds,
     tile_executor,
     unique_unit_prototypes,
     unit_location_vectors,
@@ -66,22 +67,39 @@ class TestChunkedExtraction:
             extract_pool_features(vgg, tiny_images, layers=())
 
 
+def assert_matches_per_image_reference(filter_maps: np.ndarray, z: int) -> None:
+    """Vectorised extraction reproduces select_top_z + padded_vectors."""
+    table = unique_unit_prototypes(filter_maps, z)
+    reference_sets = extract_prototypes(filter_maps, z)
+    offset = 0
+    for j, pset in enumerate(reference_sets):
+        unit = pset.vectors / np.maximum(np.linalg.norm(pset.vectors, axis=1, keepdims=True), _EPS)
+        rows = table.vectors[offset : offset + pset.n_prototypes]
+        np.testing.assert_array_equal(rows, unit)
+        padded = pset.padded_vectors(z)
+        padded_unit = padded / np.maximum(np.linalg.norm(padded, axis=1, keepdims=True), _EPS)
+        np.testing.assert_array_equal(table.vectors[table.rank_rows[j]], padded_unit)
+        offset += pset.n_prototypes
+    assert table.n_rows == offset
+
+
 class TestUniquePrototypes:
     def test_matches_per_image_reference(self, filter_maps):
-        """Vectorised extraction reproduces select_top_z + padded_vectors."""
-        z = 4
-        table = unique_unit_prototypes(filter_maps, z)
-        reference_sets = extract_prototypes(filter_maps, z)
-        offset = 0
-        for j, pset in enumerate(reference_sets):
-            unit = pset.vectors / np.maximum(np.linalg.norm(pset.vectors, axis=1, keepdims=True), _EPS)
-            rows = table.vectors[offset : offset + pset.n_prototypes]
-            np.testing.assert_array_equal(rows, unit)
-            padded = pset.padded_vectors(z)
-            padded_unit = padded / np.maximum(np.linalg.norm(padded, axis=1, keepdims=True), _EPS)
-            np.testing.assert_array_equal(table.vectors[table.rank_rows[j]], padded_unit)
-            offset += pset.n_prototypes
-        assert table.n_rows == offset
+        assert_matches_per_image_reference(filter_maps, 4)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference_with_ties(self, dtype):
+        """ReLU-like integer maps, channels-last like the backbone's:
+        channel maxima tie (ranked by channel), a channel's maximum
+        repeats across positions (the first one is its location), and
+        all-zero channels and an all-zero image rank last at position 0."""
+        rng = np.random.default_rng(11)
+        maps = np.maximum(rng.integers(-2, 4, size=(5, 3, 4, 12)), 0).astype(dtype)
+        maps[:, :, :, [2, 7]] = 0.0  # all-zero channels
+        maps[4] = 0.0  # an all-zero image
+        filter_maps = maps.transpose(0, 3, 1, 2)
+        for z in (3, 12):
+            assert_matches_per_image_reference(filter_maps, z)
 
     def test_shifted(self, filter_maps):
         table = unique_unit_prototypes(filter_maps, 3)
@@ -112,6 +130,33 @@ class TestBestSimilarities:
         for row_tile, col_tile in [(1, None), (4, 3), (None, 2), (3, 1)]:
             tiled = best_similarities(table.vectors, vectors, row_tile=row_tile, col_tile=col_tile)
             np.testing.assert_allclose(tiled, reference, atol=1e-12, rtol=0.0)
+
+    def test_column_tiles_match_untiled(self):
+        """Column tiles are balanced, so none has one row: a one-row
+        matmul is a matrix-vector product, which BLAS sums in another
+        order.  On these shapes the full-tile-and-remainder cut left a
+        one-row tile at ``col_tile`` 3 and 97 and was 1 ulp off."""
+        rng = np.random.default_rng(2)
+        for dtype, (h, w), rows in ((np.float32, (10, 10), 2620), (np.float64, (8, 8), 2047)):
+            filter_maps = rng.random((3, h, w, 16)).transpose(0, 3, 1, 2)
+            vectors = unit_location_vectors(filter_maps)
+            prototypes = rng.random((rows, 16))
+            prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+            untiled = best_similarities(prototypes, vectors, dtype=dtype, col_tile=None)
+            for col_tile in (3, 4, 97):
+                tiled = best_similarities(prototypes, vectors, dtype=dtype, col_tile=col_tile)
+                assert np.array_equal(tiled, untiled), (np.dtype(dtype).name, col_tile)
+
+    def test_tile_bounds_are_balanced(self):
+        assert tile_bounds(10, 3) == [(0, 3), (3, 5), (5, 8), (8, 10)]
+        assert tile_bounds(10, None) == [(0, 10)]
+        for n, tile in ((2620, 3), (2620, 97), (2047, 3), (7, 2)):
+            bounds = tile_bounds(n, tile)
+            sizes = [end - start for start, end in bounds]
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(b[1] == a[0] for b, a in zip(bounds, bounds[1:]))
+            assert max(sizes) <= tile and max(sizes) - min(sizes) <= 1
+            assert len(bounds) == -(-n // tile)
 
     def test_bad_tile(self, filter_maps):
         vectors = unit_location_vectors(filter_maps)

@@ -117,7 +117,39 @@ class TestConv2d:
         np.testing.assert_allclose(left, right, atol=1e-10)
 
 
+def _window_maxpool(x, kernel, stride):
+    """Reference max pool: an ``as_strided`` window view reduced over its
+    two window axes (the form ``F.maxpool2d`` replaced)."""
+    n, c, h, w = x.shape
+    h_out = (h - kernel) // stride + 1
+    w_out = (w - kernel) // stride + 1
+    s_n, s_c, s_h, s_w = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, h_out, w_out, kernel, kernel),
+        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
+        writeable=False,
+    )
+    return windows.max(axis=(4, 5))
+
+
 class TestPooling:
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 2), (2, 1)])
+    @pytest.mark.parametrize("channels_last", [True, False])
+    def test_maxpool_matches_window_reduction(self, kernel, stride, channels_last):
+        """Same values and same memory layout as the window reduction,
+        on odd H and W (a dropped last row and column at stride 2)."""
+        rng = np.random.default_rng(10 * kernel + stride)
+        x = rng.standard_normal((3, 9, 7, 5))  # (N, H, W, C)
+        x = x.transpose(0, 3, 1, 2) if channels_last else np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+        for dtype in (np.float64, np.float32):
+            xd = x.astype(dtype, order="K")
+            out = F.maxpool2d(xd, kernel=kernel, stride=stride)
+            expected = _window_maxpool(xd, kernel, stride)
+            assert out.dtype == expected.dtype
+            np.testing.assert_array_equal(out, expected)
+            assert out.strides == expected.strides
+
     def test_maxpool_simple(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         out = F.maxpool2d(x, kernel=2)

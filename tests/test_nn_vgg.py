@@ -92,6 +92,15 @@ class TestFeatures:
         for layer in range(5):
             np.testing.assert_array_equal(vgg.pool_features(tiny_images, layer), pools[layer])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_maps_are_channels_last(self, vgg, tiny_images, dtype):
+        """Every pool map is an (N, C, H, W) view of (N, H, W, C) memory at
+        either precision: the similarity GEMM's bits depend on that
+        layout, and distributed extraction ships maps by it."""
+        for pool in vgg.forward_pools(tiny_images.astype(dtype)):
+            assert pool.dtype == dtype
+            assert pool.transpose(0, 2, 3, 1).flags.c_contiguous
+
     def test_pool_features_bad_layer(self, vgg, tiny_images):
         with pytest.raises(ValueError, match="layer"):
             vgg.pool_features(tiny_images, 5)

@@ -141,6 +141,37 @@ class TestChunkedSimilarities:
                     assert np.array_equal(got, expected), (dtype, out_dtype, col_tile)
 
 
+class TestFoldedMaxima:
+    """At P <= 64 positions a chunk's maxima fold by elementwise
+    ``np.maximum`` over 16-column slabs; the table must stay the
+    per-image kernel's ``max(axis=1)`` on both sides of the fold
+    threshold and at every slab remainder."""
+
+    #: (H, W) of each position count.  P = 1 is left out: a 1×1 map's
+    #: matmul is a matrix-vector product, which BLAS sums in another
+    #: order than the unchunked reference above one chunk.
+    SHAPES = {3: (1, 3), 17: (1, 17), 49: (7, 7), 63: (7, 9), 65: (5, 13), 100: (10, 10)}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("positions", sorted(SHAPES))
+    def test_matches_per_image_kernel(self, positions, dtype):
+        rng = np.random.default_rng(positions)
+        h, w = self.SHAPES[positions]
+        # ReLU-like maps, channels-last in memory like the backbone's.
+        filter_maps = np.maximum(rng.standard_normal((4, h, w, 16)), 0.0).transpose(0, 3, 1, 2)
+        vectors = unit_location_vectors(filter_maps)
+        real = unique_unit_prototypes(filter_maps, 10).vectors
+        chunk = max(1, tiling._SCRATCH_BYTES // (positions * np.dtype(dtype).itemsize))
+        for rows in (1, 2, 5, chunk - 1, chunk + 1):
+            prototypes = real[rng.integers(0, real.shape[0], rows)]
+            if STARTING_BLAS_THREADS is not None:
+                set_blas_threads(STARTING_BLAS_THREADS)
+            expected = reference_best_similarities(prototypes, vectors, dtype)
+            set_blas_threads(1)
+            got = best_similarities(prototypes, vectors, dtype=dtype)
+            assert np.array_equal(got, expected), (positions, rows)
+
+
 class TestExtractionFanOut:
     def test_executor_equals_serial(self, vgg, small_surface):
         images = small_surface.images[:8]
