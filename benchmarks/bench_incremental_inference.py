@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from bench_distributed import update_trajectory
+from trajectory import update_trajectory
 
 from repro.core import Goggles, GogglesConfig
 from repro.core.inference.hierarchical import HierarchicalConfig

@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 import pytest
-from bench_distributed import update_trajectory
 from bench_incremental_inference import JSON_PATH
+from trajectory import update_trajectory
 
 from repro.core import Goggles, GogglesConfig
 from repro.core.inference.hierarchical import HierarchicalConfig
@@ -72,7 +72,7 @@ def test_online_absorb_vs_full_refit(benchmark, settings, record_result):
                 goggles, dev, seed_result, OnlineConfig(drift_threshold=100.0, refit_every=0)
             )
             extended_state = goggles.engine.source.extend_state(
-                goggles.engine.state, dataset.images[n0:], goggles.engine._runtime()
+                goggles.engine.state, dataset.images[n0:], goggles.engine.config.runtime()
             )
             online_labels: list[np.ndarray] = []
             absorb_s = 0.0

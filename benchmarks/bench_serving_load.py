@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from bench_distributed import update_trajectory
+from trajectory import update_trajectory
 
 from repro.core import GogglesConfig
 from repro.datasets import make_dataset

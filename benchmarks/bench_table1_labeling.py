@@ -19,8 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from bench_distributed import update_trajectory
 from bench_incremental_inference import JSON_PATH
+from trajectory import update_trajectory
 
 from repro.core import Goggles
 from repro.eval.harness import run_table1, shared_model, table1_corpus

@@ -11,21 +11,16 @@ pair.  Two classes of change fail the build:
   ``--min-seconds`` (default 0.5s) are exempt from the wall-clock
   check: sub-second single-round timings are dominated by runner
   jitter, and a gate that flakes gets deleted — the bound bites on the
-  multi-second cluster/pipeline metrics where a real regression shows.
+  multi-second pipeline metrics where a real regression shows.
   When the benchmark environment changes (new runner class, new
   BLAS), refresh the committed baselines from a green run's uploaded
   ``BENCH-trajectories`` artifact rather than from a laptop.
 * **equality flag flip** — any boolean metric (``bit_identical``,
   ``features_bit_identical``, ...) that was ``true`` in the baseline
-  and is no longer.  These flags encode the distributed runtime's
-  bit-identity acceptance contract; a flip means correctness, not
-  performance, regressed.  Flips from ``false`` to ``true`` are
-  improvements and pass.
-* **lost crossover** — a ``crossover_n`` entry (smallest N where the
-  warm distributed path beats serial, per worker count) that was a
-  measured N in the baseline and is ``null`` in the fresh run:
-  distributed stopped winning everywhere, which is a regression even
-  when no individual timing tripped the wall-clock bound.
+  and is no longer.  These flags encode bit-identity and agreement
+  acceptance contracts; a flip means correctness, not performance,
+  regressed.  Flips from ``false`` to ``true`` are improvements and
+  pass.
 * **speedup-ratio regression** — a ``speedup`` metric (e.g. the
   sparse-vs-dense ratio in the ``sparse`` section) that fell more than
   ``--max-regression`` below its baseline.  Ratios are jitter-robust
@@ -46,24 +41,20 @@ pair.  Two classes of change fail the build:
   baseline.  Accuracy is deterministic at a fixed protocol, so the
   bound is absolute and has no jitter floor; a rise always passes.
 
-The ``telemetry`` section of ``BENCH_distributed.json`` (cluster-wide
-telemetry reconciliation) is gated by the rules above without any
-bespoke code: its ``reconciled`` flag — worker-shipped completion
-counters summing exactly to the coordinator's completed-shard count —
-is a correctness contract covered by the equality-flip rule, and its
-``shard_queue_wait_p99_seconds`` tail is covered by the
-``*_p99_seconds`` rule with the ``--min-latency-seconds`` floor.
+Every rule is keyed by name, so a section gates without bespoke code:
+a ``reconciled`` flag is covered by the equality-flip rule, a
+``*_p99_seconds`` tail by the latency rule.
 
 Structure is compared recursively; a fresh file may *add* keys or rows
-(new metrics, new worker counts), but dropping a baseline key or row
+(new metrics, new corpus sizes), but dropping a baseline key or row
 fails — silently shrinking coverage must look like a regression, not a
-pass.  Other scalars (shard counts, iteration counts) are informational
-and ignored: they legitimately change as the planner evolves.
+pass.  Other scalars (row counts, iteration counts) are informational
+and ignored: they legitimately change as the engine evolves.
 
 Usage::
 
     python scripts/check_bench.py --baseline .bench-baseline --fresh . \
-        BENCH_inference.json BENCH_distributed.json
+        BENCH_inference.json BENCH_serving.json
 """
 
 from __future__ import annotations
@@ -118,15 +109,6 @@ def compare(
                 f"{path}: equality flag flipped true -> {json.dumps(fresh)} "
                 "(bit-identity contract broken)"
             )
-        return issues
-    if ".crossover_n" in path and baseline is not None and fresh is None:
-        # A measured serial->distributed crossover that vanishes means
-        # distributed stopped winning at every swept N — a perf
-        # regression even if no single *_seconds metric tripped.
-        issues.append(
-            f"{path}: serial->distributed crossover disappeared "
-            f"(was N={json.dumps(baseline)}, now null)"
-        )
         return issues
     key = path.rsplit(".", 1)[-1]
     if isinstance(baseline, (int, float)) and key.endswith("_p99_seconds"):

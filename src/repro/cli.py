@@ -7,14 +7,8 @@ Examples::
     goggles-repro fig8 --dataset surface
     goggles-repro serve --http-port 8080 --max-queued-pixels 2000000
 
-Every other command runs on this machine's ``--n-jobs`` threads.  The
-one distributed form takes two commands: terminal 1 runs the
-coordinator, which shards feature extraction, affinity tiles and base
-fits over its task queue, and terminal 2+ run workers — on this machine
-or any other that can reach the broker::
-
-    goggles-repro coordinator --dataset surface --bind 127.0.0.1:41817
-    goggles-repro worker --connect 127.0.0.1:41817
+Every command runs backbone chunks, affinity tiles and base fits on
+this machine's ``--n-jobs`` threads.
 """
 
 from __future__ import annotations
@@ -217,77 +211,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_coordinator(args: argparse.Namespace) -> int:
-    """Run a labeling job as the cluster coordinator.
-
-    Binds the broker, then shards feature extraction, affinity tiles and
-    base fits over whichever workers connect; the job waits for them.
-    Workers join with ``goggles-repro worker --connect HOST:PORT``.
-    """
-    from repro.distributed import Coordinator, DistributedConfig
-
-    dataset = make_dataset(args.dataset, n_per_class=args.n_per_class, seed=args.seed)
-    dev = dataset.sample_dev_set(args.dev_per_class, seed=args.seed)
-    coordinator = Coordinator(
-        DistributedConfig(
-            bind=args.bind,
-            authkey=args.authkey,
-            lease_timeout=args.lease_timeout,
-            max_attempts=args.max_attempts,
-            lease_target_seconds=args.lease_target_seconds,
-        )
-    )
-    config = _goggles_config(args, dataset.n_classes, keep_corpus_state=False)
-    with coordinator:
-        goggles = Goggles(config, coordinator=coordinator)
-        host, port = coordinator.address
-        # Flushed, so a script piping the output sees where to point its
-        # workers before the job blocks on them.
-        print(f"coordinator listening on {host}:{port}", flush=True)
-        start = time.perf_counter()
-        result = goggles.label(dataset.images, dev)
-        elapsed = time.perf_counter() - start
-        accuracy = result.accuracy(dataset.labels, exclude=dev.indices)
-        queue_stats = coordinator.queue.stats()
-        planned = coordinator.registry.get("goggles_coordinator_shards_planned_total")
-        cache_hits = coordinator.registry.get("goggles_coordinator_shard_cache_hits_total")
-        print(f"dataset: {dataset.name} ({dataset.n_examples} instances, dev {dev.size})")
-        print(f"labeling accuracy (dev excluded): {100 * accuracy:.2f}%  in {elapsed:.2f}s")
-        print(
-            f"shards: {int(planned.total())} planned, "
-            f"{queue_stats['completed']} completed, {queue_stats['requeued']} requeued, "
-            f"{int(cache_hits.total())} cache hits"
-        )
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Serve shards to a coordinator until it goes away."""
-    from repro.distributed import Worker, parse_address, require_safe_authkey
-
-    host, port = parse_address(args.connect)
-    # Shard payloads are unpickled: never trust a routable coordinator
-    # that is "authenticated" only by the public built-in key.
-    require_safe_authkey(host, args.authkey)
-    cache = ArtifactCache(args.cache_dir, max_bytes=args.cache_max_bytes) if args.cache_dir else None
-    worker = Worker(
-        (host, port), args.authkey, cache=cache,
-        stream_threshold=args.stream_threshold, lease_batch=args.lease_batch,
-        # This process' registry is out of the coordinator's reach, so
-        # its counts and spans ride the reports back for merging.
-        ship_telemetry=True,
-    )
-    print(f"worker {worker.worker_id} polling {args.connect}")
-    worker.run()
-    completed = worker.registry.get("goggles_worker_shards_completed_total")
-    failed = worker.registry.get("goggles_worker_shards_failed_total")
-    print(
-        f"worker exiting (coordinator gone): {int(completed.value(worker=worker.worker_id))} "
-        f"shard(s) computed, {int(failed.value(worker=worker.worker_id))} failed"
-    )
-    return 0
-
-
 def _cmd_cache_info(args: argparse.Namespace) -> int:
     """Inspect a shared artifact-cache directory."""
     if args.cache_dir is None:
@@ -344,13 +267,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Render the cross-process span timeline of one trace id.
+    """Render the span timeline of one trace id.
 
     With ``--url`` the spans come from a running server's
-    ``GET /v1/traces/<id>``; without, from this process's span ring —
-    which, after a distributed run, already holds the worker-side spans
-    the telemetry merger re-recorded.  Exits non-zero when the trace is
-    unknown (spans may also have aged out of the bounded ring).
+    ``GET /v1/traces/<id>``; without, from this process's span ring.
+    Exits non-zero when the trace is unknown (spans may also have aged
+    out of the bounded ring).
     """
     if args.url:
         import urllib.error
@@ -385,7 +307,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         spans = [
             {
                 "name": record.name,
-                "worker": record.worker,
                 "seconds": record.seconds,
                 "outcome": record.outcome,
                 "offset_seconds": max(record.started_at - base, 0.0),
@@ -393,12 +314,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for record in records
         ]
     print(f"trace {args.trace_id}: {len(spans)} span(s)")
-    print(f"{'offset':>10} {'duration':>10} {'location':<16} {'span':<28} outcome")
+    print(f"{'offset':>10} {'duration':>10} {'span':<28} outcome")
     for entry in spans:
-        location = entry.get("worker") or "local"
         print(
             f"{entry['offset_seconds']:>9.3f}s {entry['seconds']:>9.3f}s "
-            f"{location:<16} {entry['name']:<28} {entry['outcome']}"
+            f"{entry['name']:<28} {entry['outcome']}"
         )
     return 0
 
@@ -583,61 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         "POST /v1/tenants",
     )
     serve.set_defaults(fn=_cmd_serve)
-
-    from repro.distributed import (
-        DEFAULT_LEASE_BATCH,
-        DEFAULT_PORT,
-        DEFAULT_STREAM_THRESHOLD,
-        default_authkey,
-    )
-
-    coordinator = sub.add_parser(
-        "coordinator",
-        help="run a labeling job as a cluster coordinator (shards feature extraction, "
-        "affinity tiles and base fits to the workers that connect)",
-    )
-    coordinator.add_argument("--dataset", choices=DATASET_NAMES, default="surface")
-    coordinator.add_argument(
-        "--bind", default=f"127.0.0.1:{DEFAULT_PORT}",
-        help="host:port the broker listens on (port 0 = ephemeral); bind a routable "
-        "host to accept workers from other machines",
-    )
-    coordinator.add_argument(
-        "--authkey", default=default_authkey(),
-        help="shared connection secret (default $GOGGLES_AUTHKEY or built-in)",
-    )
-    coordinator.add_argument(
-        "--lease-timeout", type=float, default=30.0,
-        help="seconds before an unresponsive worker's shard is reassigned",
-    )
-    coordinator.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="lease grants per shard before it is poisoned (clear error, no hang)",
-    )
-    coordinator.add_argument(
-        "--lease-target-seconds", type=float, default=0.1,
-        help="estimated compute seconds one lease grant aims to carry once the "
-        "shard autotuner has calibrated a shard kind",
-    )
-    coordinator.set_defaults(fn=_cmd_coordinator)
-
-    worker = sub.add_parser("worker", help="serve shards to a coordinator")
-    worker.add_argument("--connect", required=True, help="coordinator host:port to pull shards from")
-    worker.add_argument(
-        "--authkey", default=default_authkey(),
-        help="shared connection secret (default $GOGGLES_AUTHKEY or built-in)",
-    )
-    worker.add_argument(
-        "--stream-threshold", type=int, default=DEFAULT_STREAM_THRESHOLD,
-        help="result bytes above which shard results stream as framed "
-        "sub-messages instead of one message (0 = always stream)",
-    )
-    worker.add_argument(
-        "--lease-batch", type=int, default=DEFAULT_LEASE_BATCH,
-        help="most shards one lease round-trip may request (the coordinator's "
-        "autotuner usually grants fewer; 1 = one shard per round-trip)",
-    )
-    worker.set_defaults(fn=_cmd_worker)
 
     cache_info = sub.add_parser(
         "cache-info", help="inspect the shared artifact cache (entries, bytes, budget)"

@@ -58,9 +58,7 @@ class GogglesConfig:
             base models", §5.3); defaults to the usable core count.
             Above 1 the engines' pools pin the process to one BLAS
             thread (see :class:`~repro.engine.engine.EngineConfig`).
-            Results are identical at any width.  To shard the stages
-            over other machines instead, pass a coordinator to
-            :class:`Goggles`.
+            Results are identical at any width.
         batch_size: images per backbone forward pass in the affinity
             engine; bounds peak memory, never changes values.
         cache_dir: artifact-cache directory shared by the affinity and
@@ -169,22 +167,11 @@ class GogglesResult:
 class Goggles:
     """The GOGGLES automatic image-labeling system.
 
-    Every stage runs on the local ``n_jobs`` pool, or on a
-    :class:`repro.distributed.Coordinator` passed as ``coordinator``:
-    then a worker connects once and serves extraction chunks, affinity
-    tiles and base fits alike.  The caller opens that coordinator and
-    closes it, so one kept open across consecutive ``Goggles`` runs is
-    a warm pool (e.g. the CLI's ``coordinator`` verb).  A coordinator
-    without a cache takes the engine's.  Results are identical either
-    way.
+    Every stage — extraction chunks, affinity tiles and base fits — runs
+    on the ``n_jobs`` pool, and results are identical at any width.
     """
 
-    def __init__(
-        self,
-        config: GogglesConfig | None = None,
-        model: VGG16 | None = None,
-        coordinator: "object | None" = None,
-    ):
+    def __init__(self, config: GogglesConfig | None = None, model: VGG16 | None = None):
         self.config = config or GogglesConfig()
         self.model = model if model is not None else VGG16(self.config.vgg)
         engine_config = self.config.engine_config()
@@ -192,16 +179,12 @@ class Goggles:
             PrototypeAffinitySource(self.model, top_z=self.config.top_z, layers=self.config.layers),
             engine_config,
         )
-        if coordinator is not None and coordinator.cache is None:
-            coordinator.cache = self.engine.cache
-        self.coordinator = self.engine.coordinator = coordinator
         # Step 2 mirrors step 1: a staged engine sharing the same cache,
         # so fitted inference parameters persist next to the corpus state.
         self.inference = InferenceEngine(
             self.config.hierarchical_config(),
             n_jobs=engine_config.n_jobs,
             cache=self.engine.cache,
-            coordinator=coordinator,
         )
 
     def build_affinity_matrix(self, images: np.ndarray) -> AffinityMatrix | SparseAffinityMatrix:
@@ -229,10 +212,9 @@ class Goggles:
     ) -> GogglesResult:
         """Step 2 (Figure 3): class inference on a prebuilt matrix.
 
-        Runs through the staged inference engine (on the local pool or
-        the distributed session — results are identical in either).
-        ``warm_start`` resumes EM from a previous fit's state instead of
-        refitting cold.
+        Runs through the staged inference engine.  ``warm_start``
+        resumes EM from a previous fit's state instead of refitting
+        cold.
         """
         if dev_set.indices.size and dev_set.indices.max() >= affinity.n_examples:
             raise ValueError("dev-set indices exceed the number of instances")

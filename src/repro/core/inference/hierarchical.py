@@ -140,8 +140,7 @@ def fit_base_function(
     function_index: int,
     init: GMMParams | np.ndarray | None = None,
 ) -> GMMFitResult:
-    """Fit the base GMM of one affinity function (module-level, so
-    distributed base-fit shards run it too — see ``repro.distributed.tasks``).
+    """Fit the base GMM of one affinity function, from its own seed stream.
 
     A degenerate fit (every posterior argmax in one component — a
     collapsed EM run carrying no class signal) is detected and retried
@@ -177,9 +176,10 @@ def fit_all_base_functions(
     """Fit every base GMM (serial or thread fan-out) and concatenate LP.
 
     The single serial/thread implementation shared by
-    :class:`HierarchicalModel` and ``repro.engine.inference`` (which
-    adds a distributed branch on top).  ``initializers`` optionally
-    warm-starts function f from ``initializers[f]`` responsibilities.
+    :class:`HierarchicalModel` and ``repro.engine.inference``; each fit
+    has its own seed stream, so LP is bit-identical at any ``n_jobs``.
+    ``initializers`` optionally warm-starts function f from
+    ``initializers[f]`` responsibilities.
     Collapsed fits warn here, once, whatever the caller.
     """
     alpha = affinity.n_functions

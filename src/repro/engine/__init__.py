@@ -13,8 +13,7 @@ Splits the monolithic image→affinity-matrix path into reusable stages:
 * :mod:`repro.engine.engine` — the orchestrator, including the
   incremental corpus-extension path.
 * :mod:`repro.engine.inference` — the staged inference engine
-  (thread-parallel base fits, or shards on a given distributed
-  session; warm-started EM, cached parameters).
+  (thread-parallel base fits, warm-started EM, cached parameters).
 """
 
 from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays, hash_params

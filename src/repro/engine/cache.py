@@ -79,15 +79,15 @@ class ArtifactCache:
     just written is never evicted, even if it alone exceeds the budget.
 
     Concurrency contract: the cache directory may be shared by many
-    threads *and processes* (the distributed runtime mounts one cache
-    under the coordinator, its broker handler threads, and every worker
-    process).  Writes are publish-by-rename: each writer streams into
-    its own unique ``*.tmp`` scratch file (invisible to entry listing,
-    eviction, and ``total_bytes``) and atomically ``os.replace``-s it
-    into place, so a reader — or the eviction scan racing a concurrent
-    shard write — can only ever observe a complete entry or a miss,
-    never a half-written one.  Pin counts and the eviction walk are
-    additionally serialised by a lock.
+    threads *and processes* (the tenant threads of one server share
+    its cache, and separate processes may point at one
+    ``--cache-dir``).  Writes are publish-by-rename: each writer
+    streams into its own unique ``*.tmp`` scratch file (invisible to
+    entry listing, eviction, and ``total_bytes``) and atomically
+    ``os.replace``-s it into place, so a reader — or the eviction scan
+    racing a concurrent write — can only ever observe a complete entry
+    or a miss, never a half-written one.  Pin counts and the eviction
+    walk are additionally serialised by a lock.
 
     Hits and misses (by kind) and evictions are counted in the
     process-wide metrics registry under this instance's ``tenant``
@@ -145,9 +145,6 @@ class ArtifactCache:
 
     def path(self, kind: str, key: str) -> str:
         return os.path.join(self.cache_dir, f"{kind}-{key[:24]}.npz")
-
-    def has(self, kind: str, key: str) -> bool:
-        return os.path.exists(self.path(kind, key))
 
     # ------------------------------------------------------------------
     # Entries.  Each public method is one call of _read or _write, so a
@@ -209,7 +206,7 @@ class ArtifactCache:
 
         The arrays go into a scratch file unique to this call
         (``mkstemp``), so concurrent writers of the *same* key — two
-        workers racing on a deduplicated shard — never interleave bytes.
+        tenants caching the same corpus — never interleave bytes.
         It is suffixed ``.tmp``, not ``.npz``, so an in-progress write is
         invisible to :meth:`_entries`: never evicted mid-write, never
         counted against the budget.  Writing through the open handle

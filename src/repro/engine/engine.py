@@ -7,11 +7,10 @@ Stage graph (each stage's product is cacheable and reusable)::
            ──(3) artifact cache──> {affinity, corpus state} on disk
     new images ──(4) incremental──> extended matrix (new rows/cols only)
 
-The engine owns the runtime knobs (``batch_size``, tile sizes,
+The engine owns the runtime knobs (``batch_size``, ``row_tile``,
 ``n_jobs``, precision, ``cache_dir``) and delegates the math to an
-:class:`~repro.engine.source.AffinitySource`.  Given a distributed
-``coordinator``, it sends stages 1 and 2 to that session's workers; it
-never opens or closes one.  Cache keys cover every value-affecting
+:class:`~repro.engine.source.AffinitySource`; stages 1 and 2 run on
+the ``n_jobs`` pool.  Cache keys cover every value-affecting
 input — the image bytes, the source signature, and the compute
 precision — so a key hit is always safe to reuse and any other change
 is an automatic miss.
@@ -44,16 +43,9 @@ class EngineConfig:
     Attributes:
         batch_size: images per backbone forward pass (memory bound);
             ``None`` runs the whole corpus in one pass.
-        row_tile / col_tile: similarity tile sizes over (images ×
-            prototype rows); ``None`` disables that tiling axis.
-            ``row_tile`` never changes values.  ``col_tile`` sets the
-            row count of each similarity GEMM, and BLAS may round a
-            small product differently, so a column-tiled table can be
-            an ulp off the untiled one.  Column tiles are balanced, so
-            only ``col_tile=1``, and ``2`` on an odd number of
-            prototype rows, make one-row tiles, whose matmul is a
-            matrix-vector product that BLAS always sums in another
-            order.
+        row_tile: images per similarity tile, the unit the tiles
+            fan out over; ``None`` makes one tile.  Never changes
+            values.
         n_jobs: threads that extraction chunks and similarity tiles
             fan out over (and, downstream, base-model fits); defaults
             to the usable core count.  Above 1, opening the pool pins
@@ -89,7 +81,6 @@ class EngineConfig:
 
     batch_size: int | None = 32
     row_tile: int | None = 32
-    col_tile: int | None = None
     n_jobs: int = field(default_factory=usable_cores)
     precision: str = "float32"
     cache_dir: str | None = None
@@ -118,27 +109,15 @@ class EngineConfig:
         return EngineRuntime(
             batch_size=self.batch_size,
             row_tile=self.row_tile,
-            col_tile=self.col_tile,
             n_jobs=self.n_jobs,
             dtype=self.dtype,
         )
 
 
 class AffinityEngine:
-    """Builds, caches, and incrementally extends affinity matrices.
+    """Builds, caches, and incrementally extends affinity matrices."""
 
-    ``coordinator`` (a :class:`repro.distributed.Coordinator`, or
-    ``None``) is a plain attribute: with a session, extraction chunks
-    and similarity tiles run as shards on its workers; without one,
-    on the local ``n_jobs`` pool.  Whoever opened the session closes it.
-    """
-
-    def __init__(
-        self,
-        source: AffinitySource,
-        config: EngineConfig | None = None,
-        coordinator: "object | None" = None,
-    ):
+    def __init__(self, source: AffinitySource, config: EngineConfig | None = None):
         self.source = source
         self.config = config or EngineConfig()
         self.cache = (
@@ -146,12 +125,8 @@ class AffinityEngine:
             if self.config.cache_dir
             else None
         )
-        self.coordinator = coordinator
         self._state: CorpusState | None = None
         self._state_key: str | None = None
-
-    def _runtime(self) -> EngineRuntime:
-        return dataclasses.replace(self.config.runtime(), coordinator=self.coordinator)
 
     # ------------------------------------------------------------------
     # Keys
@@ -230,7 +205,7 @@ class AffinityEngine:
                 return cached
         if not keep_state:
             self._forget()
-        state = self.source.build_state(images, self._runtime())
+        state = self.source.build_state(images, self.config.runtime())
         if keep_state:
             self._remember(state, key)
         if self.cache is not None and key is not None:
@@ -251,7 +226,7 @@ class AffinityEngine:
                 return self._attach_store(cached, key)
         self._forget()
         cfg = self.config
-        runtime = dataclasses.replace(self._runtime(), out_dtype=cfg.dtype)
+        runtime = dataclasses.replace(cfg.runtime(), out_dtype=cfg.dtype)
         n = int(images.shape[0])
         k = min(cfg.top_k if cfg.top_k is not None else max(1, -(-n // 4)), n)
         data_parts: list[np.ndarray] = []
@@ -313,7 +288,7 @@ class AffinityEngine:
             cached = self._load_cached(key, need_state=True)
             if cached is not None:
                 return cached  # _load_cached installed the extended state
-        state = self.source.extend_state(self._state, new_images, self._runtime())
+        state = self.source.extend_state(self._state, new_images, self.config.runtime())
         if key is not None:
             self.cache.save_affinity(key, state.affinity)
             self._save_state(key, state)

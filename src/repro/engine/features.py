@@ -28,11 +28,6 @@ def iter_batches(n: int, batch_size: int | None) -> Iterator[slice]:
 
     ``batch_size=None`` (or >= n) yields a single slice — the legacy
     whole-corpus behaviour.
-
-    These boundaries are also the distributed runtime's extraction
-    shard unit (:meth:`repro.distributed.ShardPlanner.extraction_shards`
-    cuts the corpus at exactly these slices), which is what makes the
-    cluster merge bit-identical to a local chunked extraction.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

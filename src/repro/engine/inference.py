@@ -11,12 +11,9 @@ generative model of paper §4.1)::
 Stage 1 is embarrassingly parallel — "we can parallelize all of the
 base models using different slices of the affinity matrix" (§5.3).
 ``n_jobs > 1`` fans the fits over a thread pool (the EM inner loops are
-BLAS-bound and release the GIL; ``n_jobs=1`` fits serially).  Given a
-distributed ``coordinator``, the engine instead leases one base-fit
-shard per affinity function to that session's workers, which may live
-on other machines (``repro.distributed``); it never opens or closes a
-session.  Every path consumes the same ``derive_seed`` streams, so
-posteriors are **bit-identical** however the fits ran.
+BLAS-bound and release the GIL; ``n_jobs=1`` fits serially).  Every
+fit consumes its own ``derive_seed`` stream, so posteriors are
+**bit-identical** at any ``n_jobs``.
 
 Stage 4 is the incremental-inference path: instead of refitting from
 scratch, the base GMMs resume from the previous run's posterior (old
@@ -131,10 +128,6 @@ class InferenceEngine:
         cache: optional artifact cache; fitted parameters and the
             posterior are persisted next to the corpus state, so a
             fresh process can restore the warm-start state from disk.
-        coordinator: distributed session to run base-fit shards on
-            (shared with the affinity engine when driven by
-            ``Goggles``); ``None`` fits locally.  The caller that
-            opened the session closes it.
     """
 
     def __init__(
@@ -143,7 +136,6 @@ class InferenceEngine:
         *,
         n_jobs: int = 1,
         cache: ArtifactCache | None = None,
-        coordinator: "object | None" = None,
     ):
         self.config = config or HierarchicalConfig()
         if self.config.n_classes < 2:
@@ -152,7 +144,6 @@ class InferenceEngine:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         self.n_jobs = n_jobs
         self.cache = cache
-        self.coordinator = coordinator
         self._state: InferenceState | None = None
 
     # ------------------------------------------------------------------
@@ -167,8 +158,8 @@ class InferenceEngine:
         # Every value-affecting input: the full hyper-parameter set and,
         # for warm starts, the content of the initialisation (a warm fit
         # may settle in a slightly different optimum than a cold one, so
-        # the two must never share a key).  Where the fits run is
-        # deliberately excluded: it cannot change values.
+        # the two must never share a key).  ``n_jobs`` is deliberately
+        # excluded: it cannot change values.
         params: dict[str, object] = {"stage": "inference", **asdict(self.config)}
         if warm is not None:
             params["warm"] = hash_arrays(warm.label_predictions, warm.ensemble.weights, warm.ensemble.probs)
@@ -184,27 +175,6 @@ class InferenceEngine:
         content = getattr(affinity, "content_hash", None)
         data_hash = content() if callable(content) else hash_arrays(affinity.values)
         return self.cache.key(data_hash, self._params(warm))
-
-    # ------------------------------------------------------------------
-    # Stage 1: base-model fits (local pool | distributed session)
-    # ------------------------------------------------------------------
-    def _fit_base_models(
-        self, affinity: AffinityMatrix | SparseAffinityMatrix, inits: list[np.ndarray] | None
-    ) -> tuple[np.ndarray, tuple[GMMFitResult, ...]]:
-        """Stage 1; returns (LP, per-function fits).
-
-        Local fits delegate to the shared
-        :func:`~repro.core.inference.hierarchical.fit_all_base_functions`;
-        only the distributed branch lives here.  Both consume the
-        affinity through ``block(f)`` only, so a sparse matrix flows
-        through either unchanged.
-        """
-        if self.coordinator is not None:
-            results = self.coordinator.fit_base_models(affinity, self.config, inits)
-            warn_if_reinitialized(results)
-            label_predictions = np.concatenate([r.responsibilities for r in results], axis=1)
-            return label_predictions, results
-        return fit_all_base_functions(affinity, self.config, n_jobs=self.n_jobs, initializers=inits)
 
     # ------------------------------------------------------------------
     # Full fit
@@ -239,7 +209,11 @@ class InferenceEngine:
                 return cached
 
         inits = warm_start_responsibilities(warm_start, affinity) if warm_start else None
-        label_predictions, base_results = self._fit_base_models(affinity, inits)
+        # Stage 1 reads the affinity through ``block(f)`` only, so a
+        # sparse matrix flows through unchanged.
+        label_predictions, base_results = fit_all_base_functions(
+            affinity, cfg, n_jobs=self.n_jobs, initializers=inits
+        )
         result = complete_hierarchy(
             label_predictions,
             base_results,

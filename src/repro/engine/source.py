@@ -17,9 +17,7 @@ source:
 A source produces bit-identical matrices regardless of ``batch_size``
 / ``row_tile`` / ``n_jobs``; only ``dtype`` (precision) may change
 values, which is why the engine folds precision — and nothing else
-about the runtime — into cache keys.  (``col_tile`` can move a value
-by an ulp, see :class:`~repro.engine.engine.EngineConfig`; it is not
-part of the key either.)
+about the runtime — into cache keys.
 """
 
 from __future__ import annotations
@@ -62,77 +60,43 @@ __all__ = [
 class EngineRuntime:
     """Execution knobs handed from the engine to a source.
 
-    None of these change output values except ``dtype`` (and
-    ``col_tile``, by an ulp on some shapes).
+    None of these change output values except ``dtype``.
     ``n_jobs`` is the width of the :func:`tile_executor` pool each build
     or extend opens for extraction chunks and similarity tiles (1 = no
     pool); opening it pins the process to one BLAS thread.
-    ``coordinator`` (a :class:`repro.distributed.Coordinator`, when the
-    engine was given one) reroutes the feature extraction and
-    similarity stages to the shard cluster; it is value-neutral
-    because extraction shards are cut at the serial
-    chunked-batch boundaries, similarity shards at the serial tile
-    boundaries, and both merge back bit-identically.
     """
 
     batch_size: int | None = 32
     row_tile: int | None = 32
-    col_tile: int | None = None
     n_jobs: int = 1
     dtype: type = np.float64
-    coordinator: object | None = None
     # Storage dtype of the similarity *output* (None = historical
     # float64, whatever the compute dtype).  The sparse path sets this
     # to float32 so blocks are stored at half width end-to-end; compute
     # precision is still governed by ``dtype``.
     out_dtype: type | None = None
 
-    @property
-    def local_jobs(self) -> int:
-        """Thread-pool width for local tile fan-out: 1 (no pool) when a
-        coordinator handles the similarity stage instead."""
-        return 1 if self.coordinator is not None else self.n_jobs
-
     def pool_features(
         self, model: VGG16, images: np.ndarray, layers: tuple[int, ...], pool=None
     ) -> dict[int, np.ndarray]:
-        """Stage-1 extraction under this runtime: chunked local forward
-        passes fanned over ``pool``, or ``"extraction"`` shards leased to
-        the distributed cluster (workers rebuild the deterministic
-        backbone from ``model.config``, so only image chunks travel).
+        """Stage-1 extraction under this runtime: chunked forward passes
+        fanned over ``pool``.
 
         Under ``dtype=float32`` the batch is cast up front so the whole
         backbone forward runs at half width (``check_images`` preserves
-        float32 and the layers follow the activation dtype).  Shard
-        payloads carry the cast batch, so distributed extraction runs
-        the same float32 forward as a local one."""
+        float32 and the layers follow the activation dtype)."""
         if np.dtype(self.dtype) == np.float32:
             images = images.astype(np.float32, copy=False)
-        if self.coordinator is not None:
-            return self.coordinator.extract_pool_features(
-                model.config, images, layers=layers, batch_size=self.batch_size
-            )
         return extract_pool_features(
             model, images, layers=layers, batch_size=self.batch_size, executor=pool
         )
 
     def similarities(self, prototypes: np.ndarray, vectors: np.ndarray, pool) -> np.ndarray:
-        """``best_similarities`` under this runtime: local tiles fanned
-        over ``pool``, or shard tasks leased to the distributed cluster."""
-        if self.coordinator is not None:
-            return self.coordinator.best_similarities(
-                prototypes,
-                vectors,
-                row_tile=self.row_tile,
-                col_tile=self.col_tile,
-                dtype=self.dtype,
-                out_dtype=self.out_dtype,
-            )
+        """``best_similarities`` under this runtime: row tiles fanned over ``pool``."""
         return best_similarities(
             prototypes,
             vectors,
             row_tile=self.row_tile,
-            col_tile=self.col_tile,
             executor=pool,
             dtype=self.dtype,
             out_dtype=self.out_dtype,
@@ -245,7 +209,7 @@ class PrototypeAffinitySource:
         images = check_images(images)
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
-        with tile_executor(runtime.local_jobs) as pool:
+        with tile_executor(runtime.n_jobs) as pool:
             for layer, vectors, prototypes, layer_blocks in self._layer_blocks(images, runtime, pool):
                 blocks.extend(layer_blocks)
                 arrays[f"uv_{layer}"] = vectors
@@ -272,7 +236,7 @@ class PrototypeAffinitySource:
         ``build_state`` block under the same runtime.
         """
         images = check_images(images)
-        with tile_executor(runtime.local_jobs) as pool:
+        with tile_executor(runtime.n_jobs) as pool:
             for layer, _, _, layer_blocks in self._layer_blocks(images, runtime, pool):
                 for rank in range(self.top_z):
                     yield AffinityFunctionId(layer=layer, z=rank), layer_blocks[rank]
@@ -301,7 +265,7 @@ class PrototypeAffinitySource:
         new_images = check_images(new_images)
         self._check_state_alpha(state)
         rows: list[np.ndarray] = []
-        with tile_executor(runtime.local_jobs) as pool:
+        with tile_executor(runtime.n_jobs) as pool:
             pools = runtime.pool_features(self.model, new_images, self.layers, pool)
             for layer in self.layers:
                 old_protos = LayerPrototypes(
@@ -319,7 +283,7 @@ class PrototypeAffinitySource:
         self._check_state_alpha(state)
         blocks: list[np.ndarray] = []
         arrays: dict[str, np.ndarray] = {}
-        with tile_executor(runtime.local_jobs) as pool:
+        with tile_executor(runtime.n_jobs) as pool:
             pools = runtime.pool_features(self.model, new_images, self.layers, pool)
             for layer_pos, layer in enumerate(self.layers):
                 old_vectors = state.arrays[f"uv_{layer}"]

@@ -16,7 +16,7 @@ exactly equivalent kernel possible:
    locations) without changing a single output bit.
 
 2. **Tiling.**  The similarity computation decomposes into independent
-   (row-tile of images × column-tile of prototype rows) blocks.  Tiles
+   tiles of images, each scored against every prototype row.  Tiles
    are embarrassingly parallel, so they fan out over a thread pool
    (the matmul/max inner ops are BLAS/numpy-bound and release the GIL).
    Inside a tile, prototype rows are scored in ~1 MB chunks through one
@@ -176,12 +176,9 @@ def tile_bounds(n: int, tile: int | None) -> list[tuple[int, int]]:
     There is no short remainder: a lone trailing prototype row would
     make its matmul a matrix-vector product, which BLAS sums in a
     different order than the matrix product every other row goes
-    through.  The scratch chunks inside a tile are cut the same way.
-
-    Public because the distributed shard planner must cut the (images ×
-    prototype-rows) grid at *exactly* the serial tile boundaries — each
-    shard then runs the same-shaped BLAS calls as the serial kernel, so
-    the merged matrix is bit-identical to a single-machine build.
+    through.  The image tiles of :func:`best_similarities`, the scratch
+    chunks inside each tile, and the row tiles of :func:`topk_block`
+    are all cut this way.
     """
     if tile is None or tile >= n:
         return [(0, n)]
@@ -221,27 +218,23 @@ def best_similarities(
     unit_vectors: np.ndarray,
     *,
     row_tile: int | None = 32,
-    col_tile: int | None = None,
     executor: Executor | None = None,
     dtype: np.dtype | type = np.float64,
     out_dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
     """``B[r, i] = max_p <prototypes[r], unit_vectors[i, :, p]>`` (Eq. 2).
 
-    The (image-tile × prototype-tile) grid is fanned out over
-    ``executor`` when given; each task scores one block with per-image
-    matmuls (the cache-optimal blocking for the small channel counts of
-    a width-scaled VGG).  Within a task the prototype rows are scored
-    about ``_SCRATCH_BYTES`` of similarities at a time, through one
-    ``(chunk, P)`` scratch the task reuses for every image, so the
-    product the max reduces never leaves the cache and is never
+    Tiles of ``row_tile`` images are fanned out over ``executor`` when
+    given; each task scores its images against every prototype row
+    with per-image matmuls (the cache-optimal blocking for the small
+    channel counts of a width-scaled VGG).  Within a task the prototype
+    rows are scored about ``_SCRATCH_BYTES`` of similarities at a time,
+    through one ``(chunk, P)`` scratch the task reuses for every image,
+    so the product the max reduces never leaves the cache and is never
     allocated per image.  Chunks are balanced to within one row, so
     every chunk is a matrix product like the unchunked call and the
     output is bit-identical to it (``tests/test_thread_budget.py``
-    holds it to the unchunked per-image kernel).  Column tiles are
-    balanced for the same reason, but a column tile still sets the
-    GEMM's row count, which BLAS may round by (see
-    :class:`~repro.engine.engine.EngineConfig`).  At P ≤ 64 positions
+    holds it to the unchunked per-image kernel).  At P ≤ 64 positions
     a chunk's maxima are folded by elementwise ``np.maximum``
     (:func:`_fold_max`), which is exact.  A task's maxima gather in a
     block of the compute dtype, written into the table once.
@@ -259,37 +252,33 @@ def best_similarities(
     out = np.empty((n_rows, n_images), dtype=np.float64 if out_dtype is None else np.dtype(out_dtype))
     chunk_rows = max(1, _SCRATCH_BYTES // (positions * dtype.itemsize))
     folded = positions <= _FOLD_MAX_POSITIONS
+    chunks = tile_bounds(n_rows, chunk_rows)
 
-    def score_block(bounds: tuple[tuple[int, int], tuple[int, int]]) -> None:
-        (i0, i1), (j0, j1) = bounds
-        chunks = tile_bounds(j1 - j0, chunk_rows)
+    def score_tile(bounds: tuple[int, int]) -> None:
+        i0, i1 = bounds
         scratch = np.empty((chunks[0][1] - chunks[0][0], positions), dtype=dtype)
         fold = np.empty((len(scratch), _FOLD_WIDTH), dtype=dtype) if folded else None
         # Maxima reduce into a buffer of the compute dtype: a reduction
         # into a wider ``out`` column casts every element and is slower
         # at float32 than at float64.  A max is exact, so casting the
         # block once on the way out gives the same values.
-        best = np.empty((i1 - i0, j1 - j0), dtype=dtype)
+        best = np.empty((i1 - i0, n_rows), dtype=dtype)
         for i in range(i0, i1):
             for r0, r1 in chunks:
                 similarities = scratch[: r1 - r0]
-                np.matmul(protos[j0 + r0 : j0 + r1], vectors[i], out=similarities)
+                np.matmul(protos[r0:r1], vectors[i], out=similarities)
                 if folded:
                     _fold_max(similarities, fold, best[i - i0, r0:r1])
                 else:
                     similarities.max(axis=1, out=best[i - i0, r0:r1])
-        out[j0:j1, i0:i1] = best.T
+        out[:, i0:i1] = best.T
 
-    tasks = [
-        (rows, cols)
-        for rows in tile_bounds(n_images, row_tile)
-        for cols in tile_bounds(n_rows, col_tile)
-    ]
-    if executor is not None and len(tasks) > 1:
-        list(executor.map(score_block, tasks))
+    tiles = tile_bounds(n_images, row_tile)
+    if executor is not None and len(tiles) > 1:
+        list(executor.map(score_tile, tiles))
     else:
-        for task in tasks:
-            score_block(task)
+        for tile in tiles:
+            score_tile(tile)
     return out
 
 

@@ -73,7 +73,7 @@ class ExperimentSettings:
             smaller default keeps CPU benchmarks affordable).
         vgg_seed: seed of the surrogate-pretrained backbone.
         seed: root seed for everything else.
-        n_jobs: worker count for feature extraction, affinity
+        n_jobs: threads for feature extraction, affinity
             tiling and base-model fitting; defaults to the usable core
             count, like :class:`~repro.core.goggles.GogglesConfig`.
             Results are identical at any width.

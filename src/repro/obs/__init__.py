@@ -1,5 +1,4 @@
-"""Observability spine: metrics registry, Prometheus rendering, spans,
-and the cluster telemetry shipping/merge plane.
+"""Observability spine: metrics registry, Prometheus rendering, spans.
 
 See ENGINE.md, "Observability" for the metric-name catalogue and the
 trace-id propagation path.
@@ -11,17 +10,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    RegistrySnapshot,
-    capture_registry,
     default_registry,
-    delta_snapshot,
     filter_exposition,
-)
-from repro.obs.ship import (
-    TelemetryMerger,
-    TelemetryShipper,
-    span_from_payload,
-    span_to_payload,
 )
 from repro.obs.trace import (
     SpanRecord,
@@ -31,8 +21,6 @@ from repro.obs.trace import (
     recent_spans,
     record_span,
     span,
-    span_mark,
-    spans_since,
     trace_context,
 )
 
@@ -42,23 +30,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RegistrySnapshot",
     "SpanRecord",
-    "TelemetryMerger",
-    "TelemetryShipper",
-    "capture_registry",
     "clear_spans",
     "current_trace_id",
     "default_registry",
-    "delta_snapshot",
     "filter_exposition",
     "new_trace_id",
     "recent_spans",
     "record_span",
     "span",
-    "span_from_payload",
-    "span_mark",
-    "span_to_payload",
-    "spans_since",
     "trace_context",
 ]

@@ -3,22 +3,22 @@
 Every layer counts through one export path: a process-wide
 :class:`MetricsRegistry` of named metrics that renders as `Prometheus
 text exposition format`_ (scraped by ``GET /metrics`` on the HTTP
-front-end, dumped by ``goggles-repro metrics``).  In the distributed
-runtime, in serving and in the artifact cache the registry is the
-*only* store: no object keeps an attribute copy of a count, so a count
-read through one of its objects is that registry's total.
+front-end, dumped by ``goggles-repro metrics``).  In serving and in
+the artifact cache the registry is the *only* store: no object keeps
+an attribute copy of a count, so a count read through one of its
+objects is that registry's total.
 
 Design constraints, in order:
 
-* **stdlib only** — the registry must import anywhere (workers,
-  benchmarks, the CLI) without adding a dependency;
+* **stdlib only** — the registry must import anywhere (benchmarks,
+  the CLI, the serving front-end) without adding a dependency;
 * **thread-safe** — the HTTP front-end handles requests on many
-  threads and the broker's handler threads count streams concurrently;
+  threads while each tenant's service worker counts its batches;
   every update takes one per-metric lock around a dict upsert;
 * **near-zero overhead when unused** — a metric that nothing
   increments costs one dict entry; instrumented hot paths pay one lock
-  + float add per *event* (per request, per batch, per shard — never
-  per row);
+  + float add per *event* (per request, per batch, per cache read —
+  never per row);
 * **get-or-create semantics** — two components may declare the same
   metric name (two services in one test process); they share the
   instrument, like ``prometheus_client``.
@@ -33,18 +33,14 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RegistrySnapshot",
     "DEFAULT_LATENCY_BUCKETS",
-    "capture_registry",
     "default_registry",
-    "delta_snapshot",
     "filter_exposition",
 ]
 
@@ -201,18 +197,6 @@ class Gauge(_Metric):
         except Exception:  # noqa: BLE001 - mirror collect(): dead callbacks read as NaN
             return math.nan
 
-    def series(self) -> dict[tuple[str, ...], float]:
-        """Every labeled series, with callbacks evaluated (NaN on error)."""
-        with self._lock:
-            items = dict(self._values)
-            functions = dict(self._functions)
-        for key, fn in functions.items():
-            try:
-                items[key] = float(fn())
-            except Exception:  # noqa: BLE001 - dead callbacks read as NaN
-                items[key] = math.nan
-        return items
-
     def collect(self) -> list[str]:
         with self._lock:
             items = dict(self._values)
@@ -273,65 +257,6 @@ class Histogram(_Metric):
         key = self._key(labels)
         with self._lock:
             return self._sums.get(key, 0.0)
-
-    def raw_series(self) -> dict[tuple[str, ...], tuple[list[int], float]]:
-        """Every labeled series as ``(per-bucket raw counts incl. +Inf, sum)``.
-
-        Raw (non-cumulative) counts are the mergeable representation the
-        telemetry delta codec ships — two raw vectors add elementwise.
-        """
-        with self._lock:
-            return {
-                key: (list(counts), self._sums.get(key, 0.0))
-                for key, counts in self._counts.items()
-            }
-
-    def add_raw(self, counts: list[int], sum_delta: float, **labels: object) -> None:
-        """Merge a raw per-bucket count vector (telemetry merge path).
-
-        ``counts`` must match this histogram's bucket layout (per-bucket
-        raw counts plus the trailing +Inf slot).
-        """
-        key = self._key(labels)
-        if len(counts) != len(self.buckets) + 1:
-            raise ValueError(
-                f"histogram {self.name!r} has {len(self.buckets) + 1} count slots, "
-                f"got {len(counts)}"
-            )
-        with self._lock:
-            existing = self._counts.get(key)
-            if existing is None:
-                existing = self._counts[key] = [0] * (len(self.buckets) + 1)
-            for index, count in enumerate(counts):
-                existing[index] += int(count)
-            self._sums[key] = self._sums.get(key, 0.0) + float(sum_delta)
-
-    def quantile(self, q: float, **labels: object) -> float | None:
-        """Upper bound of the bucket containing quantile ``q`` (0..1).
-
-        Histogram quantiles are bucket-resolution estimates: the answer
-        is the smallest upper bound whose cumulative count reaches
-        ``q * total`` (``math.inf`` when the quantile lands past the
-        last finite bucket).  Returns ``None`` for an empty series.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        key = self._key(labels)
-        with self._lock:
-            raw = self._counts.get(key)
-            if raw is None:
-                return None
-            raw = list(raw)
-        total = sum(raw)
-        if total == 0:
-            return None
-        rank = q * total
-        running = 0
-        for bound, count in zip((*self.buckets, math.inf), raw):
-            running += count
-            if running >= rank and running > 0:
-                return bound
-        return math.inf  # pragma: no cover - loop always returns
 
     def bucket_counts(self, **labels: object) -> dict[float, int]:
         """Cumulative count per upper bound (``math.inf`` included)."""
@@ -418,10 +343,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(name)
 
-    def names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
     def render(self) -> str:
         """The full registry in Prometheus text exposition format."""
         with self._lock:
@@ -490,181 +411,6 @@ def filter_exposition(text: str, **labels: object) -> str:
                 flushed_name = header_name
             kept.append(line)
     return "\n".join(kept) + ("\n" if kept else "")
-
-
-# --------------------------------------------------------------------------
-# Registry snapshots: the delta codec distributed workers ship over the wire
-# --------------------------------------------------------------------------
-
-#: Snapshot payload schema version (bumped on incompatible change).
-SNAPSHOT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """A mergeable delta of one source's metrics since its last ship.
-
-    * counters carry per-series **deltas** (always ≥ 0);
-    * gauges carry **last-write** values (merge = overwrite);
-    * histograms carry raw per-bucket count deltas (incl. the +Inf
-      slot) plus a sum delta — raw vectors add elementwise, so merging
-      is associative and order-independent across sources.
-
-    ``seq`` increments once per shipped snapshot, so a receiver that
-    tracks the last-applied sequence number per ``source`` can drop
-    duplicates (at-least-once transports re-deliver; applying a delta
-    twice would double-count).
-
-    Family entries are plain JSON-able dicts::
-
-        counters[name]   = {"help": str, "labelnames": [..],
-                            "series": [[ [label values...], delta ], ...]}
-        gauges[name]     = same shape, value = last write
-        histograms[name] = {..., "buckets": [...],
-                            "series": [[ [...], {"counts": [...], "sum": s} ], ...]}
-    """
-
-    source: str
-    seq: int
-    counters: dict[str, dict] = field(default_factory=dict)
-    gauges: dict[str, dict] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
-
-    def to_payload(self) -> dict:
-        """A JSON-able dict (inverse of :meth:`from_payload`)."""
-        return {
-            "version": SNAPSHOT_VERSION,
-            "source": self.source,
-            "seq": self.seq,
-            "counters": self.counters,
-            "gauges": self.gauges,
-            "histograms": self.histograms,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "RegistrySnapshot":
-        """Validate and rebuild; raises ``ValueError`` on defects."""
-        if not isinstance(payload, dict):
-            raise ValueError(f"snapshot payload must be a dict, got {type(payload).__name__}")
-        version = payload.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version!r}")
-        source = payload.get("source")
-        seq = payload.get("seq")
-        if not isinstance(source, str) or not source:
-            raise ValueError(f"snapshot source must be a non-empty string, got {source!r}")
-        if not isinstance(seq, int) or seq < 1:
-            raise ValueError(f"snapshot seq must be a positive int, got {seq!r}")
-        families: dict[str, dict[str, dict]] = {}
-        for section in ("counters", "gauges", "histograms"):
-            entries = payload.get(section, {})
-            if not isinstance(entries, dict):
-                raise ValueError(f"snapshot section {section!r} must be a dict")
-            for name, entry in entries.items():
-                if not _NAME_RE.match(str(name)):
-                    raise ValueError(f"invalid metric name {name!r} in snapshot")
-                if not isinstance(entry, dict) or not isinstance(entry.get("series"), list):
-                    raise ValueError(f"malformed snapshot entry for {name!r}")
-                labelnames = entry.get("labelnames", [])
-                if not isinstance(labelnames, list) or any(
-                    not _LABEL_RE.match(str(label)) for label in labelnames
-                ):
-                    raise ValueError(f"invalid labelnames {labelnames!r} for {name!r}")
-                for item in entry["series"]:
-                    if (
-                        not isinstance(item, (list, tuple))
-                        or len(item) != 2
-                        or not isinstance(item[0], (list, tuple))
-                        or len(item[0]) != len(labelnames)
-                    ):
-                        raise ValueError(f"malformed series entry for {name!r}: {item!r}")
-                if section == "histograms" and not isinstance(entry.get("buckets"), list):
-                    raise ValueError(f"histogram entry {name!r} is missing buckets")
-            families[section] = {str(name): dict(entry) for name, entry in entries.items()}
-        return cls(
-            source=source,
-            seq=seq,
-            counters=families["counters"],
-            gauges=families["gauges"],
-            histograms=families["histograms"],
-        )
-
-
-def capture_registry(registry: MetricsRegistry, include=None) -> dict:
-    """Cumulative raw state of ``registry``, for later delta-ing.
-
-    ``include(name, labelnames) -> bool`` filters which families are
-    captured (the worker shipper keeps only worker-labeled families).
-    The result is the *baseline* argument of :func:`delta_snapshot`.
-    """
-    state: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-    for name in registry.names():
-        metric = registry.get(name)
-        if metric is None:  # pragma: no cover - racing unregister does not exist
-            continue
-        if include is not None and not include(metric.name, metric.labelnames):
-            continue
-        meta = {"help": metric.help, "labelnames": list(metric.labelnames)}
-        if isinstance(metric, Counter):
-            state["counters"][name] = {**meta, "series": metric.series()}
-        elif isinstance(metric, Gauge):
-            state["gauges"][name] = {**meta, "series": metric.series()}
-        elif isinstance(metric, Histogram):
-            state["histograms"][name] = {
-                **meta,
-                "buckets": list(metric.buckets),
-                "series": metric.raw_series(),
-            }
-    return state
-
-
-def delta_snapshot(current: dict, baseline: dict, *, source: str, seq: int) -> RegistrySnapshot:
-    """The :class:`RegistrySnapshot` that advances ``baseline`` to ``current``.
-
-    Both arguments come from :func:`capture_registry`.  Unchanged series
-    are omitted; families with no changed series are omitted entirely,
-    so an idle worker ships nothing.
-    """
-    counters: dict[str, dict] = {}
-    for name, entry in current["counters"].items():
-        base = baseline["counters"].get(name, {}).get("series", {})
-        series = []
-        for key, value in sorted(entry["series"].items()):
-            delta = value - base.get(key, 0.0)
-            if delta != 0.0:
-                series.append([list(key), delta])
-        if series:
-            counters[name] = {"help": entry["help"], "labelnames": entry["labelnames"], "series": series}
-    gauges: dict[str, dict] = {}
-    for name, entry in current["gauges"].items():
-        base = baseline["gauges"].get(name, {}).get("series", {})
-        series = []
-        for key, value in sorted(entry["series"].items()):
-            previous = base.get(key)
-            if previous is None or (value != previous and not (value != value and previous != previous)):
-                series.append([list(key), value])
-        if series:
-            gauges[name] = {"help": entry["help"], "labelnames": entry["labelnames"], "series": series}
-    histograms: dict[str, dict] = {}
-    for name, entry in current["histograms"].items():
-        base = baseline["histograms"].get(name, {}).get("series", {})
-        series = []
-        for key, (counts, total) in sorted(entry["series"].items()):
-            base_counts, base_sum = base.get(key, ([0] * len(counts), 0.0))
-            delta_counts = [c - b for c, b in zip(counts, base_counts)]
-            if any(delta_counts):
-                series.append([list(key), {"counts": delta_counts, "sum": total - base_sum}])
-        if series:
-            histograms[name] = {
-                "help": entry["help"],
-                "labelnames": entry["labelnames"],
-                "buckets": entry["buckets"],
-                "series": series,
-            }
-    return RegistrySnapshot(source=source, seq=seq, counters=counters, gauges=gauges, histograms=histograms)
 
 
 _DEFAULT = MetricsRegistry()

@@ -40,8 +40,6 @@ __all__ = [
     "recent_spans",
     "record_span",
     "span",
-    "span_mark",
-    "spans_since",
     "trace_context",
 ]
 
@@ -52,19 +50,14 @@ _TRACE_ID: contextvars.ContextVar[str | None] = contextvars.ContextVar("goggles_
 _RING_CAPACITY = 512
 _ring: deque["SpanRecord"] = deque(maxlen=_RING_CAPACITY)
 _ring_lock = threading.Lock()
-#: Spans ever recorded in this process (never decremented — the ring
-#: forgets, the counter does not, so shippers can detect missed spans).
-_ring_total = 0
 
 
 @dataclass(frozen=True)
 class SpanRecord:
     """One finished span: what ran, under which trace, for how long.
 
-    ``started_at`` is wall-clock (``time.time()``) so spans recorded in
-    different processes order into one timeline; ``worker`` is filled
-    by the telemetry merger when a span arrives from a remote worker
-    (``None`` for spans recorded in this process).
+    ``started_at`` is wall-clock (``time.time()``), the start a trace's
+    timeline orders its spans by.
     """
 
     name: str
@@ -72,7 +65,6 @@ class SpanRecord:
     seconds: float
     outcome: str  # "ok" or "error"
     started_at: float = 0.0
-    worker: str | None = None
 
 
 def new_trace_id() -> str:
@@ -137,39 +129,9 @@ def span(name: str, registry: MetricsRegistry | None = None):
 
 
 def record_span(record: SpanRecord) -> None:
-    """Append an already-finished span to the ring buffer.
-
-    The telemetry merger uses this to re-record spans shipped from
-    worker processes into the coordinator's ring, so
-    :func:`recent_spans` (and the trace CLI / HTTP endpoint reading it)
-    sees one cross-process timeline.
-    """
-    global _ring_total
+    """Append an already-finished span to the ring buffer."""
     with _ring_lock:
         _ring.append(record)
-        _ring_total += 1
-
-
-def span_mark() -> int:
-    """An opaque high-water mark for :func:`spans_since`."""
-    with _ring_lock:
-        return _ring_total
-
-
-def spans_since(mark: int) -> tuple[list[SpanRecord], int]:
-    """Spans recorded after ``mark``, oldest first, plus the new mark.
-
-    If more spans were recorded than the ring holds, the overflow is
-    lost (the ring is bounded by design) — the caller still advances
-    past it.  This is the worker shipper's read path: each telemetry
-    frame carries exactly the spans since the previous frame.
-    """
-    with _ring_lock:
-        new = _ring_total - mark
-        if new <= 0:
-            return [], _ring_total
-        records = list(_ring)[-min(new, len(_ring)):]
-        return records, _ring_total
 
 
 def recent_spans(name: str | None = None, trace_id: str | None = None) -> list[SpanRecord]:

@@ -466,7 +466,7 @@ class OnlineSession:
         """
         engine = self.goggles.engine
         assert engine.state is not None
-        return engine.source.extend_rows(engine.state, images, engine._runtime())
+        return engine.source.extend_rows(engine.state, images, engine.config.runtime())
 
     def _snapshot(self) -> tuple:
         """The mutable online state (statistics are immutable — shallow is enough)."""

@@ -28,15 +28,12 @@ The ``/v1`` API:
   bit-identically).  ``?forget=true`` removes the registration too.
 * ``GET /healthz`` — liveness plus one queue/drift section per tenant
   under ``"tenants"``; ``?tenant=<id>`` narrows to one tenant's
-  section.  When the registry carries distributed telemetry
-  (merged worker counters, shard timelines) a ``distributed`` section
-  summarises it.
+  section.
 * ``GET /metrics`` — Prometheus text exposition; ``?tenant=<id>``
   keeps only that tenant's series.
-* ``GET /v1/traces/<trace-id>`` — the cross-process span timeline of
-  one trace, assembled from the in-process span ring (worker-side
-  spans land there through the telemetry merger); 404
-  ``unknown_trace`` when no span carries the id.
+* ``GET /v1/traces/<trace-id>`` — the span timeline of one trace,
+  assembled from the in-process span ring; 404 ``unknown_trace`` when
+  no span carries the id.
 
 **Error envelope**: every error path answers JSON
 ``{"error": {"code", "message", "trace_id", ...}}`` with the request's
@@ -243,36 +240,6 @@ def _check_batch(images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _distributed_summary(registry: MetricsRegistry) -> dict | None:
-    """The ``/healthz`` section summarising merged distributed telemetry.
-
-    Present only when the registry carries distributed series (a
-    coordinator sharing the server's registry); ``None`` keeps the
-    section out of single-process deployments' payloads.
-    """
-    workers = registry.get("goggles_worker_shards_completed_total")
-    coordinator = registry.get("goggles_coordinator_shards_completed_total")
-    if workers is None and coordinator is None:
-        return None
-    section: dict = {}
-    if workers is not None:
-        series = workers.series()
-        section["workers"] = {key[0]: int(value) for key, value in sorted(series.items())}
-        section["worker_shards_completed_total"] = int(sum(series.values()))
-    if coordinator is not None:
-        section["coordinator_shards_completed_total"] = int(coordinator.total())
-    for field, name in (
-        ("stragglers_total", "goggles_stragglers_total"),
-        ("telemetry_frames_merged_total", "goggles_telemetry_frames_merged_total"),
-        ("telemetry_frames_skipped_total", "goggles_telemetry_frames_skipped_total"),
-        ("telemetry_merge_conflicts_total", "goggles_telemetry_merge_conflicts_total"),
-    ):
-        metric = registry.get(name)
-        if metric is not None:
-            section[field] = int(metric.total())
-    return section
-
-
 def _registration_config(document: dict) -> TenantConfig:
     """The TenantConfig encoded in a POST /v1/tenants body."""
     fields = {}
@@ -407,9 +374,6 @@ class _Handler(BaseHTTPRequestHandler):
             "requests_total": int(self.server.m_requests.total()),
             "shed_total": int(self.server.m_shed.total()),
         }
-        distributed = _distributed_summary(self.server.registry)
-        if distributed is not None:
-            payload["distributed"] = distributed
         self._reply(200, payload)
 
     def _handle_metrics(self, match: re.Match | None, query: dict[str, list[str]]) -> None:
@@ -431,7 +395,6 @@ class _Handler(BaseHTTPRequestHandler):
         spans = [
             {
                 "name": record.name,
-                "worker": record.worker,
                 "seconds": record.seconds,
                 "outcome": record.outcome,
                 "started_at": record.started_at,

@@ -42,10 +42,9 @@ def check_images(images: np.ndarray, *, name: str = "images") -> np.ndarray:
     """Validate a batch of images shaped ``(N, C, H, W)`` with C in {1, 3}.
 
     Every dtype is canonicalised to float64 except float32, which is
-    preserved: the sparse affinity path casts batches to float32 before
-    extraction so the whole backbone forward runs at half width (the
-    layers follow the activation dtype), locally and on distributed
-    extraction workers alike.
+    preserved: at ``precision="float32"`` the engine casts batches to
+    float32 before extraction so the whole backbone forward runs at
+    half width (the layers follow the activation dtype).
     """
     images = check_array(images, name=name, ndim=4)
     n, c, h, w = images.shape

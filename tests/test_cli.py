@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import re
-import socket
 import time
 import urllib.request
 
 import pytest
-from local_workers import process_workers
 
 from repro import cli
 from repro.cli import main
@@ -254,52 +252,18 @@ class TestCli:
                 "1.0",
             ])
 
-
-class TestDistributedCli:
-    def test_coordinator_command_shards_to_a_worker_process(self, capsys):
-        """The coordinator verb listens, a ``worker`` process joins it,
-        and the job reports shard stats alongside the accuracy."""
-        with socket.socket() as probe:  # reserve a free loopback port
-            probe.bind(("127.0.0.1", 0))
-            port = probe.getsockname()[1]
-        address = f"127.0.0.1:{port}"
-        # The worker retries its connect until the coordinator binds.
-        with process_workers(address, 1):
-            code = main([
-                "--n-per-class",
-                "6",
-                "--dev-per-class",
-                "2",
-                "coordinator",
-                "--dataset",
-                "surface",
-                "--bind",
-                address,
-            ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"coordinator listening on {address}" in out
-        assert "labeling accuracy" in out
-        assert "shards:" in out and "completed" in out
-
-    def test_worker_requires_valid_address(self):
-        with pytest.raises(SystemExit):
-            main(["worker"])  # --connect is required
-        with pytest.raises(ValueError, match="host:port"):
-            main(["worker", "--connect", "nonsense"])
-
     def test_cache_info_reports_entries(self, capsys, tmp_path):
         import numpy as np
 
         from repro.engine import ArtifactCache
 
         cache = ArtifactCache(str(tmp_path))
-        cache.save_arrays("shard", "a" * 64, {"best": np.zeros((2, 2))})
+        cache.save_arrays("state", "a" * 64, {"uv_0": np.zeros((2, 2))})
         cache.save_arrays("affinity", "b" * 64, {"values": np.ones(3)})
         code = main(["--cache-dir", str(tmp_path), "cache-info"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shard" in out and "affinity" in out
+        assert "state: 1 entries" in out and "affinity: 1 entries" in out
         assert "2 entries" in out  # the total line
         assert "(unbounded)" in out  # the budget line
 
@@ -341,7 +305,6 @@ class TestMetricsAndTrace:
         out = capsys.readouterr().out
         assert trace_id in out and "2 span(s)" in out
         assert "http.submit" in out and "service.batch" in out
-        assert "local" in out  # spans recorded in-process have no worker
 
     def test_trace_unknown_id_exits_nonzero(self, capsys):
         from repro.obs import clear_spans
@@ -367,19 +330,16 @@ class TestMetricsAndTrace:
         trace_id = new_trace_id()
         with trace_context(trace_id), span("http.submit", MetricsRegistry()):
             pass
-        # A merged worker-side span joins the same timeline.
+        # A span recorded as a finished record joins the same timeline.
         record_span(
-            SpanRecord(
-                name="shard.base-fit", trace_id=trace_id, seconds=0.5,
-                outcome="ok", started_at=0.0, worker="worker-7",
-            )
+            SpanRecord(name="inference.fit", trace_id=trace_id, seconds=0.5, outcome="ok", started_at=0.0)
         )
         server = serve_http(TenantRegistry(metrics=MetricsRegistry()))
         try:
             code = main(["trace", trace_id, "--url", server.url])
             assert code == 0
             out = capsys.readouterr().out
-            assert "shard.base-fit" in out and "worker-7" in out
+            assert "inference.fit" in out
             assert main(["trace", "missing", "--url", server.url]) == 1
             assert "no spans recorded" in capsys.readouterr().err
         finally:

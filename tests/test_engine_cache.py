@@ -335,12 +335,14 @@ class TestEngineConfigValidation:
 
 
 class TestConcurrentWriteEvictionRaces:
-    """Cache eviction racing concurrent shard writes (distributed runtime).
+    """Cache eviction racing concurrent writes.
 
-    The broker's coordinator thread, its handler threads, and every
-    worker process share one cache directory; writes publish by
-    atomically renaming a *unique* ``.tmp`` scratch file, so eviction —
-    or a reader — can only ever observe a complete entry or a miss.
+    The tenant threads of one server share its cache directory, and
+    separate processes may point at one ``--cache-dir``; writes publish
+    by atomically renaming a *unique* ``.tmp`` scratch file, so
+    eviction — or a reader — can only ever observe a complete entry or
+    a miss.  Entry kinds are free-form strings: ``"shard"`` here is any
+    kind.
     """
 
     def test_scratch_files_invisible_to_entries_and_budget(self, tmp_path):
@@ -392,7 +394,7 @@ class TestConcurrentWriteEvictionRaces:
         def replace_with_concurrent_eviction(src, dst):
             # Model the race once: while the affinity write sits between
             # its scratch file and the publishing rename, another
-            # thread's shard write runs the over-budget eviction scan.
+            # thread's write runs the over-budget eviction scan.
             if not interposed.is_set():
                 interposed.set()
                 cache.save_arrays("shard", "c" * 64, {"x": np.arange(16)})
@@ -406,9 +408,9 @@ class TestConcurrentWriteEvictionRaces:
         np.testing.assert_array_equal(loaded.values, matrix.values)
 
     def test_concurrent_same_key_shard_writes_never_serve_partial(self, tmp_path):
-        """Two workers racing on a de-duplicated shard key write through
-        *separate* scratch files (a shared one interleaves bytes into a
-        corrupt zip); readers see a miss or the complete entry only."""
+        """Two writers racing on one key write through *separate*
+        scratch files (a shared one interleaves bytes into a corrupt
+        zip); readers see a miss or the complete entry only."""
         cache = ArtifactCache(str(tmp_path), max_bytes=4096)
         key = "e" * 64
         expected = {"best": np.arange(64, dtype=np.float64).reshape(8, 8)}

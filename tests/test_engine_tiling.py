@@ -116,7 +116,7 @@ class TestBestSimilarities:
     def test_brute_force_reference(self, filter_maps):
         vectors = unit_location_vectors(filter_maps)
         table = unique_unit_prototypes(filter_maps, 3)
-        best = best_similarities(table.vectors, vectors, row_tile=2, col_tile=5)
+        best = best_similarities(table.vectors, vectors, row_tile=2)
         n, _, p = vectors.shape
         for r in range(table.n_rows):
             for i in range(n):
@@ -126,26 +126,10 @@ class TestBestSimilarities:
     def test_tiling_is_value_neutral(self, filter_maps):
         vectors = unit_location_vectors(filter_maps)
         table = unique_unit_prototypes(filter_maps, 4)
-        reference = best_similarities(table.vectors, vectors, row_tile=None, col_tile=None)
-        for row_tile, col_tile in [(1, None), (4, 3), (None, 2), (3, 1)]:
-            tiled = best_similarities(table.vectors, vectors, row_tile=row_tile, col_tile=col_tile)
+        reference = best_similarities(table.vectors, vectors, row_tile=None)
+        for row_tile in (1, 4, None, 3):
+            tiled = best_similarities(table.vectors, vectors, row_tile=row_tile)
             np.testing.assert_allclose(tiled, reference, atol=1e-12, rtol=0.0)
-
-    def test_column_tiles_match_untiled(self):
-        """Column tiles are balanced, so none has one row: a one-row
-        matmul is a matrix-vector product, which BLAS sums in another
-        order.  On these shapes the full-tile-and-remainder cut left a
-        one-row tile at ``col_tile`` 3 and 97 and was 1 ulp off."""
-        rng = np.random.default_rng(2)
-        for dtype, (h, w), rows in ((np.float32, (10, 10), 2620), (np.float64, (8, 8), 2047)):
-            filter_maps = rng.random((3, h, w, 16)).transpose(0, 3, 1, 2)
-            vectors = unit_location_vectors(filter_maps)
-            prototypes = rng.random((rows, 16))
-            prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
-            untiled = best_similarities(prototypes, vectors, dtype=dtype, col_tile=None)
-            for col_tile in (3, 4, 97):
-                tiled = best_similarities(prototypes, vectors, dtype=dtype, col_tile=col_tile)
-                assert np.array_equal(tiled, untiled), (np.dtype(dtype).name, col_tile)
 
     def test_tile_bounds_are_balanced(self):
         assert tile_bounds(10, 3) == [(0, 3), (3, 5), (5, 8), (8, 10)]
@@ -219,7 +203,7 @@ class TestTiledVsNaive:
     def test_layer_blocks_equal(self, filter_maps):
         for z in (1, 3, 7):
             naive = _layer_affinity_blocks(filter_maps, z)
-            tiled = tiled_layer_blocks(filter_maps, z, row_tile=4, col_tile=6)
+            tiled = tiled_layer_blocks(filter_maps, z, row_tile=4)
             np.testing.assert_allclose(tiled, naive, atol=1e-12, rtol=0.0)
 
     def test_full_matrix_matches_legacy(self, vgg, tiny_images):
@@ -233,7 +217,7 @@ class TestTiledVsNaive:
     def test_parallel_matches_serial(self, filter_maps):
         serial = tiled_layer_blocks(filter_maps, 4)
         with tile_executor(4) as pool:
-            parallel = tiled_layer_blocks(filter_maps, 4, row_tile=2, col_tile=4, executor=pool)
+            parallel = tiled_layer_blocks(filter_maps, 4, row_tile=2, executor=pool)
         np.testing.assert_array_equal(parallel, serial)
 
     def test_float32_within_allclose(self, filter_maps):

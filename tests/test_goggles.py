@@ -113,15 +113,26 @@ class TestGogglesValidation:
         assert config.engine_config() is override
 
     def test_n_jobs_label_matches_serial(self, vgg, small_cub):
-        dev = small_cub.sample_dev_set(per_class=3, seed=0)
-        serial = Goggles(GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(2, 3)), model=vgg)
-        threaded = Goggles(
-            GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(2, 3), n_jobs=4, batch_size=5),
-            model=vgg,
-        )
-        a = serial.label(small_cub.images, dev)
-        b = threaded.label(small_cub.images, dev)
-        np.testing.assert_allclose(a.probabilistic_labels, b.probabilistic_labels, atol=1e-12)
+        """Extraction chunks, similarity tiles and base fits on 4 threads
+        give the serial bits: the affinity values and the posteriors of
+        a ``label`` and of the ``label_incremental`` step after it, at
+        both precisions."""
+        images, labels = small_cub.images, small_cub.labels
+        n0 = images.shape[0] - 4
+        indices = np.concatenate([np.flatnonzero(labels[:n0] == c)[:3] for c in range(2)])
+        dev = DevSet(indices=indices, labels=labels[indices])
+        for precision in ("float32", "float64"):
+            runs = []
+            for n_jobs, batch_size, row_tile in ((1, 32, 32), (4, 5, 8)):
+                engine = EngineConfig(
+                    n_jobs=n_jobs, batch_size=batch_size, row_tile=row_tile, precision=precision
+                )
+                config = GogglesConfig(n_classes=2, seed=0, top_z=2, layers=(2, 3), engine=engine)
+                goggles = Goggles(config, model=vgg)
+                runs.append((goggles.label(images[:n0], dev), goggles.label_incremental(images[n0:], dev)))
+            for serial, threaded in zip(*runs):
+                np.testing.assert_array_equal(threaded.affinity.values, serial.affinity.values)
+                np.testing.assert_array_equal(threaded.probabilistic_labels, serial.probabilistic_labels)
 
 
 class TestFloat32LabelContract:

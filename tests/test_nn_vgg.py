@@ -96,7 +96,7 @@ class TestFeatures:
     def test_pool_maps_are_channels_last(self, vgg, tiny_images, dtype):
         """Every pool map is an (N, C, H, W) view of (N, H, W, C) memory at
         either precision: the similarity GEMM's bits depend on that
-        layout, and distributed extraction ships maps by it."""
+        layout."""
         for pool in vgg.forward_pools(tiny_images.astype(dtype)):
             assert pool.dtype == dtype
             assert pool.transpose(0, 2, 3, 1).flags.c_contiguous
@@ -185,8 +185,7 @@ class TestChannelsLastConv:
             np.testing.assert_allclose(pool, expected, rtol=0, atol=1e-12)
 
     def test_pool_features_are_channels_last(self, runs):
-        # Distributed extraction ships pool maps by this layout, and the
-        # similarity GEMM rounds by it.
+        # The similarity GEMM rounds by this layout.
         (pools, _), _ = runs
         for pool in pools:
             assert pool.strides[1] < pool.strides[-1]

@@ -391,7 +391,7 @@ class TestOnlineSession:
         full extension (the quadrant the session consumes)."""
         goggles, _, _, images, n0 = seeded
         engine = goggles.engine
-        runtime = engine._runtime()
+        runtime = engine.config.runtime()
         fast = engine.source.extend_rows(engine.state, images[n0:], runtime)
         full = engine.source.extend_state(engine.state, images[n0:], runtime)
         assert len(fast) == full.affinity.n_functions

@@ -374,16 +374,12 @@ class TestObservability:
         clear_spans()
         trace_id = new_trace_id()
         record_span(SpanRecord("http.submit", trace_id, 0.01, "ok", started_at=100.0))
-        record_span(
-            SpanRecord("shard.base-fit", trace_id, 0.5, "ok", started_at=101.5, worker="w0")
-        )
+        record_span(SpanRecord("inference.fit", trace_id, 0.5, "ok", started_at=101.5))
         record_span(SpanRecord("other", new_trace_id(), 0.1, "ok", started_at=100.5))
         code, payload = _get(f"{server.url}/v1/traces/{trace_id}")
         assert code == 200
         assert payload["trace_id"] == trace_id
-        assert [entry["name"] for entry in payload["spans"]] == ["http.submit", "shard.base-fit"]
-        assert payload["spans"][0]["worker"] is None
-        assert payload["spans"][1]["worker"] == "w0"
+        assert [entry["name"] for entry in payload["spans"]] == ["http.submit", "inference.fit"]
         assert payload["spans"][1]["offset_seconds"] == pytest.approx(1.5)
 
     def test_traces_route_unknown_trace_404s(self, http_setup):
@@ -394,37 +390,6 @@ class TestObservability:
         except urllib.error.HTTPError as error:
             assert error.code == 404
             assert json.loads(error.read())["error"]["code"] == "unknown_trace"
-
-    def test_healthz_distributed_section(self, http_setup):
-        shared, *_ = http_setup
-        registry = MetricsRegistry()
-        server = LabelingHTTPServer(shared.tenants, registry=registry)
-        server.serve_in_background()
-        try:
-            # No distributed series: the section stays out entirely.
-            _, health = _get(f"{server.url}/healthz")
-            assert "distributed" not in health
-            # Simulate merged worker telemetry + coordinator bookkeeping.
-            registry.counter(
-                "goggles_worker_shards_completed_total", labelnames=("worker",)
-            ).inc(7, worker="w0")
-            registry.counter(
-                "goggles_worker_shards_completed_total", labelnames=("worker",)
-            ).inc(5, worker="w1")
-            registry.counter(
-                "goggles_coordinator_shards_completed_total", labelnames=("kind",)
-            ).inc(12, kind="base-fit")
-            registry.counter("goggles_stragglers_total", labelnames=("kind",)).inc(kind="base-fit")
-            registry.counter("goggles_telemetry_frames_merged_total").inc(3)
-            _, health = _get(f"{server.url}/healthz")
-            section = health["distributed"]
-            assert section["workers"] == {"w0": 7, "w1": 5}
-            assert section["worker_shards_completed_total"] == 12
-            assert section["coordinator_shards_completed_total"] == 12
-            assert section["stragglers_total"] == 1
-            assert section["telemetry_frames_merged_total"] == 3
-        finally:
-            server.shutdown()
 
     def test_trace_id_minted_when_absent(self, http_setup):
         server, service, images, n0 = http_setup
