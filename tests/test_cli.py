@@ -252,6 +252,11 @@ class TestCli:
                 "1.0",
             ])
 
+
+class TestDistributedCli:
+    """``cache-info``: the report on a ``--cache-dir`` that separate
+    processes share."""
+
     def test_cache_info_reports_entries(self, capsys, tmp_path):
         import numpy as np
 
