@@ -10,7 +10,7 @@ def update_trajectory(path: Path, key: str, rows: list[dict] | dict) -> None:
     """Merge one section into a shared trajectory JSON.
 
     A ``BENCH_*.json`` file holds one section per benchmark that writes
-    it (``BENCH_inference.json``: ``rows``, ``sparse``, ``online``, ...);
+    it (``BENCH_inference.json``: ``rows``, ``online``, ``accuracy``, ...);
     merging instead of rewriting lets the benchmarks run in any order —
     or alone — without erasing each other's numbers.
     """

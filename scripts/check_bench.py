@@ -21,9 +21,9 @@ pair.  Two classes of change fail the build:
   acceptance contracts; a flip means correctness, not performance,
   regressed.  Flips from ``false`` to ``true`` are improvements and
   pass.
-* **speedup-ratio regression** — a ``speedup`` metric (e.g. the
-  sparse-vs-dense ratio in the ``sparse`` section) that fell more than
-  ``--max-regression`` below its baseline.  Ratios are jitter-robust
+* **speedup-ratio regression** — any ``speedup`` or ``*_speedup``
+  metric (a ratio of two timings taken in the same run) that fell more
+  than ``--max-regression`` below its baseline.  Ratios are jitter-robust
   (numerator and denominator ride the same runner), so no
   ``--min-seconds`` floor applies; growing is always fine.
 * **tail-latency regression** — any ``*_p99_seconds`` metric (the

@@ -60,9 +60,6 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         precision=args.precision,
         cache_dir=args.cache_dir,
         cache_max_bytes=args.cache_max_bytes,
-        affinity_mode=args.affinity_mode,
-        top_k=args.top_k,
-        memmap=args.memmap,
     )
 
 
@@ -221,9 +218,8 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
     cache = ArtifactCache(args.cache_dir, max_bytes=args.cache_max_bytes)
     kinds: dict[str, tuple[int, int]] = {}
     for name in sorted(os.listdir(cache.cache_dir)):
-        # .npz bundles (affinity, affinity-csr, state, inference, ...)
-        # plus the raw .npy memmap blocks of the sparse path.
-        if not name.endswith((".npz", ".npy")):
+        # One .npz bundle per entry (affinity, state, inference, ...).
+        if not name.endswith(".npz"):
             continue
         kind = name.rsplit("-", 1)[0]
         size = os.path.getsize(os.path.join(cache.cache_dir, name))
@@ -425,22 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--precision", choices=("float64", "float32"), default="float32",
-        help="engine compute precision (default float32: >=99%% posterior agreement and "
-        "exact labels vs float64; float64 is the exact path)",
-    )
-    parser.add_argument(
-        "--affinity-mode", choices=("dense", "sparse"), default="dense",
-        help="dense (bit-identity discipline) or sparse top-k affinity "
-        "(>=99%% posterior agreement, exact labels vs dense)",
-    )
-    parser.add_argument(
-        "--top-k", type=int, default=None,
-        help="kept affinities per row with --affinity-mode sparse (default ceil(N/4))",
-    )
-    parser.add_argument(
-        "--memmap", action="store_true",
-        help="with --affinity-mode sparse, densify blocks into memory-mapped "
-        "files so the corpus can exceed RAM",
+        help="engine compute precision, which the affinity table is stored in too "
+        "(default float32: >=99%% posterior agreement and exact labels vs float64; "
+        "float64 is the exact path)",
     )
     parser.add_argument("--cache-dir", default=None, help="engine artifact cache directory")
     parser.add_argument(

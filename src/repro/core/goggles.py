@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
+from repro.core.affinity import AffinityMatrix
 from repro.core.inference.hierarchical import (
     HierarchicalConfig,
     HierarchicalResult,
@@ -36,7 +36,6 @@ from repro.engine.source import PrototypeAffinitySource
 from repro.nn.vgg import VGG16, VGGConfig
 from repro.obs import span
 from repro.utils.threads import usable_cores
-from repro.utils.validation import check_images
 
 if TYPE_CHECKING:  # runtime import would cycle (repro.online builds on the engines)
     from repro.online import OnlineConfig
@@ -70,20 +69,13 @@ class GogglesConfig:
             pool feature maps) after :meth:`Goggles.label` so
             :meth:`Goggles.label_incremental` can extend it.  Set to
             ``False`` to free that memory when incremental labeling is
-            not needed.  Ignored in sparse mode (the sparse path is
-            build-only).
-        affinity_mode: ``"dense"`` (default, bit-identity discipline)
-            or ``"sparse"`` — per-row top-k affinity blocks, float32
-            storage, ≥ 99% posterior agreement and exact labels vs
-            dense.
-        top_k: kept affinities per row in sparse mode (``None`` =
-            ``ceil(N / 4)``).
-        memmap: in sparse mode, densify blocks into memory-mapped
-            files so the corpus can exceed RAM.
+            not needed.  The affinity table itself is returned either
+            way, in the engine's compute dtype.
         vgg: configuration of the surrogate-pretrained backbone.
         inference: hierarchical-model hyper-parameters (n_classes and
             seed fields here take precedence).
-        engine: full engine override (tile sizes, precision).  When
+        engine: full engine override (tile sizes, precision, which is
+            also the affinity table's dtype).  When
             given, its ``n_jobs``/``batch_size``/``cache_dir`` win over
             the top-level convenience fields.
         online: knobs of the online serving loop
@@ -102,9 +94,6 @@ class GogglesConfig:
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
     keep_corpus_state: bool = True
-    affinity_mode: str = "dense"
-    top_k: int | None = None
-    memmap: bool = False
     vgg: VGGConfig = field(default_factory=VGGConfig)
     inference: HierarchicalConfig = field(default_factory=HierarchicalConfig)
     engine: EngineConfig | None = None
@@ -123,9 +112,6 @@ class GogglesConfig:
             n_jobs=self.n_jobs,
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
-            affinity_mode=self.affinity_mode,
-            top_k=self.top_k,
-            memmap=self.memmap,
         )
 
 
@@ -142,7 +128,7 @@ class GogglesResult:
     """
 
     probabilistic_labels: np.ndarray
-    affinity: AffinityMatrix | SparseAffinityMatrix
+    affinity: AffinityMatrix
     hierarchical: HierarchicalResult
     mapping: ClusterMapping
 
@@ -187,7 +173,7 @@ class Goggles:
             cache=self.engine.cache,
         )
 
-    def build_affinity_matrix(self, images: np.ndarray) -> AffinityMatrix | SparseAffinityMatrix:
+    def build_affinity_matrix(self, images: np.ndarray) -> AffinityMatrix:
         """Step 1 (Figure 3): affinity matrix construction.
 
         Runs through the staged engine: chunked feature extraction,
@@ -195,18 +181,11 @@ class Goggles:
         ``config.keep_corpus_state`` is off, the corpus state is kept
         so :meth:`label_incremental` can extend it later.
         """
-        images = check_images(images)
-        # The sparse path is build-only: never ask it to keep corpus
-        # state (incremental extension stays on the dense path).  The
-        # engine's resolved config is authoritative — an explicit
-        # ``GogglesConfig(engine=EngineConfig(affinity_mode="sparse"))``
-        # override must behave the same as the convenience field.
-        keep = self.config.keep_corpus_state and self.engine.config.affinity_mode == "dense"
-        return self.engine.build(images, keep_state=keep)
+        return self.engine.build(images, keep_state=self.config.keep_corpus_state)
 
     def infer_labels(
         self,
-        affinity: AffinityMatrix | SparseAffinityMatrix,
+        affinity: AffinityMatrix,
         dev_set: DevSet,
         warm_start: InferenceState | None = None,
     ) -> GogglesResult:

@@ -4,19 +4,19 @@ Splits the monolithic image→affinity-matrix path into reusable stages:
 
 * :mod:`repro.engine.features` — chunked backbone feature extraction.
 * :mod:`repro.engine.tiling` — the tiled, de-duplicated,
-  thread-parallel similarity kernels and the top-k kernel of the
-  sparse path.
+  thread-parallel similarity kernels.
 * :mod:`repro.engine.cache` — content-addressed on-disk artifact cache.
 * :mod:`repro.engine.source` — the ``AffinitySource`` protocol and its
   backends: :class:`PrototypeAffinitySource`, the only builder of the
   paper's prototype matrix, and flat-feature cosine (HOG, logits).
 * :mod:`repro.engine.engine` — the orchestrator, including the
-  incremental corpus-extension path.
+  incremental corpus-extension path.  The affinity table it returns is
+  stored in the compute dtype (``EngineConfig.precision``).
 * :mod:`repro.engine.inference` — the staged inference engine
   (thread-parallel base fits, warm-started EM, cached parameters).
 """
 
-from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays, hash_params
+from repro.engine.cache import ArtifactCache, hash_arrays, hash_params
 from repro.engine.engine import AffinityEngine, EngineConfig
 from repro.engine.features import extract_pool_features, iter_batches
 from repro.engine.inference import InferenceEngine, InferenceState, warm_start_responsibilities
@@ -35,7 +35,6 @@ from repro.engine.tiling import (
     best_similarities,
     tile_bounds,
     tile_executor,
-    topk_block,
     unique_unit_prototypes,
     unit_location_vectors,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "InferenceState",
     "warm_start_responsibilities",
     "ArtifactCache",
-    "MemmapBlockStore",
     "hash_arrays",
     "hash_params",
     "extract_pool_features",
@@ -64,7 +62,6 @@ __all__ = [
     "best_similarities",
     "tile_bounds",
     "tile_executor",
-    "topk_block",
     "unique_unit_prototypes",
     "unit_location_vectors",
 ]

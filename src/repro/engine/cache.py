@@ -27,13 +27,12 @@ import hashlib
 import os
 import tempfile
 import threading
-import weakref
 import zipfile
 from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix, densify_topk_rows
+from repro.core.affinity import AffinityMatrix
 from repro.obs import default_registry
 
 # A cache read must never be able to crash a run: any unreadable or
@@ -44,7 +43,7 @@ _CORRUPT_ERRORS = (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError)
 
 T = TypeVar("T")
 
-__all__ = ["ArtifactCache", "MemmapBlockStore", "hash_arrays", "hash_params"]
+__all__ = ["ArtifactCache", "hash_arrays", "hash_params"]
 
 
 def hash_arrays(*arrays: np.ndarray) -> str:
@@ -86,8 +85,8 @@ class ArtifactCache:
     entry listing, eviction, and ``total_bytes``) and atomically
     ``os.replace``-s it into place, so a reader — or the eviction scan
     racing a concurrent write — can only ever observe a complete entry
-    or a miss, never a half-written one.  Pin counts and the eviction
-    walk are additionally serialised by a lock.
+    or a miss, never a half-written one.  The eviction walk is
+    additionally serialised by a lock.
 
     Hits and misses (by kind) and evictions are counted in the
     process-wide metrics registry under this instance's ``tenant``
@@ -117,24 +116,10 @@ class ArtifactCache:
             labelnames=("kind", "tenant"),
         )
         self._m_evictions = registry.counter(
-            "goggles_cache_evictions_total", "Artifact cache entries evicted (LRU budget or deferred).",
+            "goggles_cache_evictions_total", "Artifact cache entries evicted (LRU budget).",
             labelnames=("tenant",),
         )
-        self._m_pins = registry.counter(
-            "goggles_cache_pins_total", "Memmap pin acquisitions (live readers registered).",
-            labelnames=("tenant",),
-        )
-        self._m_unpins = registry.counter(
-            "goggles_cache_unpins_total", "Memmap pin releases.",
-            labelnames=("tenant",),
-        )
-        self._lock = threading.RLock()
-        # Memmap refcounts: a path with a positive pin count has live
-        # readers whose pages are backed by the file — eviction of a
-        # pinned path is *deferred* (recorded, re-attempted at unpin)
-        # rather than deleting the file out from under the mapping.
-        self._pins: dict[str, int] = {}
-        self._deferred: set[str] = set()
+        self._lock = threading.Lock()
 
     def _record(self, kind: str, hit: bool) -> None:
         (self._m_hits if hit else self._m_misses).inc(kind=kind, tenant=self.tenant)
@@ -167,12 +152,6 @@ class ArtifactCache:
 
     def save_affinity(self, key: str, matrix: AffinityMatrix) -> str:
         return self._write("affinity", key, matrix.arrays())
-
-    def load_affinity_csr(self, key: str) -> SparseAffinityMatrix | None:
-        return self._read("affinity-csr", key, SparseAffinityMatrix.from_arrays)
-
-    def save_affinity_csr(self, key: str, sparse: SparseAffinityMatrix) -> str:
-        return self._write("affinity-csr", key, sparse.arrays())
 
     def _read(self, kind: str, key: str, parse: Callable[[dict[str, np.ndarray]], T]) -> T | None:
         """Load every array of one entry and return ``parse`` of them.
@@ -225,33 +204,6 @@ class ArtifactCache:
         self._enforce_budget(keep=path)
         return path
 
-    # ------------------------------------------------------------------
-    # Memmap pinning (refcounted deferral of eviction for live readers)
-    # ------------------------------------------------------------------
-    def pin(self, path: str) -> None:
-        """Register a live reader of ``path``; eviction is deferred."""
-        with self._lock:
-            self._pins[path] = self._pins.get(path, 0) + 1
-        self._m_pins.inc(tenant=self.tenant)
-
-    def unpin(self, path: str) -> None:
-        """Drop one reader; the last unpin applies any deferred eviction."""
-        self._m_unpins.inc(tenant=self.tenant)
-        with self._lock:
-            count = self._pins.get(path, 0) - 1
-            if count > 0:
-                self._pins[path] = count
-                return
-            self._pins.pop(path, None)
-            if path in self._deferred:
-                self._deferred.discard(path)
-                self._evict_corrupt(path)
-                self._m_evictions.inc(tenant=self.tenant)
-
-    def pinned(self, path: str) -> bool:
-        with self._lock:
-            return self._pins.get(path, 0) > 0
-
     def _evict_corrupt(self, path: str) -> None:
         try:
             os.remove(path)
@@ -269,19 +221,14 @@ class ArtifactCache:
             pass
 
     def total_bytes(self) -> int:
-        """Current artifact footprint (``.npz`` + ``.npy``) of the cache."""
+        """Current artifact (``.npz``) footprint of the cache."""
         return sum(size for _, size, _ in self._entries())
 
     def _entries(self) -> list[tuple[float, int, str]]:
-        """(mtime, size, path) of every artifact, oldest first.
-
-        ``.npz`` bundles and the raw ``.npy`` memmap blocks both count:
-        materialised dense blocks are by far the largest artifacts, so
-        a budget that ignored them would be fiction.
-        """
+        """(mtime, size, path) of every artifact, oldest first."""
         entries: list[tuple[float, int, str]] = []
         for name in os.listdir(self.cache_dir):
-            if not name.endswith((".npz", ".npy")):
+            if not name.endswith(".npz"):
                 continue
             path = os.path.join(self.cache_dir, name)
             try:
@@ -309,14 +256,6 @@ class ArtifactCache:
                     break
                 if path == keep:
                     continue
-                if self._pins.get(path, 0) > 0:
-                    # A live memmap reader holds this file open; deleting
-                    # it now would yank pages out from under the mapping.
-                    # Count it as freed (the reader owns the bytes now)
-                    # and actually remove it at the final unpin.
-                    self._deferred.add(path)
-                    total -= size
-                    continue
                 try:
                     os.remove(path)
                 except OSError:  # pragma: no cover - racing eviction is fine
@@ -336,10 +275,7 @@ class ArtifactCache:
         with self._lock:
             for name in os.listdir(self.cache_dir):
                 path = os.path.join(self.cache_dir, name)
-                if name.endswith((".npz", ".npy")):
-                    if self._pins.get(path, 0) > 0:
-                        self._deferred.add(path)
-                        continue
+                if name.endswith(".npz"):
                     try:
                         os.remove(path)
                     except OSError:
@@ -348,92 +284,3 @@ class ArtifactCache:
                 elif name.endswith(".tmp"):
                     self._evict_corrupt(path)
         return removed
-
-
-class MemmapBlockStore:
-    """Out-of-core densified blocks for a :class:`SparseAffinityMatrix`.
-
-    ``SparseAffinityMatrix.block(f)`` normally densifies into a fresh
-    in-RAM array — an N×N allocation per call.  Attaching a block store
-    (``sparse.with_store(MemmapBlockStore(...))``) changes that: each
-    block is materialised *once* to an ``.npy`` file (written row-tiled,
-    so peak RAM stays at one row tile, never a full block) and every
-    subsequent access returns a read-only ``np.memmap`` whose pages the
-    OS fetches — and drops — on demand.  N can exceed RAM.
-
-    Lifecycle: files are published by the cache's rename discipline
-    (mkstemp ``.tmp`` scratch → atomic ``os.replace``), live under the
-    artifact cache as kind ``affinity-block`` when one is supplied (a
-    throwaway temp directory otherwise), and are pinned for as long as
-    any returned memmap is alive — the cache defers eviction of pinned
-    blocks instead of deleting pages out from under a live reader
-    (`weakref.finalize` drops the pin when the mapping is collected).
-    """
-
-    _ROW_TILE = 1024
-
-    def __init__(self, cache: ArtifactCache | None = None, base_key: str = ""):
-        self.cache = cache
-        self.base_key = base_key
-        self._tmpdir: tempfile.TemporaryDirectory | None = None
-        if cache is not None:
-            self.directory = cache.cache_dir
-        else:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="affinity-blocks-")
-            self.directory = self._tmpdir.name
-
-    def _path(self, sparse: SparseAffinityMatrix, f: int) -> str:
-        base = self.base_key or sparse.content_hash()
-        # One un-hyphenated trailing token: ``cache-info`` derives the
-        # kind by splitting on the last hyphen, so this files under
-        # "affinity-block" alongside the ``.npz`` kinds.
-        return os.path.join(self.directory, f"affinity-block-{base[:16]}{f:03d}.npy")
-
-    def block(self, sparse: SparseAffinityMatrix, f: int) -> np.ndarray:
-        """A read-only memmap of block ``f``, materialising on first use."""
-        path = self._path(sparse, f)
-        for attempt in (0, 1):
-            if not os.path.exists(path):
-                self._materialise(sparse, f, path)
-            try:
-                mm = np.load(path, mmap_mode="r")
-                if mm.shape != (sparse.n_examples, sparse.n_examples) or mm.dtype != sparse.dtype:
-                    raise ValueError(f"stale memmap block at {path!r}")
-            except _CORRUPT_ERRORS:
-                # Corrupt or vanished between the existence check and the
-                # open (eviction race, foreign truncation): rebuild once.
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                if attempt:
-                    raise
-                continue
-            if self.cache is not None:
-                self.cache.pin(path)
-                weakref.finalize(mm, self.cache.unpin, path)
-            return mm
-        raise RuntimeError(f"unreachable: memmap block retry fell through for {path!r}")
-
-    def _materialise(self, sparse: SparseAffinityMatrix, f: int, path: str) -> None:
-        n = sparse.n_examples
-        fd, tmp = tempfile.mkstemp(prefix="affinity-block-", suffix=".tmp", dir=self.directory)
-        os.close(fd)
-        try:
-            mm = np.lib.format.open_memmap(tmp, mode="w+", dtype=sparse.dtype, shape=(n, n))
-            data, indices = sparse.data[f], sparse.indices[f]
-            fill = sparse.fill[f]
-            for r0 in range(0, n, self._ROW_TILE):
-                r1 = min(n, r0 + self._ROW_TILE)
-                densify_topk_rows(data[r0:r1], indices[r0:r1], fill[r0:r1], n, out=mm[r0:r1])
-            mm.flush()
-            del mm
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
-        if self.cache is not None:
-            self.cache._enforce_budget(keep=path)

@@ -18,15 +18,13 @@ is an automatic miss.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
-from repro.engine.cache import ArtifactCache, MemmapBlockStore, hash_arrays
+from repro.core.affinity import AffinityMatrix
+from repro.engine.cache import ArtifactCache, hash_arrays
 from repro.engine.source import AffinitySource, CorpusState, EngineRuntime
-from repro.engine.tiling import topk_block
 from repro.obs import span
 from repro.utils.threads import usable_cores
 from repro.utils.validation import check_images
@@ -54,8 +52,8 @@ class EngineConfig:
             pool, not OpenBLAS, owns the cores.  Values are identical
             at any width.
         precision: the dtype the backbone, prototypes and similarity
-            run in; affinities are stored float64 on the dense path
-            either way.  ``"float32"`` (default) keeps the labels:
+            run in, and the dtype the affinity table is stored in.
+            ``"float32"`` (default) keeps the labels:
             against ``"float64"`` it gives ≥ 99% posterior agreement
             and exact hard labels (tier-1 and ``bench_table1_labeling``
             check it), though a near-tie can flip one prototype and
@@ -67,16 +65,6 @@ class EngineConfig:
         cache_max_bytes: size budget for the artifact cache; writes
             that push the directory above it evict least-recently-used
             entries.  ``None`` means unbounded.
-        affinity_mode: ``"dense"`` (the bit-identity path, default) or
-            ``"sparse"`` — keep only the ``top_k`` largest affinities
-            per row per function block (exact blocked top-k; accuracy
-            contract "≥ 99% posterior agreement and exact labels vs
-            dense", enforced by ``bench_sparse_affinity``).
-        top_k: kept entries per row on the sparse path; ``None`` means
-            ``ceil(N / 4)``.  Sparse mode only.
-        memmap: densify sparse blocks into memory-mapped ``.npy``
-            files instead of fresh in-RAM arrays, so N can exceed RAM.
-            Sparse mode only.
     """
 
     batch_size: int | None = 32
@@ -85,21 +73,12 @@ class EngineConfig:
     precision: str = "float32"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
-    affinity_mode: str = "dense"
-    top_k: int | None = None
-    memmap: bool = False
 
     def __post_init__(self) -> None:
         if self.precision not in _PRECISIONS:
             raise ValueError(f"precision must be one of {sorted(_PRECISIONS)}, got {self.precision!r}")
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        if self.affinity_mode not in ("dense", "sparse"):
-            raise ValueError(f"affinity_mode must be 'dense' or 'sparse', got {self.affinity_mode!r}")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.affinity_mode != "sparse" and (self.top_k is not None or self.memmap):
-            raise ValueError("top_k and memmap require affinity_mode='sparse'")
 
     @property
     def dtype(self) -> type:
@@ -131,19 +110,9 @@ class AffinityEngine:
     # ------------------------------------------------------------------
     # Keys
     # ------------------------------------------------------------------
-    def _params(self) -> dict[str, object]:
-        params = {**self.source.signature(), "precision": self.config.precision}
-        if self.config.affinity_mode == "sparse":
-            # The *configured* top_k addresses the artifact (None =
-            # "ceil(N/4)" as a policy, resolved per corpus; the image
-            # hash already covers N, so the resolved k is covered too).
-            params["affinity_mode"] = "sparse"
-            params["top_k"] = self.config.top_k
-        return params
-
     def _corpus_key(self, data_hash: str) -> str:
         assert self.cache is not None
-        return self.cache.key(data_hash, self._params())
+        return self.cache.key(data_hash, {**self.source.signature(), "precision": self.config.precision})
 
     @property
     def state(self) -> CorpusState | None:
@@ -171,32 +140,17 @@ class AffinityEngine:
     # ------------------------------------------------------------------
     # Build
     # ------------------------------------------------------------------
-    def build(
-        self, images: np.ndarray, keep_state: bool | None = None
-    ) -> AffinityMatrix | SparseAffinityMatrix:
+    def build(self, images: np.ndarray, keep_state: bool = True) -> AffinityMatrix:
         """Affinity matrix for ``images``; cache-aware.
 
-        ``keep_state`` (default: on the dense path) additionally
-        retains/caches the corpus state that :meth:`extend` needs.
-        With ``affinity_mode="sparse"`` the result is a
-        :class:`SparseAffinityMatrix` (same ``block(f)`` accessor) and
-        corpus state is not kept — the sparse path is build-only.
+        ``keep_state`` additionally retains/caches the corpus state that
+        :meth:`extend` needs.
         """
         with span("engine.build"):
             return self._build(images, keep_state)
 
-    def _build(
-        self, images: np.ndarray, keep_state: bool | None
-    ) -> AffinityMatrix | SparseAffinityMatrix:
+    def _build(self, images: np.ndarray, keep_state: bool) -> AffinityMatrix:
         images = check_images(images)
-        if self.config.affinity_mode == "sparse":
-            if keep_state:
-                raise ValueError(
-                    "affinity_mode='sparse' cannot keep corpus state: the sparse "
-                    "path is build-only (incremental extension stays dense)"
-                )
-            return self._build_sparse(images)
-        keep_state = True if keep_state is None else keep_state
         key = None
         if self.cache is not None:
             key = self._corpus_key(hash_arrays(images))
@@ -214,49 +168,6 @@ class AffinityEngine:
                 self._save_state(key, state)
         return state.affinity
 
-    def _build_sparse(self, images: np.ndarray) -> SparseAffinityMatrix:
-        """The sparse build path: stream blocks, top-k each, never hold
-        the dense matrix (peak memory is one layer's blocks)."""
-        key = None
-        if self.cache is not None:
-            key = self._corpus_key(hash_arrays(images))
-            cached = self.cache.load_affinity_csr(key)
-            if cached is not None:
-                self._forget()
-                return self._attach_store(cached, key)
-        self._forget()
-        cfg = self.config
-        runtime = dataclasses.replace(cfg.runtime(), out_dtype=cfg.dtype)
-        n = int(images.shape[0])
-        k = min(cfg.top_k if cfg.top_k is not None else max(1, -(-n // 4)), n)
-        data_parts: list[np.ndarray] = []
-        index_parts: list[np.ndarray] = []
-        fill_parts: list[np.ndarray] = []
-        ids: list[object] = []
-        for fid, block in self.source.iter_function_blocks(images, runtime):
-            data, indices, fill = topk_block(block, k, row_tile=cfg.row_tile)
-            data_parts.append(data)
-            index_parts.append(indices)
-            fill_parts.append(fill)
-            ids.append(fid)
-        sparse = SparseAffinityMatrix(
-            data=np.stack(data_parts),
-            indices=np.stack(index_parts),
-            fill=np.stack(fill_parts),
-            function_ids=tuple(ids),
-        )
-        if self.cache is not None and key is not None:
-            self.cache.save_affinity_csr(key, sparse)
-        return self._attach_store(sparse, key)
-
-    def _attach_store(self, sparse: SparseAffinityMatrix, key: str | None) -> SparseAffinityMatrix:
-        """Attach the out-of-core block store when ``memmap`` is on."""
-        if not self.config.memmap:
-            return sparse
-        base_key = key if key is not None else sparse.content_hash()
-        store = MemmapBlockStore(cache=self.cache, base_key=base_key)
-        return sparse.with_store(store)
-
     def extend(self, new_images: np.ndarray) -> AffinityMatrix:
         """Extend the last built corpus with ``new_images``.
 
@@ -270,11 +181,6 @@ class AffinityEngine:
 
     def _extend(self, new_images: np.ndarray) -> AffinityMatrix:
         new_images = check_images(new_images)
-        if self.config.affinity_mode != "dense":
-            raise RuntimeError(
-                "extend() requires affinity_mode='dense': the sparse path is "
-                "build-only (serving and online labeling stay on the dense path)"
-            )
         if self._state is None:
             raise RuntimeError(
                 "no corpus state: call build() on the original corpus first "

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
+from repro.core.affinity import AffinityMatrix
 from repro.core.inference.base_gmm import GMMFitResult
 from repro.core.inference.bernoulli import (
     BernoulliFitResult,
@@ -93,7 +93,9 @@ def warm_start_responsibilities(state: InferenceState, affinity: AffinityMatrix)
     instance's affinities to the old corpus (shifted from [-1, 1] to
     [0, 1]) average the old responsibilities — instances similar to a
     cluster start in that cluster.  This is the "new rows initialized
-    from posterior responsibilities" seed that EM then refines.
+    from posterior responsibilities" seed that EM then refines.  The
+    shift runs in float64 whatever the table's dtype, so a float32
+    table seeds the same values as its float64 copy.
     """
     n_prev, k = state.n_examples, state.n_classes
     n = affinity.n_examples
@@ -103,7 +105,8 @@ def warm_start_responsibilities(state: InferenceState, affinity: AffinityMatrix)
         if n == n_prev:
             inits.append(old)
             continue
-        weights = (affinity.block(f)[n_prev:, :n_prev] + 1.0) / 2.0  # (M, N_prev), >= 0
+        rows = affinity.block(f)[n_prev:, :n_prev].astype(np.float64)
+        weights = (rows + 1.0) / 2.0  # (M, N_prev), >= 0
         new = weights @ old
         norm = new.sum(axis=1, keepdims=True)
         new = np.where(norm > 1e-12, new / np.maximum(norm, 1e-12), 1.0 / k)
@@ -165,25 +168,15 @@ class InferenceEngine:
             params["warm"] = hash_arrays(warm.label_predictions, warm.ensemble.weights, warm.ensemble.probs)
         return params
 
-    def _key(
-        self, affinity: AffinityMatrix | SparseAffinityMatrix, warm: InferenceState | None
-    ) -> str | None:
+    def _key(self, affinity: AffinityMatrix, warm: InferenceState | None) -> str | None:
         if self.cache is None:
             return None
-        # Duck-typed content address: a SparseAffinityMatrix hashes its
-        # CSR arrays (cheap, O(α·N·k)); a dense matrix hashes values.
-        content = getattr(affinity, "content_hash", None)
-        data_hash = content() if callable(content) else hash_arrays(affinity.values)
-        return self.cache.key(data_hash, self._params(warm))
+        return self.cache.key(hash_arrays(affinity.values), self._params(warm))
 
     # ------------------------------------------------------------------
     # Full fit
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        affinity: AffinityMatrix | SparseAffinityMatrix,
-        warm_start: InferenceState | None = None,
-    ) -> HierarchicalResult:
+    def fit(self, affinity: AffinityMatrix, warm_start: InferenceState | None = None) -> HierarchicalResult:
         """Run the staged hierarchy: base fits → one-hot → ensemble.
 
         ``warm_start`` resumes EM from a previous fit's state (silently
@@ -194,11 +187,7 @@ class InferenceEngine:
         with span("inference.fit"):
             return self._fit(affinity, warm_start)
 
-    def _fit(
-        self,
-        affinity: AffinityMatrix | SparseAffinityMatrix,
-        warm_start: InferenceState | None,
-    ) -> HierarchicalResult:
+    def _fit(self, affinity: AffinityMatrix, warm_start: InferenceState | None) -> HierarchicalResult:
         cfg = self.config
         if warm_start is not None and not warm_start.compatible_with(affinity, cfg.n_classes):
             warm_start = None
@@ -209,8 +198,6 @@ class InferenceEngine:
                 return cached
 
         inits = warm_start_responsibilities(warm_start, affinity) if warm_start else None
-        # Stage 1 reads the affinity through ``block(f)`` only, so a
-        # sparse matrix flows through unchanged.
         label_predictions, base_results = fit_all_base_functions(
             affinity, cfg, n_jobs=self.n_jobs, initializers=inits
         )

@@ -17,13 +17,16 @@ source:
 A source produces bit-identical matrices regardless of ``batch_size``
 / ``row_tile`` / ``n_jobs``; only ``dtype`` (precision) may change
 values, which is why the engine folds precision — and nothing else
-about the runtime — into cache keys.
+about the runtime — into cache keys.  The prototype source stores its
+table in ``dtype`` and writes each build or extension into one
+preallocated table; the flat-feature sources compute and store
+float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -60,21 +63,17 @@ __all__ = [
 class EngineRuntime:
     """Execution knobs handed from the engine to a source.
 
-    None of these change output values except ``dtype``.
-    ``n_jobs`` is the width of the :func:`tile_executor` pool each build
-    or extend opens for extraction chunks and similarity tiles (1 = no
-    pool); opening it pins the process to one BLAS thread.
+    None of these change output values except ``dtype``, the dtype the
+    backbone and similarities compute in and the affinity table is
+    stored in.  ``n_jobs`` is the width of the :func:`tile_executor`
+    pool each build or extend opens for extraction chunks and similarity
+    tiles (1 = no pool); opening it pins the process to one BLAS thread.
     """
 
     batch_size: int | None = 32
     row_tile: int | None = 32
     n_jobs: int = 1
     dtype: type = np.float64
-    # Storage dtype of the similarity *output* (None = historical
-    # float64, whatever the compute dtype).  The sparse path sets this
-    # to float32 so blocks are stored at half width end-to-end; compute
-    # precision is still governed by ``dtype``.
-    out_dtype: type | None = None
 
     def pool_features(
         self, model: VGG16, images: np.ndarray, layers: tuple[int, ...], pool=None
@@ -99,7 +98,6 @@ class EngineRuntime:
             row_tile=self.row_tile,
             executor=pool,
             dtype=self.dtype,
-            out_dtype=self.out_dtype,
         )
 
 
@@ -123,10 +121,9 @@ class CorpusState:
 class AffinitySource(Protocol):
     """An interchangeable affinity-matrix backend.
 
-    The engine calls every method: :meth:`build_state` on dense builds
-    (dropping the state when it is not kept), :meth:`iter_function_blocks`
-    on sparse builds, :meth:`extend_state` on ``extend`` and
-    :meth:`extend_rows` on online absorbs.
+    The engine calls every method: :meth:`build_state` on builds
+    (dropping the state when it is not kept), :meth:`extend_state` on
+    ``extend`` and :meth:`extend_rows` on online absorbs.
     """
 
     name: str
@@ -137,12 +134,6 @@ class AffinitySource(Protocol):
 
     def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
         """The corpus affinity matrix plus the state that extends it."""
-        ...
-
-    def iter_function_blocks(
-        self, images: np.ndarray, runtime: EngineRuntime
-    ) -> Iterator[tuple[AffinityFunctionId, np.ndarray]]:
-        """The blocks of :meth:`build_state`, in order, bit for bit."""
         ...
 
     def extend_rows(
@@ -206,40 +197,28 @@ class PrototypeAffinitySource:
             yield layer, vectors, prototypes, assemble_blocks(best, prototypes.rank_rows)
 
     def build_state(self, images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
+        """The ``(N, α·N)`` table, in the compute dtype, plus the per-layer
+        vectors and prototypes that extend it.
+
+        Each layer's Z blocks are written into one preallocated table as
+        soon as they are assembled, so the table exists once.
+        """
         images = check_images(images)
-        blocks: list[np.ndarray] = []
+        n, z = images.shape[0], self.top_z
+        values = np.empty((n, len(self.layers) * z * n), dtype=runtime.dtype)
+        # (N, α, N) view: ``by_function[:, f]`` is block f.
+        by_function = values.reshape(n, -1, n)
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.n_jobs) as pool:
-            for layer, vectors, prototypes, layer_blocks in self._layer_blocks(images, runtime, pool):
-                blocks.extend(layer_blocks)
+            layer_blocks = self._layer_blocks(images, runtime, pool)
+            for layer_pos, (layer, vectors, prototypes, blocks) in enumerate(layer_blocks):
+                by_function[:, layer_pos * z : (layer_pos + 1) * z] = blocks.transpose(1, 0, 2)
                 arrays[f"uv_{layer}"] = vectors
                 arrays[f"proto_{layer}"] = prototypes.vectors
                 arrays[f"rank_{layer}"] = prototypes.rank_rows
-        ids = tuple(
-            AffinityFunctionId(layer=layer, z=rank)
-            for layer in self.layers
-            for rank in range(self.top_z)
-        )
-        matrix = AffinityMatrix(values=np.concatenate(blocks, axis=1), function_ids=ids)
-        return CorpusState(affinity=matrix, n_images=images.shape[0], arrays=arrays)
-
-    def iter_function_blocks(self, images: np.ndarray, runtime: EngineRuntime):
-        """Stream ``(function_id, dense N×N block)`` pairs, one layer at
-        a time, in the same function order :meth:`build_state`
-        concatenates.
-
-        The sparse build path consumes this: only one layer's Z blocks
-        are dense at any moment, so peak memory is O(Z·N²) instead of
-        the full matrix's O(α·N²) — which is the point of building
-        sparse in the first place.  Both walk the same per-layer loop,
-        so each block is bit-identical to the corresponding
-        ``build_state`` block under the same runtime.
-        """
-        images = check_images(images)
-        with tile_executor(runtime.n_jobs) as pool:
-            for layer, _, _, layer_blocks in self._layer_blocks(images, runtime, pool):
-                for rank in range(self.top_z):
-                    yield AffinityFunctionId(layer=layer, z=rank), layer_blocks[rank]
+        ids = tuple(AffinityFunctionId(layer=layer, z=rank) for layer in self.layers for rank in range(z))
+        matrix = AffinityMatrix(values=values, function_ids=ids)
+        return CorpusState(affinity=matrix, n_images=n, arrays=arrays)
 
     def _check_state_alpha(self, state: CorpusState) -> None:
         expected_alpha = len(self.layers) * self.top_z
@@ -278,43 +257,48 @@ class PrototypeAffinitySource:
         return rows
 
     def extend_state(self, state: CorpusState, new_images: np.ndarray, runtime: EngineRuntime) -> CorpusState:
+        """The ``(N+M, α·(N+M))`` table of the grown corpus, in the compute
+        dtype, written into one preallocated table: the old quadrant of
+        every block is copied from ``state``, and only the new rows and
+        column blocks are computed."""
         new_images = check_images(new_images)
-        n, m = state.n_images, new_images.shape[0]
+        n, m, z = state.n_images, new_images.shape[0], self.top_z
         self._check_state_alpha(state)
-        blocks: list[np.ndarray] = []
+        values = np.empty((n + m, state.affinity.n_functions * (n + m)), dtype=runtime.dtype)
+        by_function = values.reshape(n + m, -1, n + m)
+        by_function[:n, :, :n] = state.affinity.values.reshape(n, -1, n)
         arrays: dict[str, np.ndarray] = {}
         with tile_executor(runtime.n_jobs) as pool:
             pools = runtime.pool_features(self.model, new_images, self.layers, pool)
             for layer_pos, layer in enumerate(self.layers):
+                functions = slice(layer_pos * z, (layer_pos + 1) * z)
                 old_vectors = state.arrays[f"uv_{layer}"]
                 old_protos = LayerPrototypes(
                     vectors=state.arrays[f"proto_{layer}"],
                     rank_rows=state.arrays[f"rank_{layer}"],
                 )
                 new_vectors = unit_location_vectors(pools[layer])
-                new_protos = unique_unit_prototypes(pools[layer], self.top_z)
-                all_vectors = np.concatenate([old_vectors, new_vectors], axis=0)
+                new_protos = unique_unit_prototypes(pools[layer], z)
+                # In the backbone's channels-last layout even when the old
+                # vectors come back C-ordered from the cache: the GEMM's
+                # summation order, so its last bits, follow the layout.
+                all_vectors = np.empty_like(new_vectors, shape=(n + m, *new_vectors.shape[1:]))
+                all_vectors[:n] = old_vectors
+                all_vectors[n:] = new_vectors
                 # Old prototypes × new images: the new rows of old column blocks.
                 best_old_new = runtime.similarities(old_protos.vectors, new_vectors, pool)
                 rows_old_cols = assemble_blocks(best_old_new, old_protos.rank_rows)  # (Z, M, N)
+                by_function[n:, functions, :n] = rows_old_cols.transpose(1, 0, 2)
                 # New prototypes × all images: the entirely new column blocks.
                 best_new_all = runtime.similarities(new_protos.vectors, all_vectors, pool)
                 new_cols = assemble_blocks(best_new_all, new_protos.rank_rows)  # (Z, N+M, M)
-                for rank in range(self.top_z):
-                    old_block = state.affinity.block(layer_pos * self.top_z + rank)
-                    block = np.empty((n + m, n + m))
-                    block[:n, :n] = old_block
-                    block[n:, :n] = rows_old_cols[rank]
-                    block[:, n:] = new_cols[rank]
-                    blocks.append(block)
+                by_function[:, functions, n:] = new_cols.transpose(1, 0, 2)
                 arrays[f"uv_{layer}"] = all_vectors
                 arrays[f"proto_{layer}"] = np.concatenate([old_protos.vectors, new_protos.vectors], axis=0)
                 arrays[f"rank_{layer}"] = np.concatenate(
                     [old_protos.rank_rows, new_protos.shifted(old_protos.n_rows).rank_rows], axis=0
                 )
-        matrix = AffinityMatrix(
-            values=np.concatenate(blocks, axis=1), function_ids=state.affinity.function_ids
-        )
+        matrix = AffinityMatrix(values=values, function_ids=state.affinity.function_ids)
         return CorpusState(affinity=matrix, n_images=n + m, arrays=arrays)
 
 
@@ -356,14 +340,6 @@ class FeatureCosineSource:
             n_images=features.shape[0],
             arrays={"features": features},
         )
-
-    def iter_function_blocks(self, images: np.ndarray, runtime: EngineRuntime):
-        """Stream the single cosine block (α = 1 for this source)."""
-        features = self._features(images, runtime)
-        sims = cosine_similarity(features, features)
-        if runtime.out_dtype is not None:
-            sims = sims.astype(runtime.out_dtype, copy=False)
-        yield AffinityFunctionId(layer=-1, z=0), sims
 
     def extend_rows(
         self, state: CorpusState, new_images: np.ndarray, runtime: EngineRuntime

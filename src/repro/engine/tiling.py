@@ -23,13 +23,12 @@ exactly equivalent kernel possible:
    reused scratch, which keeps the ``(rows, P)`` similarity product
    inside the CPU cache.
 
-The kernel computes in ``dtype`` (float32 is the engine default) and
-reduces each tile's maxima in that dtype; the dense path stores the
-table as float64.  Float32 is not allclose-equal to float64: a near-tie
-can select a different prototype and move single affinities by ~0.2.
-Its contract is at label level — ≥ 99% posterior agreement and exact
-hard labels against float64 (see
-:class:`~repro.engine.engine.EngineConfig`).
+The kernel computes in ``dtype`` (float32 is the engine default),
+reduces each tile's maxima in that dtype and returns the table in it.
+Float32 is not allclose-equal to float64: a near-tie can select a
+different prototype and move single affinities by ~0.2.  Its contract
+is at label level — ≥ 99% posterior agreement and exact hard labels
+against float64 (see :class:`~repro.engine.engine.EngineConfig`).
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ __all__ = [
     "unique_unit_prototypes",
     "best_similarities",
     "assemble_blocks",
-    "topk_block",
 ]
 
 
@@ -176,9 +174,8 @@ def tile_bounds(n: int, tile: int | None) -> list[tuple[int, int]]:
     There is no short remainder: a lone trailing prototype row would
     make its matmul a matrix-vector product, which BLAS sums in a
     different order than the matrix product every other row goes
-    through.  The image tiles of :func:`best_similarities`, the scratch
-    chunks inside each tile, and the row tiles of :func:`topk_block`
-    are all cut this way.
+    through.  The image tiles of :func:`best_similarities` and the
+    scratch chunks inside each tile are both cut this way.
     """
     if tile is None or tile >= n:
         return [(0, n)]
@@ -220,7 +217,6 @@ def best_similarities(
     row_tile: int | None = 32,
     executor: Executor | None = None,
     dtype: np.dtype | type = np.float64,
-    out_dtype: np.dtype | type | None = None,
 ) -> np.ndarray:
     """``B[r, i] = max_p <prototypes[r], unit_vectors[i, :, p]>`` (Eq. 2).
 
@@ -237,19 +233,14 @@ def best_similarities(
     holds it to the unchunked per-image kernel).  At P ≤ 64 positions
     a chunk's maxima are folded by elementwise ``np.maximum``
     (:func:`_fold_max`), which is exact.  A task's maxima gather in a
-    block of the compute dtype, written into the table once.
-
-    ``out_dtype`` controls the dtype of the returned table; ``None``
-    keeps a float64 table (what every dense consumer stores, even when
-    computing in float32).  The sparse path passes
-    ``out_dtype=np.float32`` so similarity values stay float32
-    end-to-end instead of being cast back.
+    block of the compute dtype, written into the table once; the table
+    is returned in that dtype.
     """
     dtype = np.dtype(dtype)
     protos = prototypes.astype(dtype, copy=False)
     vectors = unit_vectors.astype(dtype, copy=False)
     n_rows, n_images, positions = protos.shape[0], vectors.shape[0], vectors.shape[2]
-    out = np.empty((n_rows, n_images), dtype=np.float64 if out_dtype is None else np.dtype(out_dtype))
+    out = np.empty((n_rows, n_images), dtype=dtype)
     chunk_rows = max(1, _SCRATCH_BYTES // (positions * dtype.itemsize))
     folded = positions <= _FOLD_MAX_POSITIONS
     chunks = tile_bounds(n_rows, chunk_rows)
@@ -258,10 +249,6 @@ def best_similarities(
         i0, i1 = bounds
         scratch = np.empty((chunks[0][1] - chunks[0][0], positions), dtype=dtype)
         fold = np.empty((len(scratch), _FOLD_WIDTH), dtype=dtype) if folded else None
-        # Maxima reduce into a buffer of the compute dtype: a reduction
-        # into a wider ``out`` column casts every element and is slower
-        # at float32 than at float64.  A max is exact, so casting the
-        # block once on the way out gives the same values.
         best = np.empty((i1 - i0, n_rows), dtype=dtype)
         for i in range(i0, i1):
             for r0, r1 in chunks:
@@ -289,48 +276,3 @@ def assemble_blocks(best: np.ndarray, rank_rows: np.ndarray) -> np.ndarray:
     inverse of the de-duplication step.
     """
     return best[rank_rows.T].transpose(0, 2, 1)
-
-
-# ----------------------------------------------------------------------
-# Blocked top-k sparsification (the exact kernel of the sparse path)
-# ----------------------------------------------------------------------
-def topk_block(
-    block: np.ndarray, k: int, *, row_tile: int | None = 32
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-row top-k of one affinity block, row-tile blocked.
-
-    Returns ``(data, indices, fill)``: the ``min(k, C)`` largest values
-    of every row (column-ascending, CSR discipline), their column ids,
-    and the per-row mean of the dropped entries.  Deterministic under
-    ties — the stable sort keeps the lowest column index — so sparse
-    matrices are content-addressable like everything else the engine
-    produces.  ``row_tile`` bounds the argsort scratch to one tile of
-    rows (the same tiling axis the similarity kernel uses); results are
-    identical at any tile size.  ``data``/``fill`` keep the block's
-    dtype, so a float32 block stays float32.
-    """
-    block = np.asarray(block)
-    if block.ndim != 2:
-        raise ValueError(f"block must be 2-D, got shape {block.shape}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n_rows, n_cols = block.shape
-    kept = min(k, n_cols)
-    data = np.empty((n_rows, kept), dtype=block.dtype)
-    indices = np.empty((n_rows, kept), dtype=np.int64)
-    fill = np.zeros(n_rows, dtype=block.dtype)
-    for r0, r1 in tile_bounds(n_rows, row_tile):
-        tile = block[r0:r1]
-        # Stable argsort of the negated tile: value descending, column
-        # ascending on ties — then re-sorted ascending for CSR layout.
-        order = np.argsort(-tile, axis=1, kind="stable")[:, :kept]
-        order.sort(axis=1)
-        kept_values = np.take_along_axis(tile, order, axis=1)
-        data[r0:r1] = kept_values
-        indices[r0:r1] = order
-        if kept < n_cols:
-            # Mean of the dropped tail (float64 accumulation, stored in
-            # the block dtype): densified rows keep their overall mass.
-            dropped = tile.sum(axis=1, dtype=np.float64) - kept_values.sum(axis=1, dtype=np.float64)
-            fill[r0:r1] = (dropped / (n_cols - kept)).astype(block.dtype)
-    return data, indices, fill

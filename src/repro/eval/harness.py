@@ -79,19 +79,15 @@ class ExperimentSettings:
             Results are identical at any width.
         batch_size: images per backbone forward pass in the affinity
             engine (memory bound, value-neutral).
-        precision: engine compute precision, ``"float32"`` (default;
-            ≥ 99% posterior agreement and exact labels against
-            float64) or ``"float64"`` (exact; see
-            :class:`~repro.engine.engine.EngineConfig`).
+        precision: engine compute precision and affinity-table dtype,
+            ``"float32"`` (default; ≥ 99% posterior agreement and
+            exact labels against float64) or ``"float64"`` (exact; see
+            :class:`~repro.engine.engine.EngineConfig`).  The runners
+            cast the table to float64 before any arithmetic on it.
         cache_dir: artifact cache shared across the harness' runs;
             ``None`` disables on-disk caching.
         cache_max_bytes: size budget for that cache (LRU eviction);
             ``None`` means unbounded.
-        affinity_mode: ``"dense"`` (default) or ``"sparse"`` top-k
-            affinity (see :class:`repro.engine.engine.EngineConfig`).
-        top_k: kept affinities per row in sparse mode (``None`` =
-            ``ceil(N / 4)``).
-        memmap: memory-mapped block densification in sparse mode.
     """
 
     n_per_class: int = 40
@@ -105,9 +101,6 @@ class ExperimentSettings:
     precision: str = "float32"
     cache_dir: str | None = None
     cache_max_bytes: int | None = None
-    affinity_mode: str = "dense"
-    top_k: int | None = None
-    memmap: bool = False
 
     def engine_config(self) -> EngineConfig:
         return EngineConfig(
@@ -116,9 +109,6 @@ class ExperimentSettings:
             precision=self.precision,
             cache_dir=self.cache_dir,
             cache_max_bytes=self.cache_max_bytes,
-            affinity_mode=self.affinity_mode,
-            top_k=self.top_k,
-            memmap=self.memmap,
         )
 
     def goggles_config(self, **fields: object) -> GogglesConfig:
@@ -275,7 +265,7 @@ def run_table1_row(
 
     if "spectral" in methods:
         assert affinity is not None
-        shifted = (affinity.values + 1.0) / 2.0
+        shifted = (affinity.values.astype(np.float64) + 1.0) / 2.0
         coclustering = SpectralCoclustering(k, seed=derive_seed(settings.seed, "spectral", run_seed))
         spectral = coclustering.fit_predict(shifted)
         acc, _ = optimal_mapping_accuracy(spectral.row_labels[score_mask], dataset.labels[score_mask], k)
@@ -440,15 +430,15 @@ class AffinityFunctionStats:
 
 
 def affinity_function_stats(affinity: AffinityMatrix, labels: np.ndarray) -> list[AffinityFunctionStats]:
-    """Per-function separation stats over all off-diagonal pairs."""
+    """Per-function separation stats over all off-diagonal pairs, summed
+    in float64 whatever the table's dtype."""
     n = affinity.n_examples
     same = np.equal.outer(labels, labels)
     off_diag = ~np.eye(n, dtype=bool)
     pair_labels = same[off_diag].astype(np.int64)
     stats: list[AffinityFunctionStats] = []
     for f in range(affinity.n_functions):
-        block = affinity.block(f)
-        scores = block[off_diag]
+        scores = affinity.block(f)[off_diag].astype(np.float64)
         stats.append(
             AffinityFunctionStats(
                 function_index=f,
@@ -510,7 +500,7 @@ def run_fig5(settings: ExperimentSettings, dataset_name: str = "cub", run_seed: 
     k = dataset.n_classes
     blocks: dict[str, np.ndarray] = {}
     for name, stat in picks.items():
-        block = affinity.block(stat.function_index)
+        block = affinity.block(stat.function_index).astype(np.float64)
         means = np.empty((k, k))
         for a in range(k):
             for b in range(k):

@@ -18,8 +18,8 @@ __all__ = [
 ]
 
 #: The contract of every approximate labeling path against its exact
-#: reference (sparse vs dense, online absorb vs full refit, float32 vs
-#: float64): posterior agreement at least this, and exact hard labels.
+#: reference (online absorb vs full refit, float32 vs float64):
+#: posterior agreement at least this, and exact hard labels.
 MIN_POSTERIOR_AGREEMENT = 0.99
 
 

@@ -98,15 +98,19 @@ class TestPlannerAndTasks:
         np.testing.assert_array_equal(out, expected)
 
     def test_similarity_shard_returns_the_compute_dtype(self, sim_data):
-        """A float32 tile can be stored as a float32 block: a max is
-        exact, so it holds the float64 table's values at half the bytes."""
+        """A tile comes back in the dtype it was computed in, at either
+        precision; float32 inputs give the float32 tile of their float64
+        originals."""
         protos, vectors = sim_data
+        tiles = {
+            dtype: best_similarities(protos, vectors, row_tile=None, dtype=dtype)
+            for dtype in (np.float32, np.float64)
+        }
+        for dtype, tile in tiles.items():
+            assert tile.dtype == dtype
         p32, v32 = protos.astype(np.float32), vectors.astype(np.float32)
-        best = best_similarities(p32, v32, row_tile=None, dtype=np.float32, out_dtype=np.float32)
-        assert best.dtype == np.float32
-        wide = best_similarities(p32, v32, row_tile=None, dtype=np.float32)
-        assert wide.dtype == np.float64
-        np.testing.assert_array_equal(best.astype(np.float64), wide)
+        narrow = best_similarities(p32, v32, row_tile=None, dtype=np.float32)
+        np.testing.assert_array_equal(narrow, tiles[np.float32])
 
     def test_content_addressing_is_stable_and_dedups(
         self, vgg, tiny_images, tmp_path, cache_label, cache_counts
@@ -213,18 +217,13 @@ class TestCluster:
 
     def test_float32_table_bit_identical(self, sim_data):
         """Float32 tiles on the pool assemble the serial float32 table
-        bit for bit, into a float64 table by default or a float32 one."""
+        bit for bit."""
         protos, vectors = sim_data
         with tile_executor(2) as pool:
-            dense = best_similarities(protos, vectors, row_tile=4, executor=pool, dtype=np.float32)
-            stored = best_similarities(
-                protos, vectors, row_tile=4, executor=pool, dtype=np.float32, out_dtype=np.float32
-            )
-        assert dense.dtype == np.float64 and stored.dtype == np.float32
-        serial = {"row_tile": None, "dtype": np.float32}
-        np.testing.assert_array_equal(dense, best_similarities(protos, vectors, **serial))
-        serial_stored = best_similarities(protos, vectors, out_dtype=np.float32, **serial)
-        np.testing.assert_array_equal(stored, serial_stored)
+            pooled = best_similarities(protos, vectors, row_tile=4, executor=pool, dtype=np.float32)
+        serial = best_similarities(protos, vectors, row_tile=None, dtype=np.float32)
+        assert pooled.dtype == serial.dtype == np.float32
+        np.testing.assert_array_equal(pooled, serial)
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
     def test_posterior_identical_any_worker_count(self, random_affinity, small_surface_affinity, n_jobs):
@@ -335,21 +334,6 @@ class TestEndToEnd:
         np.testing.assert_array_equal(pooled_full.probabilistic_labels, serial_full.probabilistic_labels)
         np.testing.assert_array_equal(pooled_inc.affinity.values, serial_inc.affinity.values)
         np.testing.assert_array_equal(pooled_inc.probabilistic_labels, serial_inc.probabilistic_labels)
-
-    def test_sparse_build_bit_identical_to_local(self, vgg, small_surface):
-        """The sparse path keeps similarities in float32: pooled float32
-        tiles assemble a float32 table with no cast, and every top-k
-        block equals a serial build's."""
-
-        def sparse(n_jobs: int):
-            config = self._at(n_jobs)
-            config = replace(config, engine=replace(config.engine, affinity_mode="sparse"))
-            return Goggles(config, model=vgg).build_affinity_matrix(small_surface.images)
-
-        local, pooled = sparse(1), sparse(2)
-        assert pooled.data.dtype == np.float32
-        for name in ("data", "indices", "fill"):
-            np.testing.assert_array_equal(getattr(pooled, name), getattr(local, name))
 
     def test_trace_id_propagates_to_thread_worker_spans(self, vgg, small_surface):
         """A submission's trace id reaches the spans the service's worker

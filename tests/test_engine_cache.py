@@ -10,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from repro.core.affinity import AffinityMatrix, SparseAffinityMatrix
+from repro.core.affinity import AffinityMatrix
 from repro.engine import (
     AffinityEngine,
     ArtifactCache,
@@ -19,7 +19,6 @@ from repro.engine import (
     PrototypeAffinitySource,
     hash_arrays,
     hash_params,
-    topk_block,
 )
 
 
@@ -86,14 +85,10 @@ class TestArtifactCache:
         """Every writer stores its members uncompressed: zlib cost
         seconds per large entry for ~20% less disk."""
         matrix = AffinityMatrix(values=np.random.default_rng(0).random((6, 2 * 6)))
-        blocks = [topk_block(matrix.block(f), 3) for f in range(matrix.n_functions)]
-        data, indices, fill = (np.stack(parts) for parts in zip(*blocks))
-        sparse = SparseAffinityMatrix(data=data, indices=indices, fill=fill, function_ids=matrix.function_ids)
         cache = ArtifactCache(str(tmp_path))
         paths = [
             cache.save_arrays("state", "a" * 64, {"x": np.arange(5), "y": np.eye(2)}),
             cache.save_affinity("b" * 64, matrix),
-            cache.save_affinity_csr("c" * 64, sparse),
         ]
         for path in paths:
             with zipfile.ZipFile(path) as archive:
@@ -180,6 +175,39 @@ class TestEngineCaching:
         assert engine.state is not None
         extended = engine.extend(tiny_images[:2])
         assert extended.n_examples == tiny_images.shape[0] + 2
+
+    def test_float64_entries_of_earlier_versions_still_load(
+        self, tmp_path, vgg, tiny_images, cache_label, cache_counts
+    ):
+        """Earlier versions stored the float32-computed table as float64,
+        holding the same values.  Their ``affinity`` and ``state`` entries
+        are hits, and extending from them gives the values of a fresh
+        float32 build and extend."""
+        source = PrototypeAffinitySource(vgg, top_z=2, layers=(0, 2))
+        seed, arrivals = tiny_images[:-2], tiny_images[-2:]
+        fresh = AffinityEngine(source, EngineConfig())
+        built = fresh.build(seed)
+        expected = fresh.extend(arrivals)
+        assert built.values.dtype == expected.values.dtype == np.float32
+
+        config = EngineConfig(cache_dir=str(tmp_path))
+        writer = AffinityEngine(source, config)
+        writer.build(seed)
+        key, state = writer.state_key, writer.state
+        writer.cache.clear()
+        wide = AffinityMatrix(values=built.values.astype(np.float64), function_ids=built.function_ids)
+        writer.cache.save_affinity(key, wide)
+        writer.cache.save_arrays("state", key, {**state.arrays, "n_images": np.int64(state.n_images)})
+
+        reader = AffinityEngine(source, config)
+        reader.cache.tenant = cache_label
+        loaded = reader.build(seed)
+        assert cache_counts(reader.cache).hits == {"affinity": 1, "state": 1}
+        assert loaded.values.dtype == np.float64
+        np.testing.assert_array_equal(loaded.values, built.values)
+        extended = reader.extend(arrivals)
+        assert extended.values.dtype == np.float32
+        np.testing.assert_array_equal(extended.values, expected.values)
 
     def test_corrupt_entry_is_miss_and_evicted(self, tmp_path, vgg, tiny_images, cache_label, cache_counts):
         """A truncated/garbage artifact must never crash a run."""

@@ -47,6 +47,25 @@ class TestEngineExtend:
             scratch, atol = from_scratch(vgg, images, precision, top_z=2, layers=(2,))
             np.testing.assert_allclose(final.values, scratch.values, atol=atol, rtol=0.0, err_msg=precision)
 
+    def test_restored_state_extends_to_the_same_bits(self, vgg, small_surface, tmp_path):
+        """A corpus state read back from the cache extends bit for bit like
+        the one kept in memory, at both precisions: the cache hands the
+        location vectors back C-ordered, and the extension must not let
+        that layout change the similarity GEMM's summation order."""
+        images = small_surface.images
+        n0 = images.shape[0] - 5
+        source = PrototypeAffinitySource(vgg, top_z=3, layers=(0, 2))
+        for precision in ("float64", "float32"):
+            kept = AffinityEngine(source, EngineConfig(precision=precision))
+            kept.build(images[:n0])
+            expected = kept.extend(images[n0:])
+            config = EngineConfig(precision=precision, cache_dir=str(tmp_path / precision))
+            AffinityEngine(source, config).build(images[:n0])
+            restored = AffinityEngine(source, config)
+            restored.build(images[:n0])
+            extended = restored.extend(images[n0:])
+            np.testing.assert_array_equal(extended.values, expected.values, err_msg=precision)
+
     def test_extend_without_state_raises(self, vgg, tiny_images):
         engine = AffinityEngine(PrototypeAffinitySource(vgg, top_z=2, layers=(0,)))
         with pytest.raises(RuntimeError, match="no corpus state"):

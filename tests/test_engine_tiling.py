@@ -148,16 +148,6 @@ class TestBestSimilarities:
         with pytest.raises(ValueError, match="tile"):
             best_similarities(table.vectors, vectors, row_tile=0)
 
-    def test_out_dtype_is_storage_only(self, filter_maps):
-        """``out_dtype`` changes the output array dtype, not the compute:
-        the float32-stored result is exactly the float64 result cast."""
-        vectors = unit_location_vectors(filter_maps)
-        table = unique_unit_prototypes(filter_maps, 3)
-        reference = best_similarities(table.vectors, vectors)
-        stored = best_similarities(table.vectors, vectors, out_dtype=np.float32)
-        assert stored.dtype == np.float32
-        np.testing.assert_array_equal(stored, reference.astype(np.float32))
-
     @given(
         n_images=st.integers(min_value=2, max_value=6),
         n_rows=st.integers(min_value=2, max_value=10),
@@ -167,9 +157,8 @@ class TestBestSimilarities:
     )
     @settings(max_examples=40, deadline=None)
     def test_float32_kernel_tracks_float64(self, n_images, n_rows, n_positions, depth, seed):
-        """Property (sparse-path contract): the float32 similarity kernel
-        agrees with the float64 kernel to ~1e-6 on unit-scale inputs, at
-        every tiling."""
+        """Property: the float32 similarity kernel agrees with the float64
+        kernel to ~1e-6 on unit-scale inputs, at every tiling."""
         rng = np.random.default_rng(seed)
         prototypes = rng.standard_normal((n_rows, depth))
         prototypes /= np.maximum(np.linalg.norm(prototypes, axis=1, keepdims=True), _EPS)
@@ -223,7 +212,7 @@ class TestTiledVsNaive:
     def test_float32_within_allclose(self, filter_maps):
         naive = _layer_affinity_blocks(filter_maps, 5)
         tiled = tiled_layer_blocks(filter_maps, 5, dtype=np.float32)
-        assert tiled.dtype == np.float64  # outputs always float64
+        assert tiled.dtype == np.float32  # outputs in the compute dtype
         assert np.allclose(tiled, naive)
 
     def test_validation(self, vgg):
@@ -231,17 +220,3 @@ class TestTiledVsNaive:
             PrototypeAffinitySource(vgg, top_z=2, layers=())
         with pytest.raises(ValueError, match="top_z"):
             PrototypeAffinitySource(vgg, top_z=0, layers=(0,))
-
-
-class TestPrototypeSourceStreaming:
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_function_blocks_equal_build_state_blocks(self, vgg, tiny_images, n_jobs):
-        """The sparse path's block stream and the dense build walk the
-        same per-layer loop: same ids, same order, same bits."""
-        source = PrototypeAffinitySource(vgg, top_z=3, layers=(0, 2, 4))
-        runtime = EngineConfig(batch_size=3, row_tile=2, n_jobs=n_jobs).runtime()
-        built = source.build_state(tiny_images, runtime).affinity
-        streamed = list(source.iter_function_blocks(tiny_images, runtime))
-        assert tuple(fid for fid, _ in streamed) == built.function_ids
-        for f, (_, block) in enumerate(streamed):
-            np.testing.assert_array_equal(block, built.block(f))

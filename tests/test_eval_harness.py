@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.affinity import AffinityMatrix
 from repro.eval.harness import (
     ExperimentSettings,
+    affinity_function_stats,
     run_fig2,
     run_fig5,
     run_fig7,
@@ -51,6 +54,15 @@ class TestTable2Row:
 
 
 class TestFigureRunners:
+    def test_stats_of_a_float32_table_equal_its_float64_copy(self, small_surface, small_surface_affinity):
+        """Figure 2's means sum in float64 whatever the table's dtype: a
+        float32 table gives the stats of its float64 copy, bit for bit."""
+        narrow = small_surface_affinity
+        assert narrow.values.dtype == np.float32
+        wide = AffinityMatrix(values=narrow.values.astype(np.float64), function_ids=narrow.function_ids)
+        labels = small_surface.labels
+        assert affinity_function_stats(narrow, labels) == affinity_function_stats(wide, labels)
+
     def test_fig2_structure(self):
         result = run_fig2(TINY, "cub")
         assert len(result["all"]) == 50

@@ -131,6 +131,7 @@ class TestGogglesValidation:
                 goggles = Goggles(config, model=vgg)
                 runs.append((goggles.label(images[:n0], dev), goggles.label_incremental(images[n0:], dev)))
             for serial, threaded in zip(*runs):
+                assert threaded.affinity.values.dtype == serial.affinity.values.dtype == np.dtype(precision)
                 np.testing.assert_array_equal(threaded.affinity.values, serial.affinity.values)
                 np.testing.assert_array_equal(threaded.probabilistic_labels, serial.probabilistic_labels)
 

@@ -14,6 +14,7 @@ import pytest
 from reference_affinity import compute_affinity_matrix
 
 from repro.core import Goggles, GogglesConfig
+from repro.core.affinity import AffinityMatrix
 from repro.core.inference.base_gmm import DiagonalGMM, GMMParams
 from repro.core.inference.bernoulli import BernoulliMixture, BernoulliParams, one_hot_encode_lp
 from repro.core.inference.hierarchical import (
@@ -23,7 +24,7 @@ from repro.core.inference.hierarchical import (
 )
 from repro.datasets import make_shapes
 from repro.datasets.base import DevSet
-from repro.engine import ArtifactCache, InferenceEngine, InferenceState
+from repro.engine import ArtifactCache, InferenceEngine, InferenceState, warm_start_responsibilities
 
 WARM_ATOL = 1e-3  # documented warm-vs-cold posterior tolerance (ENGINE.md)
 
@@ -212,6 +213,22 @@ class TestWarmStartCorrectness:
         warm = incremental.label_incremental(ds.images[n0:], dev)
         full = Goggles(cfg, model=vgg).label(ds.images, dev)
         np.testing.assert_allclose(warm.probabilistic_labels, full.probabilistic_labels, atol=WARM_ATOL)
+
+    def test_float32_table_seeds_its_float64_copy(self, small_surface_affinity):
+        """New rows are seeded in float64 whatever the table's dtype (under
+        NumPy 2, ``float32 + 1.0`` stays float32): a float32 table gives
+        the seeds of its float64 copy, bit for bit."""
+        narrow = small_surface_affinity
+        assert narrow.values.dtype == np.float32
+        wide = AffinityMatrix(values=narrow.values.astype(np.float64), function_ids=narrow.function_ids)
+        engine = InferenceEngine(HierarchicalConfig(n_classes=2, seed=0))
+        engine.fit(wide.subset_examples(np.arange(narrow.n_examples - 5)))
+        seeds = zip(
+            warm_start_responsibilities(engine.state, narrow), warm_start_responsibilities(engine.state, wide)
+        )
+        for got, expected in seeds:
+            assert got.shape == (narrow.n_examples, 2)
+            np.testing.assert_array_equal(got, expected)
 
     def test_incompatible_state_silently_ignored(self, small_affinity):
         """A warm-start state from a different task falls back to cold."""

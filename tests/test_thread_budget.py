@@ -46,14 +46,12 @@ def restore_blas_threads():
         set_blas_threads(found)
 
 
-def reference_best_similarities(prototypes, unit_vectors, dtype=np.float64, out_dtype=None):
+def reference_best_similarities(prototypes, unit_vectors, dtype=np.float64):
     """The per-image kernel before prototype rows were chunked: one
     ``(rows, P)`` product per image, reduced by a fresh max."""
     protos = prototypes.astype(dtype, copy=False)
     vectors = unit_vectors.astype(dtype, copy=False)
-    out = np.empty(
-        (protos.shape[0], vectors.shape[0]), dtype=np.float64 if out_dtype is None else out_dtype
-    )
+    out = np.empty((protos.shape[0], vectors.shape[0]), dtype=dtype)
     for i in range(vectors.shape[0]):
         out[:, i] = (protos @ vectors[i]).max(axis=1)
     return out
@@ -100,8 +98,7 @@ class TestLabelAcrossThreadBudgets:
 
 class TestChunkedSimilarities:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("out_dtype", [None, np.float32])
-    def test_matches_per_image_kernel(self, pool_maps, dtype, out_dtype):
+    def test_matches_per_image_kernel(self, pool_maps, dtype):
         rng = np.random.default_rng(5)
         for filter_maps in pool_maps:
             vectors = unit_location_vectors(filter_maps)
@@ -115,9 +112,9 @@ class TestChunkedSimilarities:
                 prototypes = real[rng.integers(0, real.shape[0], rows)]
                 if STARTING_BLAS_THREADS is not None:
                     set_blas_threads(STARTING_BLAS_THREADS)
-                expected = reference_best_similarities(prototypes, vectors, dtype, out_dtype)
+                expected = reference_best_similarities(prototypes, vectors, dtype)
                 set_blas_threads(1)
-                got = best_similarities(prototypes, vectors, dtype=dtype, out_dtype=out_dtype)
+                got = best_similarities(prototypes, vectors, dtype=dtype)
                 assert got.dtype == expected.dtype
                 assert np.array_equal(got, expected), (positions, rows)
 
@@ -126,17 +123,14 @@ class TestChunkedSimilarities:
         vectors = unit_location_vectors(filter_maps)
         real = unique_unit_prototypes(filter_maps, 10).vectors
         prototypes = np.concatenate([real] * 8)[:301]
-        # float64 throughout, then float32 compute into a float64 and
-        # into a float32 table: each tile's maxima reduce in the
-        # compute dtype and are cast once on the way out.
-        for dtype, out_dtype in ((np.float64, None), (np.float32, None), (np.float32, np.float32)):
-            expected = reference_best_similarities(prototypes, vectors, dtype, out_dtype)
+        # Each tile's maxima reduce in the compute dtype, which the
+        # table is returned in.
+        for dtype in (np.float64, np.float32):
+            expected = reference_best_similarities(prototypes, vectors, dtype)
             with ThreadPoolExecutor(max_workers=3) as pool:
-                got = best_similarities(
-                    prototypes, vectors, row_tile=2, executor=pool, dtype=dtype, out_dtype=out_dtype
-                )
+                got = best_similarities(prototypes, vectors, row_tile=2, executor=pool, dtype=dtype)
             assert got.dtype == expected.dtype
-            assert np.array_equal(got, expected), (dtype, out_dtype)
+            assert np.array_equal(got, expected), dtype
 
 
 class TestFoldedMaxima:
